@@ -78,8 +78,8 @@ def load_word2vec_text(path):
 
     Expected layout: a header line "<count> <dim>" followed by ``count`` lines
     of "<word> <dim floats>".  Reserved symbols are appended automatically.
-    Malformed headers, wrong float counts, duplicate words, and count
-    mismatches are rejected with the offending line number.
+    Malformed headers, wrong float counts, duplicate words, count mismatches
+    and non-finite values are rejected with the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -122,6 +122,10 @@ def load_word2vec_text(path):
         words.append(word)
     if len(words) != count:
         raise ValueError(f"{path}: header declares {count} entries, file has {len(words)}")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        # Entry k sits on line k + 2; values beyond float32 range read as inf.
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite value for word {words[bad[0]]!r}")
     return EmbeddingTable(Vocabulary(words), vectors)
 
 

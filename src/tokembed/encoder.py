@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .nn import MLP, Dense, LstmCell, SgdMomentum, TrainingDiverged
-from .serialize import load_model, save_model
+from .serialize import load_model, restore_params, save_model
 
 SCHEME_NAMES = ("uniform", "focused", "tapered")
 
@@ -371,14 +371,7 @@ def load_encoder(path):
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
     model = build_encoder(kind, cfg["dim"], cfg["w_prime"], cfg["token_dim"],
                           cfg.get("hidden", 512))
-    params = model.params()
-    if set(params) != set(tensors):
-        raise ValueError(f"{path}: tensor names do not match the {kind} layout")
-    for name, arr in tensors.items():
-        if params[name].shape != arr.shape:
-            raise ValueError(f"{path}: tensor {name!r} has shape {arr.shape}, "
-                             f"expected {params[name].shape}")
-        params[name][...] = arr
+    restore_params(model.params(), tensors, path)
     scheme = None
     if "scheme" in cfg:
         scheme = WeightScheme(cfg["scheme"]["name"], cfg["scheme"]["center_weight"])

@@ -106,16 +106,24 @@ def pair_features(i, j, n):
         raise ValueError(f"parent index {j} out of range 0..{n}")
     if i == j:
         raise ValueError("a token cannot be its own parent")
-    v = np.zeros(PAIR_FEATURE_COUNT, dtype=np.float64)
-    v[0] = i / n
-    if j == 0:
-        v[9] = 1.0
-        return v
-    v[1] = j / n
-    bucket = int(np.searchsorted(_DISTANCE_EDGES, abs(i - j)))
-    v[2 + bucket] = 1.0
-    v[7 if i < j else 8] = 1.0
-    return v
+    return pair_feature_matrix([i], [j], n)[0]
+
+
+def pair_feature_matrix(children, parents, n):
+    """``pair_features`` for many arcs at once: one float64 row per
+    (child, parent) pair, for already validated positions."""
+    child = np.asarray(children, dtype=np.int64)
+    parent = np.asarray(parents, dtype=np.int64)
+    out = np.zeros((len(child), PAIR_FEATURE_COUNT), dtype=np.float64)
+    out[:, 0] = child / n
+    out[:, 9] = parent == 0
+    arc = np.flatnonzero(parent)
+    child, parent = child[arc], parent[arc]
+    out[arc, 1] = parent / n
+    out[arc, 2 + np.searchsorted(_DISTANCE_EDGES, np.abs(child - parent))] = 1.0
+    out[arc, 7] = child < parent
+    out[arc, 8] = child > parent
+    return out
 
 
 BROWN_PREFIX_LENGTHS = (2, 4, 6, 8)

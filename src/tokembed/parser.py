@@ -17,14 +17,15 @@ Head prediction picks the argmax candidate independently per token, ties
 going to the wall and then to lower positions; no tree constraint is applied.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
-from .features import PAIR_FEATURE_COUNT, pair_features, word_features
-from .nn import MLP, SgdMomentum, TrainingDiverged, anchored_l2, softmax_logloss
-from .serialize import load_model, save_model
+from .features import (PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix,
+                       word_features)
+from .nn import MLP, SgdMomentum, TrainingDiverged, anchored_l2, relu, softmax_logloss
+from .serialize import load_model, restore_params, save_model
 
 
 @dataclass
@@ -128,26 +129,42 @@ class ParserConfig:
 
 @dataclass
 class _SentenceCache:
-    """Precomputed per-arc rows for one sentence.
+    """Per-position inputs and arc indices for one sentence.
 
-    ``child_wins``/``parent_wins`` are id matrices indexing the embedding
-    table (wall parents use the zero unknown row); ``const`` holds the blocks
-    that never change during training; ``arcs`` lists (start, end, child,
-    candidates, gold offset) spans into the row matrices.
+    Slot 0 is the wall and slots 1..k are the selected tokens in order;
+    ``positions`` maps slots to sentence positions.  Per slot, ``wins`` holds
+    type-window ids into the embedding table (the wall uses the zero unknown
+    row) and ``fixed`` the token-embedding and word-shape blocks, which never
+    change during training (zero for the wall).  Every child has the same k
+    candidates, the wall and then the other selected tokens in order, so the
+    k*k arcs form k contiguous spans of length k, one per child.  Per arc only
+    the ``parent`` slot and the ``pair`` features are kept, so no per-arc
+    array is wider than ``PAIR_FEATURE_COUNT``.  ``gold`` is each child's gold
+    candidate offset, -1 when it has no usable gold head.
     """
 
-    child_wins: np.ndarray
-    parent_wins: np.ndarray
-    const: np.ndarray
-    arcs: list = field(default_factory=list)
+    positions: np.ndarray
+    wins: np.ndarray
+    fixed: np.ndarray
+    parent: np.ndarray
+    pair: np.ndarray
+    gold: np.ndarray
 
     @property
-    def n_rows(self):
-        return len(self.const)
+    def n_children(self):
+        return len(self.gold)
 
 
 class Parser:
-    """Arc scorer and local head predictor."""
+    """Arc scorer and local head predictor.
+
+    The first layer is linear in the input row, so it is applied per position
+    rather than per arc: each position is projected once through the child
+    columns and once through the parent columns of ``net.0.W``, and an arc's
+    pre-activation is its child's projection plus its parent's plus that of
+    its pair features (Chen & Manning, 2014).  Only the hidden layers see one
+    row per arc.
+    """
 
     kind = "parser"
 
@@ -165,8 +182,20 @@ class Parser:
         self.win_len = 0 if config.window == -1 else 2 * config.window + 1
         self.type_width = 2 * self.win_len * table.dim
         self.token_width = 2 * sum(e.token_dim for e in self.encoders)
-        self.feat_width = (20 if config.word_features else 0) + PAIR_FEATURE_COUNT
+        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
+        self.feat_width = 2 * shape_width + PAIR_FEATURE_COUNT
         self.input_dim = self.type_width + self.token_width + self.feat_width
+
+        # (offset, width) of the type-window, token-embedding and shape blocks
+        # in a position row.  The network input holds each block twice, child
+        # copy then parent copy, from twice its offset; pair features close it.
+        self._blocks = []
+        offset = 0
+        for width in (self.type_width // 2, self.token_width // 2, shape_width):
+            if width:
+                self._blocks.append((offset, width))
+            offset += width
+        self.pos_width = offset
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
                        ["relu", "relu", "linear"], rng, dtype)
@@ -195,62 +224,76 @@ class Parser:
         return np.concatenate([wall, wins], axis=0)
 
     def _cache_sentence(self, sent):
-        """Build all candidate rows for every selected child of a sentence."""
+        """Position rows and arc indices for every selected child of a sentence."""
         ids = self.table.vocab.to_ids(sent.tokens)
         n = len(sent)
-        pos_wins = self._position_windows(ids)
+        dtype = self.net.layers[0].W.dtype
+        positions = np.array([0] + sent.selected_positions(), dtype=np.int64)
+        tokens = positions[1:]
+        k = len(tokens)
 
-        tok_parts = [np.zeros((n + 1, 0), dtype=np.float32)]
+        fixed = np.zeros((k + 1, self.pos_width - self.type_width // 2), dtype=dtype)
+        col = 0
         for enc in self.encoders:
-            embs = enc.encode_sentence(self.table, ids).astype(np.float32)
-            zero = np.zeros((1, enc.token_dim), dtype=np.float32)
-            tok_parts.append(np.concatenate([zero, embs], axis=0))
-        tok = np.concatenate(tok_parts, axis=1)  # (n+1, sum d'), row 0 = wall
-
+            embs = enc.encode_sentence(self.table, ids)
+            fixed[1:, col:col + enc.token_dim] = embs[tokens - 1]
+            col += enc.token_dim
         if self.config.word_features:
-            shape = np.concatenate(
-                [np.zeros((1, 10), dtype=np.float32),
-                 np.stack([word_features(t) for t in sent.tokens])], axis=0)
-        else:
-            shape = np.zeros((n + 1, 0), dtype=np.float32)
+            for s, p in enumerate(tokens, start=1):
+                fixed[s, col:] = word_features(sent.tokens[p - 1])
 
-        child_wins, parent_wins, const_rows, arcs = [], [], [], []
-        row = 0
-        for i in sent.selected_positions():
-            cands = candidate_heads(sent, i)
-            gold = sent.heads[i - 1]
-            gold_off = cands.index(gold) if gold in cands else -1
-            for j in cands:
-                child_wins.append(pos_wins[i])
-                parent_wins.append(pos_wins[j])
-                const_rows.append(np.concatenate([
-                    tok[i], tok[j], shape[i], shape[j],
-                    pair_features(i, j, n).astype(np.float32)]))
-            arcs.append((row, row + len(cands), i, cands, gold_off))
-            row += len(cands)
-        if const_rows:
-            const = np.stack(const_rows)
-            cw = np.stack(child_wins)
-            pw = np.stack(parent_wins)
-        else:
-            const = np.zeros((0, self.token_width + self.feat_width), dtype=np.float32)
-            cw = np.zeros((0, self.win_len), dtype=np.int64)
-            pw = np.zeros((0, self.win_len), dtype=np.int64)
-        return _SentenceCache(cw, pw, const, arcs)
+        slots = np.arange(1, k + 1)
+        grid = np.concatenate([np.zeros((k, 1), dtype=np.int64),
+                               np.broadcast_to(slots, (k, k))], axis=1)
+        parent = grid[grid != slots[:, None]]
+        pair = pair_feature_matrix(np.repeat(tokens, k), positions[parent], n)
 
-    def _rows(self, cache, lo=None, hi=None):
-        sl = slice(lo, hi)
-        const = cache.const[sl]
-        if self.win_len == 0:
-            return const
-        child = self.embeddings[cache.child_wins[sl]].reshape(len(const), -1)
-        parent = self.embeddings[cache.parent_wins[sl]].reshape(len(const), -1)
-        return np.concatenate([child, parent, const], axis=1)
+        slot_of = np.full(n + 1, -1, dtype=np.int64)
+        slot_of[positions] = np.arange(k + 1)
+        heads = np.array(sent.heads, dtype=np.int64)[tokens - 1]
+        gold_slot = np.where(heads >= 0, slot_of[np.maximum(heads, 0)], -1)
+        # a child's own slot is missing from its candidates, shifting later ones
+        gold = np.where(gold_slot > slots, gold_slot - 1, gold_slot)
+        return _SentenceCache(positions, self._position_windows(ids)[positions],
+                              fixed, parent, pair.astype(dtype), gold)
+
+    def _side_rows(self, cache):
+        """(2k+1, input_dim) first-layer rows per position: children (slots
+        1..k) in the child columns, then slots 0..k in the parent columns, zero
+        elsewhere.  An arc's input row is its child's row plus its parent's
+        row plus its pair features in the last columns, so one product with
+        ``net.0.W`` projects every position for both roles."""
+        k = cache.n_children
+        typ = self.embeddings[cache.wins].reshape(k + 1, -1)
+        X = np.concatenate([typ.astype(cache.fixed.dtype, copy=False), cache.fixed],
+                           axis=1)
+        Z = np.zeros((2 * k + 1, self.input_dim), dtype=X.dtype)
+        for lo, width in self._blocks:
+            Z[:k, 2 * lo:2 * lo + width] = X[1:, lo:lo + width]
+            Z[k:, 2 * lo + width:2 * lo + 2 * width] = X[:, lo:lo + width]
+        return Z
+
+    def _forward(self, cache):
+        """Scores of a sentence's k*k arcs (child spans in order) and the
+        activations ``batch_loss_and_grads`` propagates back through."""
+        first = self.net.layers[0]
+        k = cache.n_children
+        Z = self._side_rows(cache)
+        proj = Z @ first.W.T
+        A = (cache.pair @ first.W[:, -PAIR_FEATURE_COUNT:].T).reshape(k, k, first.n_out)
+        A += (proj[:k] + first.b)[:, None, :]
+        A += proj[k:][cache.parent.reshape(k, k)]
+        A = A.reshape(k * k, first.n_out)
+        H = relu(A)
+        tail = []
+        for layer in self.net.layers[1:]:
+            H, layer_cache = layer.forward(H)
+            tail.append(layer_cache)
+        return H[:, 0], (Z, A, tail)
 
     # -- scoring and prediction ----------------------------------------------
 
-    def arc_score(self, sent, i, j):
-        """Score of the arc attaching child ``i`` to parent candidate ``j``."""
+    def _check_arc(self, sent, i, j):
         n = len(sent)
         if i == j:
             raise ValueError("a token cannot be its own parent")
@@ -258,29 +301,35 @@ class Parser:
             raise ValueError(f"child {i} is not a selected token")
         if j != 0 and (not 1 <= j <= n or not sent.selected[j - 1]):
             raise ValueError(f"parent candidate {j} is not selected")
-        cache = self._cache_sentence(sent)
-        for lo, hi, child, cands, _ in cache.arcs:
-            if child == i:
-                scores, _ = self.net.forward(self._rows(cache, lo, hi))
-                return float(scores[cands.index(j), 0])
-        raise ValueError(f"child {i} not found")  # unreachable after the checks
+
+    def arc_score(self, sent, i, j):
+        """Score of the arc attaching child ``i`` to parent candidate ``j``,
+        taken from the same whole-sentence pass ``predict_heads`` uses."""
+        self._check_arc(sent, i, j)
+        rows = {child: (cands, scores) for child, cands, scores in self.score_sentence(sent)}
+        cands, scores = rows[i]
+        return float(scores[cands.index(j)])
 
     def arc_input(self, sent, i, j):
-        """Composed network input for one (child, parent) pair."""
+        """Composed network input for one (child, parent) pair: the row whose
+        first-layer product the factored scorer computes."""
+        self._check_arc(sent, i, j)
         cache = self._cache_sentence(sent)
-        for lo, hi, child, cands, _ in cache.arcs:
-            if child == i:
-                return self._rows(cache, lo, hi)[cands.index(j)]
-        raise ValueError(f"child {i} is not a selected token")
+        child, parent = np.searchsorted(cache.positions, [i, j])
+        Z = self._side_rows(cache)
+        row = Z[child - 1] + Z[cache.n_children + parent]
+        row[-PAIR_FEATURE_COUNT:] = pair_feature_matrix([i], [j], len(sent))[0]
+        return row
 
     def score_sentence(self, sent):
         """Scores for every (child, candidate) pair: list of (i, cands, scores)."""
         cache = self._cache_sentence(sent)
-        if cache.n_rows == 0:
+        k = cache.n_children
+        if k == 0:
             return []
-        scores, _ = self.net.forward(self._rows(cache))
-        scores = scores[:, 0]
-        return [(i, cands, scores[lo:hi]) for lo, hi, i, cands, _ in cache.arcs]
+        scores, _ = self._forward(cache)
+        cands = cache.positions[cache.parent].reshape(k, k).tolist()
+        return list(zip(cache.positions[1:].tolist(), cands, scores.reshape(k, k)))
 
     def predict_heads(self, sent):
         """Independent argmax head per selected token; -1 for unselected.
@@ -325,9 +374,7 @@ class Parser:
             raise ValueError(
                 f"{path}: encoder set {given} does not match stored {cfg['encoders']}")
         model = cls(config, table, encoders)
-        params = model.params()
-        for name, arr in tensors.items():
-            params[name][...] = arr
+        restore_params(model.params(), tensors, path)
         return model
 
 
@@ -391,35 +438,78 @@ def export_arc_scores(model, sentences, path):
     return count
 
 
+def _child_losses(scores, gold):
+    """Softmax log loss of each child's gold candidate, one row of candidate
+    scores per child, as a log-sum-exp over each row.  Returns float64
+    (losses, gradients with respect to the scores)."""
+    if (gold < 0).any():
+        raise ValueError("a selected child has no gold candidate")
+    z = np.asarray(scores, dtype=np.float64)
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(len(z))
+    grad = e / s
+    grad[rows, gold] -= 1.0
+    return np.log(s[:, 0]) + m[:, 0] - z[rows, gold], grad
+
+
 def batch_loss_and_grads(model, caches):
-    """Mean per-arc loss over a minibatch of sentence caches plus, when
+    """Mean per-child arc loss over a minibatch of sentence caches plus, when
     embedding updates are on, the anchored penalty; gradients cover the
-    network and the embedding table (reserved rows zeroed)."""
-    n_arcs = sum(len(c.arcs) for c in caches)
-    grads = {f"net.{k}": np.zeros_like(v) for k, v in model.net.params().items()}
+    network and the embedding table (reserved rows zeroed).
+
+    The first layer's gradient is built per position, like its forward pass:
+    an incidence-matrix product sums the arc pre-activation gradients over
+    each child's span and over each parent, giving the gradient of every
+    position's projection, and one product of those with the position rows
+    of the whole batch gives ``net.0.W``.  Only the pair-feature columns see
+    per-arc rows.  The input gradient is formed per position, and only when
+    the embeddings are updated.
+    """
+    net = model.net
+    first = net.layers[0]
+    n_children = sum(c.n_children for c in caches)
+    grads = {f"net.{k}": np.zeros_like(v) for k, v in net.params().items()}
     updating = model.config.update_embeddings
     if updating:
         grads["embeddings"] = np.zeros_like(model.embeddings)
+    half = model.type_width // 2
     total = 0.0
+    side_rows, dside_rows, pair_grad = [], [], 0.0
     for cache in caches:
-        X = model._rows(cache)
-        scores, net_cache = model.net.forward(X)
-        flat = scores[:, 0]
-        dflat = np.zeros_like(flat)
-        for lo, hi, _, _, gold_off in cache.arcs:
-            loss, dsc = arc_loss(flat[lo:hi], gold_off)
-            total += loss
-            dflat[lo:hi] = dsc.astype(flat.dtype)
-        dX, net_grads = model.net.backward((dflat / n_arcs)[:, None], net_cache)
-        for k, g in net_grads.items():
-            grads[f"net.{k}"] += g
-        if updating and model.win_len > 0:
-            half = model.win_len * model.table.dim
-            dTyp = dX[:, :half].reshape(len(X), -1, model.table.dim)
-            dPar = dX[:, half:2 * half].reshape(len(X), -1, model.table.dim)
-            np.add.at(grads["embeddings"], cache.child_wins, dTyp)
-            np.add.at(grads["embeddings"], cache.parent_wins, dPar)
-    total /= n_arcs
+        k = cache.n_children
+        if k == 0:
+            continue
+        flat, (Z, A, tail) = model._forward(cache)
+        losses, dscores = _child_losses(flat.reshape(k, k), cache.gold)
+        total += losses.sum()
+        d = (dscores.astype(flat.dtype) / n_children).reshape(k * k, 1)
+        for idx in range(len(net.layers) - 1, 0, -1):
+            d, layer_grads = net.layers[idx].backward(d, tail[idx - 1])
+            grads[f"net.{idx}.W"] += layer_grads["W"]
+            grads[f"net.{idx}.b"] += layer_grads["b"]
+        dA = d * (A > 0)
+        arcs = np.arange(k * k)
+        incidence = np.zeros((2 * k + 1, k * k), dtype=dA.dtype)
+        incidence[arcs // k, arcs] = 1.0
+        incidence[k + cache.parent, arcs] = 1.0
+        dproj = incidence @ dA
+        grads["net.0.b"] += dproj[:k].sum(axis=0)
+        pair_grad = pair_grad + dA.T @ cache.pair
+        side_rows.append(Z)
+        dside_rows.append(dproj)
+        if updating and half:
+            dwin = dproj[k:] @ first.W[:, half:2 * half]
+            dwin[1:] += dproj[:k] @ first.W[:, :half]
+            np.add.at(grads["embeddings"], cache.wins,
+                      dwin.reshape(k + 1, model.win_len, -1))
+    if side_rows:
+        np.matmul(np.concatenate(dside_rows).T, np.concatenate(side_rows),
+                  out=grads["net.0.W"])
+        # the side rows are zero in the pair columns
+        grads["net.0.W"][:, -PAIR_FEATURE_COUNT:] = pair_grad
+    total /= n_children
     if updating:
         penalty, anchor_grad = anchored_l2(model.embeddings, model.anchor,
                                            model.config.anchor_weight)
@@ -453,11 +543,12 @@ def train_parser(model, train_sents, val_sents, cfg):
     if not train_sents or not val_sents:
         raise ValueError("empty corpus")
     caches = [model._cache_sentence(s) for s in train_sents]
-    for sent, cache in zip(train_sents, caches):
-        for _, _, i, _, gold_off in cache.arcs:
-            if gold_off < 0:
-                raise ValueError(f"selected token {i} has no usable gold head")
-    usable = [k for k, c in enumerate(caches) if c.arcs]
+    for cache in caches:
+        missing = np.flatnonzero(cache.gold < 0)
+        if len(missing):
+            raise ValueError(f"selected token {cache.positions[1 + missing[0]]} "
+                             "has no usable gold head")
+    usable = [k for k, c in enumerate(caches) if c.n_children]
     if not usable:
         raise ValueError("no selected tokens in the training corpus")
 

@@ -53,9 +53,13 @@ def load_model(path):
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic)")
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated header")
     version, hlen = struct.unpack("<II", data[4:12])
     if version != VERSION:
         raise ValueError(f"{path}: unsupported container version {version}")
+    if 12 + hlen > len(data):
+        raise ValueError(f"{path}: truncated header")
     header = json.loads(data[12:12 + hlen].decode("utf-8"))
     tensors = {}
     offset = 12 + hlen
@@ -71,3 +75,23 @@ def load_model(path):
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after tensors")
     return header["kind"], header["config"], tensors
+
+
+def restore_params(params, tensors, path):
+    """Copy loaded ``tensors`` into a model's live ``params`` arrays.
+
+    The names must match exactly and every shape must equal its parameter's;
+    otherwise a ``ValueError`` names the file and the tensor and no parameter
+    is touched.
+    """
+    for name, arr in params.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != arr.shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, expected {arr.shape}")
+    for name in tensors:
+        if name not in params:
+            raise ValueError(f"{path}: unknown tensor {name!r}")
+    for name, arr in params.items():
+        arr[...] = tensors[name]

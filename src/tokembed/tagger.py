@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as rng_mod
 from .features import extended_feature_width, extended_features, word_features
 from .nn import MLP, SgdMomentum, TrainingDiverged, anchored_l2, softmax_logloss_batch
-from .serialize import load_model, save_model
+from .serialize import load_model, restore_params, save_model
 
 
 @dataclass
@@ -234,9 +234,7 @@ class Tagger:
         if config.extended and extended_feature_width(resources) != cfg["extended_width"]:
             raise ValueError(f"{path}: resource bundle width differs from training time")
         model = cls(config, cfg["tagset"], table, encoders, resources)
-        params = model.params()
-        for name, arr in tensors.items():
-            params[name][...] = arr
+        restore_params(model.params(), tensors, path)
         return model
 
 

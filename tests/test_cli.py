@@ -4,8 +4,10 @@ import pytest
 
 from tokembed import rng as rng_mod
 from tokembed.cli import main
-from tokembed.embeddings import save_corpus, save_word2vec_text
-from tokembed.parser import save_dep_corpus
+from tokembed.embeddings import (load_word2vec_text, save_corpus,
+                                 save_word2vec_text)
+from tokembed.parser import Parser, ParserConfig, save_dep_corpus
+from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
                                 toy_embedding_table)
 from tokembed.tagger import save_tagged_corpus
@@ -82,6 +84,40 @@ def test_missing_required_option_exits_1(data, capsys):
                        "--val", data["val"], "--out", data["root"] / "x.bin")
     assert code == 1
     assert "--embeddings" in err
+
+
+@pytest.mark.parametrize("corrupt, tensor", [
+    (lambda t: t.pop("net.1.b"), "net.1.b"),
+    (lambda t: t.update({"net.9.W": t["net.0.W"]}), "net.9.W"),
+    (lambda t: t.update({"net.0.b": t["net.0.b"][:1]}), "net.0.b"),
+])
+def test_parse_rejects_mismatched_model_tensors(data, capsys, tmp_path, corrupt, tensor):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    Parser(ParserConfig(window=0, hidden=4),
+           load_word2vec_text(str(data["emb"]))).save(good)
+    kind, config, tensors = load_model(good)
+    corrupt(tensors)
+    save_model(bad, kind, config, tensors)
+    code, summary, err = run(capsys, "parse", "--embeddings", data["emb"],
+                             "--model", bad, "--corpus", data["dep_val"],
+                             "--out", tmp_path / "pred.dep")
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert str(bad) in err and repr(tensor) in err
+
+
+def test_parse_rejects_nan_embeddings(data, capsys, tmp_path):
+    lines = data["emb"].read_text(encoding="utf-8").splitlines()
+    word, *values = lines[2].split()
+    lines[2] = " ".join([word, "nan"] + values[1:])
+    emb = tmp_path / "nan.txt"
+    emb.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, summary, err = run(capsys, "parse", "--embeddings", emb,
+                             "--model", tmp_path / "unused.bin",
+                             "--corpus", data["dep_val"], "--out", tmp_path / "pred.dep")
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"{emb}:3: non-finite value for word {word!r}" in err
 
 
 def test_train_encoder_summary_schema(data, capsys, tmp_path):

@@ -63,6 +63,14 @@ def test_bad_float_named(tmp_path):
         load_word2vec_text(f)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+def test_non_finite_value_named(tmp_path, value):
+    # 1e39 is finite as text but overflows the float32 table
+    f = write(tmp_path / "e.txt", f"3 2\na 1 2\nb 3 {value}\nc 5 6\n")
+    with pytest.raises(ValueError, match=r":3: non-finite value for word 'b'"):
+        load_word2vec_text(f)
+
+
 def test_lookup_oov_is_unk_row(tmp_path):
     f = write(tmp_path / "e.txt", "1 3\na 1 2 3\n")
     table = load_word2vec_text(f)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import given
 
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder
+from tokembed.features import PAIR_FEATURE_COUNT
 from tokembed.nn import gradient_check
 from tokembed.parser import (DepSentence, Parser, ParserConfig,
                              ParserTrainConfig, arc_loss, attachment_f1,
-                             candidate_heads, export_arc_scores,
-                             load_dep_corpus, save_dep_corpus, sentence_loss,
-                             train_parser)
+                             batch_loss_and_grads, candidate_heads,
+                             export_arc_scores, load_dep_corpus,
+                             save_dep_corpus, sentence_loss, train_parser)
 from tokembed.synthetic import chain_dep_corpus, toy_embedding_table
 
 
@@ -104,6 +106,55 @@ def test_wall_input_zeroes_parent_blocks():
     assert np.allclose(pair, [2 / 4, 0, 0, 0, 0, 0, 0, 0, 0, 1])
 
 
+# Tokens that light up several word-shape rules; all but the t* words are out
+# of vocabulary.
+SHAPED = ["t0", "t1", "t2", "t3", "@you", "#tag", "42", "...", "zz-oov"]
+
+
+@given(st.integers(0, 2 ** 30), st.sampled_from([-1, 0, 1]), st.integers(0, 2),
+       st.booleans(), st.integers(1, 6))
+def test_factored_scores_equal_composed_rows(seed, window, n_enc, word_feats, n):
+    # the per-position scorer against the plain network on composed arc rows
+    if window == -1 and n_enc == 0:
+        n_enc = 1
+    rng = np.random.default_rng(seed)
+    table = small_table(dim=3)
+    table.vectors = table.vectors.astype(np.float64)
+    encoders = [FfnEncoder(3, e, token_dim=2 + e, hidden=4,
+                           rng=rng_mod.stream(seed + e, "init"), dtype=np.float64)
+                for e in range(n_enc)]
+    model = Parser(ParserConfig(window=window, hidden=5, word_features=word_feats),
+                   table, encoders, rng=rng_mod.stream(seed, "init"), dtype=np.float64)
+    for v in model.net.params().values():
+        v += rng.normal(scale=0.1, size=v.shape)
+    selected = [bool(x) for x in rng.random(n) < 0.7]
+    sent = DepSentence([SHAPED[int(x)] for x in rng.integers(len(SHAPED), size=n)],
+                       [-1] * n, selected)
+    scored = model.score_sentence(sent)
+    assert [i for i, _, _ in scored] == sent.selected_positions()
+    for i, cands, scores in scored:
+        assert cands == candidate_heads(sent, i)
+        rows = np.stack([model.arc_input(sent, i, j) for j in cands])
+        assert rows.shape == (len(cands), model.input_dim)
+        expected, _ = model.net.forward(rows)
+        assert np.abs(scores - expected[:, 0]).max() <= 1e-10
+
+
+def test_cache_keeps_no_per_arc_input_rows():
+    table = small_table(dim=3)
+    enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(42, "init"))
+    model = Parser(ParserConfig(window=1, hidden=6), table, encoders=[enc])
+    sent = DepSentence([f"t{k}" for k in range(6)], [0, 1, -1, 2, 4, 5],
+                       [True, True, False, True, True, True])
+    cache = model._cache_sentence(sent)
+    n_arcs = cache.n_children ** 2
+    per_arc = [getattr(cache, f.name) for f in fields(cache)
+               if len(getattr(cache, f.name)) == n_arcs]
+    assert per_arc
+    assert all(a.ndim == 1 or a.shape[1] <= PAIR_FEATURE_COUNT for a in per_arc)
+    assert model.input_dim > PAIR_FEATURE_COUNT
+
+
 def test_window_minus_one_has_no_type_inputs():
     table = small_table(dim=3)
     enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(44, "init"))
@@ -150,19 +201,12 @@ def test_arc_loss_gradient_through_network():
                    rng=rng_mod.stream(45, "init"), dtype=np.float64)
     sent = full_sentence(4)
     cache = model._cache_sentence(sent)
+    k = cache.n_children
 
     def loss_and_grads():
-        X = model._rows(cache)
-        scores, net_cache = model.net.forward(X)
-        flat = scores[:, 0]
-        total = 0.0
-        dflat = np.zeros_like(flat)
-        for lo, hi, _, _, gold_off in cache.arcs:
-            loss, dsc = arc_loss(flat[lo:hi], gold_off)
-            total += loss
-            dflat[lo:hi] = dsc
-        _, grads = model.net.backward(dflat[:, None], net_cache)
-        return total, grads
+        # the summed (not mean) loss over the children, as one sentence
+        mean, grads = batch_loss_and_grads(model, [cache])
+        return mean * k, {name[len("net."):]: g * k for name, g in grads.items()}
 
     report = gradient_check(loss_and_grads, model.net.params(), eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
@@ -421,8 +465,6 @@ def test_update_embeddings_gradients_match_finite_differences():
     # exercises the scatter-add through child and parent windows (wall
     # parents use the pinned unknown row) plus the anchored penalty;
     # reserved rows are excluded from probing
-    from tokembed.parser import batch_loss_and_grads
-
     rng = rng_mod.stream(56, "data")
     words = [f"t{k}" for k in range(6)]
     table = toy_embedding_table(words, 3, rng)
@@ -447,6 +489,40 @@ def test_update_embeddings_gradients_match_finite_differences():
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
+
+
+def test_batch_gradients_with_window_encoder_and_embedding_updates():
+    # every net tensor and every used embedding row through the factored
+    # first layer: child and parent windows, token embeddings, shape bits,
+    # an unselected token and a single-token sentence
+    rng = rng_mod.stream(57, "data")
+    words = ["t0", "t1", "#t2", "t3", "@t4", "55"]
+    table = toy_embedding_table(words, 3, rng)
+    table.vectors = table.vectors.astype(np.float64)
+    enc = FfnEncoder(3, 1, token_dim=2, hidden=4, rng=rng_mod.stream(58, "init"),
+                     dtype=np.float64)
+    model = Parser(ParserConfig(window=1, hidden=4, update_embeddings=True,
+                                anchor_weight=0.05), table, encoders=[enc],
+                   rng=rng_mod.stream(57, "init"), dtype=np.float64)
+    for v in model.net.params().values():
+        v += rng.normal(scale=0.05, size=v.shape)
+    model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))
+    sents = [DepSentence(words[:4], [0, 1, -1, 2], [True, True, False, True]),
+             DepSentence(words[3:], [3, 0, 2], [True] * 3),
+             DepSentence(["55"], [0], [True])]
+    caches = [model._cache_sentence(s) for s in sents]
+
+    params = {k: v for k, v in model.params().items() if k != "embeddings"}
+    params["embeddings"] = model.embeddings[:6]
+
+    def loss_and_grads():
+        loss, grads = batch_loss_and_grads(model, caches)
+        grads["embeddings"] = grads["embeddings"][:6]
+        return loss, grads
+
+    report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
+    assert report.ok, report.failures[:3]
+    assert report.n_checked == sum(v.size for v in params.values())
 
 
 def test_updating_embeddings_moves_copy_only():

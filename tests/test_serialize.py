@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tokembed.serialize import MAGIC, load_model, save_model
+from tokembed.serialize import MAGIC, load_model, restore_params, save_model
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -55,3 +55,42 @@ def test_trailing_bytes_rejected(tmp_path):
 
 def test_magic_constant():
     assert len(MAGIC) == 4
+
+
+def test_short_header_rejected(tmp_path):
+    path = tmp_path / "m.bin"
+    save_model(path, "demo", {}, {"w": np.ones(2, dtype=np.float32)})
+    data = path.read_bytes()
+    for cut in (6, 20):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"{path}: truncated header"):
+            load_model(str(path))
+
+
+def live_params():
+    return {"a.W": np.zeros((2, 3), dtype=np.float32),
+            "a.b": np.zeros(2, dtype=np.float32)}
+
+
+def test_restore_params_copies_every_tensor():
+    params = live_params()
+    stored = {"a.b": np.array([1.0, 2.0]), "a.W": np.arange(6.0).reshape(2, 3)}
+    restore_params(params, stored, "m.bin")
+    assert np.array_equal(params["a.W"], stored["a.W"])
+    assert np.array_equal(params["a.b"], stored["a.b"])
+
+
+@pytest.mark.parametrize("tensors, message", [
+    ({"a.W": np.ones((2, 3))}, "missing tensor 'a.b'"),
+    ({"a.W": np.ones((2, 3)), "a.b": np.ones(2), "a.c": np.ones(1)},
+     "unknown tensor 'a.c'"),
+    ({"a.W": np.ones((2, 3)), "a.b": np.ones(1)},
+     r"tensor 'a.b' has shape \(1,\), expected \(2,\)"),
+    ({"a.W": np.ones((3, 2)), "a.b": np.ones(2)},
+     r"tensor 'a.W' has shape \(3, 2\), expected \(2, 3\)"),
+])
+def test_restore_params_rejects_mismatches_untouched(tensors, message):
+    params = live_params()
+    with pytest.raises(ValueError, match="^m.bin: " + message):
+        restore_params(params, tensors, "m.bin")
+    assert not any(v.any() for v in params.values())
