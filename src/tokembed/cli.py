@@ -6,7 +6,8 @@ human-readable progress on stderr.  Exit codes: 0 success, 1 for config or IO
 errors, 2 for numerical failures (non-finite losses).
 
 Options may come from a ``--config`` file of ``key = value`` lines (values
-parsed as JSON where possible); explicitly passed flags win over file values.
+parsed as JSON where possible, then converted and checked like the option's
+flag); explicitly passed flags win over file values.
 Echoing the printed config back through ``--config`` reproduces the run
 because a single ``--seed`` drives every random choice.
 """
@@ -44,6 +45,7 @@ def log(msg):
 
 
 def _parse_config_file(path):
+    """key -> (value, line number) of a ``key = value`` file."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -56,9 +58,9 @@ def _parse_config_file(path):
             key = key.strip().replace("-", "_")
             raw = raw.strip()
             try:
-                values[key] = json.loads(raw)
+                values[key] = json.loads(raw), lineno
             except json.JSONDecodeError:
-                values[key] = raw
+                values[key] = raw, lineno
     return values
 
 
@@ -66,12 +68,36 @@ def _flag_present(argv, flag):
     return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
-def _apply_config_file(args, argv):
+def _convert(action, val):
+    """``val`` converted and checked the way argparse treats ``action``'s
+    flag; raises ValueError or TypeError for a value the flag would refuse."""
+    if action.nargs == 0:  # on/off switch
+        if not isinstance(val, bool):
+            raise ValueError("expected true or false")
+        return val
+    if val is None and action.default is None:
+        return None
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = [val] if not repeatable or isinstance(val, str) else val
+    if not isinstance(items, list):
+        raise ValueError("expected a list")
+    out = []
+    for item in items:
+        text = item if isinstance(item, str) else json.dumps(item)
+        item = action.type(text) if action.type else text
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"{item!r} is not one of {list(action.choices)}")
+        out.append(item)
+    return out if repeatable else out[0]
+
+
+def _apply_config_file(args, argv, command_parser):
     if not getattr(args, "config", None):
         return
+    actions = {a.dest: a for a in command_parser._actions}
     values = _parse_config_file(args.config)
-    for key, val in values.items():
-        if not hasattr(args, key) or key in ("command", "config"):
+    for key, (val, lineno) in values.items():
+        if key not in actions or not hasattr(args, key) or key == "config":
             raise CliError(f"unknown config key {key!r}")
         spellings = ["--" + key.replace("_", "-"),
                      "--no-" + key.replace("_", "-")]
@@ -79,7 +105,10 @@ def _apply_config_file(args, argv):
             spellings.append("-" + key)
         if any(_flag_present(argv, f) for f in spellings):
             continue  # explicit flags override the file
-        setattr(args, key, val)
+        try:
+            setattr(args, key, _convert(actions[key], val))
+        except (TypeError, ValueError) as e:
+            raise CliError(f"{args.config}:{lineno}: {key}: {e}") from None
 
 
 def _require(args, *keys):
@@ -540,8 +569,9 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_arg_parser()
     args = ap.parse_args(argv)
+    commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(args, argv, commands.choices[args.command])
         if args.seed < 0:
             raise CliError("seed must be non-negative")
         return args.func(args)

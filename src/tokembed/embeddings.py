@@ -8,6 +8,8 @@ are never trained anywhere in the package.
 
 import numpy as np
 
+from .nn import RowGrad, anchored_l2
+
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -71,6 +73,59 @@ class EmbeddingTable:
     def lookup(self, word):
         """Type vector for ``word``, or the (all-zero) unknown row."""
         return self.vectors[self.vocab.id_of(word)]
+
+
+class AdaptedEmbeddings:
+    """Trainable copy of a table's type vectors, pulled toward the pretrained
+    values (the anchor) by ``anchor_weight * sum((vectors - anchor)^2)``.
+
+    Reserved rows never receive gradient.  Only *active* rows ever change:
+    the rows that differ from the anchor when the first gradient is taken,
+    plus every row a window has touched since; a row stays active once added.
+    Any other row has zero deviation, zero gradient and zero momentum, so a
+    dense update would leave it as it is, and ``gradient`` covers the active
+    rows only.  Per-row arithmetic is that of the dense update, so the
+    parameters are bit-identical; only the summation order of the reported
+    penalty differs.
+    """
+
+    def __init__(self, table, anchor_weight, dtype=np.float32):
+        self.anchor = table.vectors.astype(dtype)
+        # Adding +0.0 turns -0.0 into +0.0, as the first dense step would on
+        # every row; rows the update never reaches must match it too.
+        self.vectors = self.anchor + 0.0
+        self.anchor_weight = anchor_weight
+        vocab = table.vocab
+        self.reserved = np.array([vocab.bos_id, vocab.eos_id, vocab.unk_id])
+        self.rows = None   # active rows, in the order they were added
+        self._slot = None  # row -> its index in ``rows``, -1 while inactive
+
+    def _activate(self, new):
+        self._slot[new] = np.arange(len(self.rows), len(self.rows) + len(new))
+        self.rows = np.concatenate([self.rows, new])
+
+    def gradient(self, window_grads):
+        """Anchored penalty and its gradient as a ``RowGrad`` over the active
+        rows.  ``window_grads`` holds (ids, grad) pairs, ``grad`` shaped like
+        ``ids`` plus the embedding dimension; they are summed per row in the
+        order ``np.add.at`` on the whole table would use."""
+        if self._slot is None:
+            self._slot = np.full(len(self.vectors), -1, dtype=np.int64)
+            self.rows = np.empty(0, dtype=np.int64)
+            moved = (self.vectors != self.anchor).any(axis=1)
+            self._activate(np.flatnonzero(moved))
+        for ids, _ in window_grads:
+            self._activate(np.unique(ids[self._slot[ids] < 0]))
+        rows = self.rows
+        values = np.zeros((len(rows), self.vectors.shape[1]), self.vectors.dtype)
+        for ids, grad in window_grads:
+            np.add.at(values, self._slot[ids], grad)
+        penalty, anchor_grad = anchored_l2(self.vectors[rows], self.anchor[rows],
+                                           self.anchor_weight)
+        values += anchor_grad
+        reserved = self._slot[self.reserved]
+        values[reserved[reserved >= 0]] = 0.0
+        return penalty, RowGrad(rows, values)
 
 
 def load_word2vec_text(path):

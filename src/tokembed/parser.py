@@ -24,7 +24,8 @@ import numpy as np
 from . import rng as rng_mod
 from .features import (PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix,
                        word_features)
-from .nn import MLP, SgdMomentum, TrainingDiverged, anchored_l2, relu, softmax_logloss
+from .embeddings import AdaptedEmbeddings
+from .nn import MLP, SgdMomentum, TrainingDiverged, relu, softmax_logloss
 from .serialize import load_model, restore_params, save_model
 
 
@@ -199,12 +200,9 @@ class Parser:
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
                        ["relu", "relu", "linear"], rng, dtype)
-        if config.update_embeddings:
-            self.embeddings = table.vectors.astype(dtype).copy()
-            self.anchor = table.vectors.astype(dtype).copy()
-        else:
-            self.embeddings = table.vectors
-            self.anchor = None
+        self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
+                        if config.update_embeddings else None)
+        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
 
     # -- input composition ---------------------------------------------------
 
@@ -457,7 +455,8 @@ def _child_losses(scores, gold):
 def batch_loss_and_grads(model, caches):
     """Mean per-child arc loss over a minibatch of sentence caches plus, when
     embedding updates are on, the anchored penalty; gradients cover the
-    network and the embedding table (reserved rows zeroed).
+    network and the rows of the embedding table that ``AdaptedEmbeddings``
+    tracks.
 
     The first layer's gradient is built per position, like its forward pass:
     an incidence-matrix product sums the arc pre-activation gradients over
@@ -471,9 +470,7 @@ def batch_loss_and_grads(model, caches):
     first = net.layers[0]
     n_children = sum(c.n_children for c in caches)
     grads = {f"net.{k}": np.zeros_like(v) for k, v in net.params().items()}
-    updating = model.config.update_embeddings
-    if updating:
-        grads["embeddings"] = np.zeros_like(model.embeddings)
+    window_grads = []
     half = model.type_width // 2
     total = 0.0
     side_rows, dside_rows, pair_grad = [], [], 0.0
@@ -499,24 +496,19 @@ def batch_loss_and_grads(model, caches):
         pair_grad = pair_grad + dA.T @ cache.pair
         side_rows.append(Z)
         dside_rows.append(dproj)
-        if updating and half:
+        if model.adapted is not None and half:
             dwin = dproj[k:] @ first.W[:, half:2 * half]
             dwin[1:] += dproj[:k] @ first.W[:, :half]
-            np.add.at(grads["embeddings"], cache.wins,
-                      dwin.reshape(k + 1, model.win_len, -1))
+            window_grads.append((cache.wins, dwin.reshape(k + 1, model.win_len, -1)))
     if side_rows:
         np.matmul(np.concatenate(dside_rows).T, np.concatenate(side_rows),
                   out=grads["net.0.W"])
         # the side rows are zero in the pair columns
         grads["net.0.W"][:, -PAIR_FEATURE_COUNT:] = pair_grad
     total /= n_children
-    if updating:
-        penalty, anchor_grad = anchored_l2(model.embeddings, model.anchor,
-                                           model.config.anchor_weight)
+    if model.adapted is not None:
+        penalty, grads["embeddings"] = model.adapted.gradient(window_grads)
         total += penalty
-        grads["embeddings"] += anchor_grad
-        vocab = model.table.vocab
-        grads["embeddings"][[vocab.bos_id, vocab.eos_id, vocab.unk_id]] = 0.0
     return total, grads
 
 

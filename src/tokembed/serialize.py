@@ -20,6 +20,7 @@ stable across releases; incompatible changes bump the version integer.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -60,21 +61,65 @@ def load_model(path):
         raise ValueError(f"{path}: unsupported container version {version}")
     if 12 + hlen > len(data):
         raise ValueError(f"{path}: truncated header")
-    header = json.loads(data[12:12 + hlen].decode("utf-8"))
+    header = _parse_header(path, data[12:12 + hlen])
     tensors = {}
     offset = 12 + hlen
-    for entry in header["tensors"]:
-        dt = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64))
+    for k, entry in enumerate(header["tensors"]):
+        name, shape, dt = _tensor_entry(path, k, entry)
+        if name in tensors:
+            raise ValueError(f"{path}: duplicate tensor {name!r}")
+        nbytes = dt.itemsize * math.prod(shape)
         raw = data[offset:offset + nbytes]
         if len(raw) != nbytes:
-            raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+            raise ValueError(f"{path}: truncated tensor {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
         offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after tensors")
     return header["kind"], header["config"], tensors
+
+
+def _parse_header(path, blob):
+    """The header object, its three fields checked for presence and type."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: header is not UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: header is not JSON ({e})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for field, kind, what in (("kind", str, "a string"), ("config", dict, "an object"),
+                              ("tensors", list, "a list")):
+        if field not in header:
+            raise ValueError(f"{path}: header has no {field!r} field")
+        if not isinstance(header[field], kind):
+            raise ValueError(f"{path}: header field {field!r} is not {what}")
+    return header
+
+
+def _tensor_entry(path, k, entry):
+    """(name, shape, dtype) of the ``k``-th tensor entry of a header."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: tensor entry {k} is not an object")
+    for field in ("name", "shape", "dtype"):
+        if field not in entry:
+            raise ValueError(f"{path}: tensor entry {k} has no {field!r} field")
+    name, shape = entry["name"], entry["shape"]
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: tensor entry {k} field 'name' is not a string")
+    if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{path}: tensor {name!r} field 'shape' is not a list "
+                         "of non-negative integers")
+    try:
+        dt = np.dtype(entry["dtype"]) if isinstance(entry["dtype"], str) else None
+    except (TypeError, ValueError, SyntaxError):  # numpy raises all three
+        dt = None
+    if dt is None or dt.kind not in "biufc":
+        raise ValueError(f"{path}: tensor {name!r} field 'dtype' is not a numeric "
+                         f"dtype: {entry['dtype']!r}")
+    return name, tuple(shape), dt
 
 
 def restore_params(params, tensors, path):

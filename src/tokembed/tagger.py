@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rng as rng_mod
+from .embeddings import AdaptedEmbeddings
 from .features import extended_feature_width, extended_features, word_features
-from .nn import MLP, SgdMomentum, TrainingDiverged, anchored_l2, softmax_logloss_batch
+from .nn import MLP, SgdMomentum, TrainingDiverged, softmax_logloss_batch
 from .serialize import load_model, restore_params, save_model
 
 
@@ -132,12 +133,9 @@ class Tagger:
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, len(self.tagset)],
                        ["relu", "relu", "linear"], rng, dtype)
-        if config.update_embeddings:
-            self.embeddings = table.vectors.astype(dtype).copy()
-            self.anchor = table.vectors.astype(dtype).copy()
-        else:
-            self.embeddings = table.vectors
-            self.anchor = None
+        self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
+                        if config.update_embeddings else None)
+        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
 
     # -- input composition ------------------------------------------------
 
@@ -284,8 +282,9 @@ def _predicted(model, wins, consts):
 
 def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     """Mean log loss of one minibatch plus, when embedding updates are on,
-    the anchored penalty; gradients cover the network and (scatter-added
-    through the window ids) the embedding table, with reserved rows zeroed."""
+    the anchored penalty; gradients cover the network and (scattered
+    through the window ids) the rows of the embedding table that
+    ``AdaptedEmbeddings`` tracks."""
     X = _batch_inputs(model, wins, consts)
     if dropout_rng is not None:
         logits, cache = model.net.forward(
@@ -296,18 +295,13 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     loss, dlogits = softmax_logloss_batch(logits, golds)
     dX, net_grads = model.net.backward(dlogits.astype(logits.dtype), cache)
     grads = {f"net.{k}": g for k, g in net_grads.items()}
-    if model.config.update_embeddings:
-        gE = np.zeros_like(model.embeddings)
+    if model.adapted is not None:
+        window_grads = []
         if model.type_width > 0:
             dTyp = dX[:, :model.type_width].reshape(len(X), -1, model.table.dim)
-            np.add.at(gE, wins, dTyp)
-        penalty, anchor_grad = anchored_l2(model.embeddings, model.anchor,
-                                           model.config.anchor_weight)
+            window_grads.append((wins, dTyp))
+        penalty, grads["embeddings"] = model.adapted.gradient(window_grads)
         loss += penalty
-        gE += anchor_grad
-        vocab = model.table.vocab
-        gE[[vocab.bos_id, vocab.eos_id, vocab.unk_id]] = 0.0
-        grads["embeddings"] = gE
     return loss, grads
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -120,6 +121,29 @@ def test_parse_rejects_nan_embeddings(data, capsys, tmp_path):
     assert f"{emb}:3: non-finite value for word {word!r}" in err
 
 
+@pytest.mark.parametrize("rewrite, field", [
+    (lambda header: b"not json", "header is not JSON"),
+    (lambda header: json.dumps({k: v for k, v in json.loads(header).items()
+                                if k != "tensors"}).encode("utf-8"),
+     "header has no 'tensors' field"),
+])
+def test_parse_rejects_corrupted_header(data, capsys, tmp_path, rewrite, field):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    Parser(ParserConfig(window=0, hidden=4),
+           load_word2vec_text(str(data["emb"]))).save(good)
+    blob = good.read_bytes()
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    header = rewrite(blob[12:12 + hlen])
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                    + blob[12 + hlen:])
+    code, summary, err = run(capsys, "parse", "--embeddings", data["emb"],
+                             "--model", bad, "--corpus", data["dep_val"],
+                             "--out", tmp_path / "pred.dep")
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"{bad}: {field}" in err
+
+
 def test_train_encoder_summary_schema(data, capsys, tmp_path):
     out = tmp_path / "enc.bin"
     summary = train_encoder_file(data, capsys, out)
@@ -191,6 +215,44 @@ def test_config_echo_reproduces_run(data, capsys, tmp_path):
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert summary["metrics"] == summary2["metrics"]
+
+
+@pytest.mark.parametrize("line, key", [("epochs = 2.5", "epochs"),
+                                       ('window = "abc"', "window")])
+def test_ill_typed_config_value_exits_1(data, capsys, tmp_path, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# tagger run\nhidden = 8\n{line}\n", encoding="utf-8")
+    argv = ["train-tagger", "--config", cfg, "--embeddings", data["emb"],
+            "--train", data["train_tags"], "--val", data["val_tags"],
+            "--tagset", data["tagset"], "--out", tmp_path / "t.bin"]
+    code, summary, err = run(capsys, *argv)
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"{cfg}:3: {key}: " in err
+    # an explicit flag overrides the bad file value
+    code, summary, _ = run(capsys, *argv, f"--{key}", 1)
+    assert code == 0 and summary["config"][key] == 1
+
+
+def test_tagger_config_echo_reproduces_run(data, capsys, tmp_path):
+    # the echo holds a list (encoder), switches and nulls
+    enc = tmp_path / "enc.bin"
+    train_encoder_file(data, capsys, enc)
+    out1, out2 = tmp_path / "a.bin", tmp_path / "b.bin"
+    code, summary, _ = run(capsys, "train-tagger", "--embeddings", data["emb"],
+                           "--train", data["train_tags"], "--val", data["val_tags"],
+                           "--tagset", data["tagset"], "--out", out1, "--window", 1,
+                           "--hidden", 8, "--encoder", enc, "--update-embeddings",
+                           "--epochs", 2, "--lr", 0.05, "--seed", 5)
+    assert code == 0
+    echo = dict(summary["config"], out=str(out2))
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in echo.items()),
+                   encoding="utf-8")
+    code, summary2, _ = run(capsys, "train-tagger", "--config", cfg)
+    assert code == 0
+    assert summary2["config"] == echo
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_full_pipeline(data, capsys, tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from tokembed import parser, rng as rng_mod, tagger
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text)
+from tokembed.nn import RowGrad, SgdMomentum, anchored_l2
+from tokembed.synthetic import toy_embedding_table
 
 
 def write(path, text):
@@ -125,3 +128,104 @@ def test_corpus_round_trip(tmp_path):
 def test_corpus_skips_blank_lines(tmp_path):
     write(tmp_path / "c.txt", "a b\n\n\nc\n")
     assert load_corpus(str(tmp_path / "c.txt")) == [["a", "b"], ["c"]]
+
+
+# -- sparse anchored update ------------------------------------------------------
+
+
+class DenseAnchored:
+    """The dense anchored update, written out: a |V|-row gradient filled by
+    np.add.at, the penalty over the whole table, reserved rows zeroed.  As a
+    plain array the gradient makes SgdMomentum step every row."""
+
+    def __init__(self, table, vectors, weight):
+        self.vectors = vectors
+        self.anchor = table.vectors.copy()
+        self.weight = weight
+        vocab = table.vocab
+        self.reserved = [vocab.bos_id, vocab.eos_id, vocab.unk_id]
+
+    def gradient(self, window_grads):
+        grad = np.zeros_like(self.vectors)
+        for ids, g in window_grads:
+            np.add.at(grad, ids, g)
+        penalty, anchor_grad = anchored_l2(self.vectors, self.anchor, self.weight)
+        grad += anchor_grad
+        grad[self.reserved] = 0.0
+        return penalty, grad
+
+
+def _tagger_setup(table, words, rng):
+    cfg = tagger.TaggerConfig(window=1, hidden=6, update_embeddings=True,
+                              anchor_weight=0.05)
+    sents = [(list(rng.choice(words, size=4)) + ["oov"], rng.integers(0, 3, size=5))
+             for _ in range(6)]
+
+    def build():
+        return tagger.Tagger(cfg, ["A", "B", "C"], table, rng=rng_mod.stream(71, "init"))
+
+    def batches(model):
+        wins, consts, golds = tagger._flatten_corpus(model, sents)
+        return [(wins[k:k + 7], consts[k:k + 7], golds[k:k + 7])
+                for k in range(0, len(golds), 7)]
+
+    return build, batches, tagger.batch_loss_and_grads, lambda batch: batch[0]
+
+
+def _parser_setup(table, words, rng):
+    cfg = parser.ParserConfig(window=1, hidden=6, update_embeddings=True,
+                              anchor_weight=0.05)
+    sents = [parser.DepSentence(list(rng.choice(words, size=3)) + ["oov"],
+                                [0, 1, 2, 3], [True] * 4) for _ in range(6)]
+
+    def build():
+        return parser.Parser(cfg, table, rng=rng_mod.stream(72, "init"))
+
+    def batches(model):
+        caches = [model._cache_sentence(s) for s in sents]
+        return [(caches[k:k + 2],) for k in range(0, len(caches), 2)]
+
+    def window_ids(batch):
+        return np.concatenate([c.wins for c in batch[0]])
+
+    return build, batches, parser.batch_loss_and_grads, window_ids
+
+
+@pytest.mark.parametrize("setup", [_tagger_setup, _parser_setup])
+def test_sparse_anchored_steps_match_dense_rule(setup):
+    # Rows 0-5 appear in sentences, row 6 is moved off its anchor before
+    # training and row 9 is never reached; -0.0 sits in a used and an unused
+    # row.  Windows hold <s>, </s> and <unk>.  After every step the sparse
+    # path's table must be bitwise that of the dense rule.
+    rng = rng_mod.stream(70, "data")
+    words = [f"u{k}" for k in range(12)]
+    table = toy_embedding_table(words, 4, rng)
+    table.vectors[2, 1] = table.vectors[9, 3] = -0.0
+    build, batches, loss_and_grads, window_ids = setup(table, words[:6], rng)
+
+    model, ref = build(), build()
+    ref.adapted = DenseAnchored(table, ref.embeddings, 0.05)
+    ref.embeddings[...] = table.vectors
+    assert np.signbit(ref.embeddings[9, 3])
+    for m in (model, ref):
+        m.embeddings[6] += 0.25
+    opt = SgdMomentum(model.params(), 0.1, 0.9)
+    ref_opt = SgdMomentum(ref.params(), 0.1, 0.9)
+    active = {6}
+    for _ in range(3):
+        for batch, ref_batch in zip(batches(model), batches(ref)):
+            _, grads = loss_and_grads(model, *batch)
+            _, ref_grads = loss_and_grads(ref, *ref_batch)
+            sparse = grads["embeddings"]
+            active |= set(window_ids(batch).ravel().tolist())
+            assert isinstance(sparse, RowGrad)
+            assert sorted(sparse.rows.tolist()) == sorted(active)
+            assert sparse.values.shape == (len(active), 4)
+            opt.step(grads)
+            ref_opt.step(ref_grads)
+            assert np.array_equal(model.embeddings.view(np.uint32),
+                                  ref.embeddings.view(np.uint32))
+            for name, value in ref.params().items():
+                assert np.array_equal(model.params()[name], value), name
+    assert 9 not in active
+    assert not np.signbit(model.embeddings[9, 3])

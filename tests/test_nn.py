@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 
 from tokembed import rng as rng_mod
-from tokembed.nn import (Dense, DropoutSpec, LstmCell, MLP, SgdMomentum,
-                         anchored_l2, dense_forward, dropout_mask,
+from tokembed.nn import (Dense, DropoutSpec, LstmCell, MLP, RowGrad,
+                         SgdMomentum, anchored_l2, dense_forward, dropout_mask,
                          gradient_check, lstm_step, relu, softmax_logloss,
                          softmax_logloss_batch)
 
@@ -186,6 +186,8 @@ def test_sgd_shape_mismatch():
     opt = SgdMomentum({"w": np.zeros(2)}, 0.1, 0.9)
     with pytest.raises(ValueError):
         opt.step({"w": np.zeros(3)})
+    with pytest.raises(ValueError):
+        opt.step({"w": RowGrad(np.array([0]), np.zeros(2))})
     with pytest.raises(ValueError):
         opt.step({})
 

@@ -1,7 +1,13 @@
+import json
+import re
+import struct
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
-from tokembed.serialize import MAGIC, load_model, restore_params, save_model
+from tokembed.serialize import MAGIC, VERSION, load_model, restore_params, save_model
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -94,3 +100,67 @@ def test_restore_params_rejects_mismatches_untouched(tensors, message):
     with pytest.raises(ValueError, match="^m.bin: " + message):
         restore_params(params, tensors, "m.bin")
     assert not any(v.any() for v in params.values())
+
+
+def write_container(path, header, payload=b""):
+    """A container whose header is ``header``: bytes as they are, anything
+    else JSON-encoded."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + payload)
+    return str(path)
+
+
+W_ENTRY = {"name": "w", "shape": [2], "dtype": "<f4"}
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"\xff\xfe{}", "header is not UTF-8"),
+    (b"not json", r"header is not JSON \(Expecting value: line 1 column 1"),
+    ([1, 2], "header is not a JSON object"),
+    ({"config": {}, "tensors": []}, "header has no 'kind' field"),
+    ({"kind": "demo", "tensors": []}, "header has no 'config' field"),
+    ({"kind": "demo", "config": {}}, "header has no 'tensors' field"),
+    ({"kind": 3, "config": {}, "tensors": []}, "header field 'kind' is not a string"),
+    ({"kind": "demo", "config": [], "tensors": []},
+     "header field 'config' is not an object"),
+    ({"kind": "demo", "config": {}, "tensors": {}}, "header field 'tensors' is not a list"),
+    ({"kind": "demo", "config": {}, "tensors": ["w"]}, "tensor entry 0 is not an object"),
+    ({"kind": "demo", "config": {}, "tensors": [{"shape": [2], "dtype": "<f4"}]},
+     "tensor entry 0 has no 'name' field"),
+    ({"kind": "demo", "config": {}, "tensors": [W_ENTRY, {"name": "b", "dtype": "<f4"}]},
+     "tensor entry 1 has no 'shape' field"),
+    ({"kind": "demo", "config": {}, "tensors": [{"name": "w", "shape": [2]}]},
+     "tensor entry 0 has no 'dtype' field"),
+    ({"kind": "demo", "config": {}, "tensors": [dict(W_ENTRY, shape=[2.0])]},
+     "tensor 'w' field 'shape' is not a list of non-negative integers"),
+    ({"kind": "demo", "config": {}, "tensors": [dict(W_ENTRY, shape=[-1])]},
+     "tensor 'w' field 'shape' is not a list of non-negative integers"),
+    ({"kind": "demo", "config": {}, "tensors": [dict(W_ENTRY, dtype="<f5")]},
+     "tensor 'w' field 'dtype' is not a numeric dtype: '<f5'"),
+    ({"kind": "demo", "config": {}, "tensors": [dict(W_ENTRY, dtype="O")]},
+     "tensor 'w' field 'dtype' is not a numeric dtype: 'O'"),
+    ({"kind": "demo", "config": {}, "tensors": [W_ENTRY, W_ENTRY]},
+     "duplicate tensor 'w'"),
+])
+def test_bad_header_rejected_naming_file_and_field(tmp_path, header, message):
+    path = write_container(tmp_path / "m.bin", header, b"\x00" * 16)
+    with pytest.raises(ValueError, match="^" + re.escape(path) + ": " + message):
+        load_model(path)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_corrupted_header_loads_or_is_rejected(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    save_model(path, "demo", {"alpha": [1, 2.5], "name": "x"},
+               {"a.W": np.ones((2, 3), dtype=np.float32), "b": np.arange(4)})
+    data = bytearray(path.read_bytes())
+    hlen = struct.unpack("<I", data[8:12])[0]
+    for pos, byte in edits:
+        data[12 + pos % hlen] = byte
+    path.write_bytes(bytes(data))
+    try:
+        load_model(str(path))
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: ")
+        assert "\n" not in str(e)
