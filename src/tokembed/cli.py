@@ -293,7 +293,7 @@ def cmd_tag(args):
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder)
     resources = _load_resources(args)
-    model = Tagger.load(args.model, table, encoders, resources)
+    model = Tagger.load(args.model, table, encoders, resources=resources)
     sentences = load_corpus(args.corpus)
     tagged = [(toks, model.tag_sentence(toks)) for toks in sentences]
     save_tagged_corpus(tagged, args.out)

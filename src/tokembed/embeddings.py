@@ -1,4 +1,7 @@
-"""Vocabulary management, fixed type-embedding storage, and word2vec-text IO.
+"""Vocabulary management, fixed type-embedding storage, and word2vec-text IO,
+plus what every model built over a table shares: context windows of ids, the
+anchored trainable copy of the table, and the set-up and persistence common
+to the tagger and the parser.
 
 Type embeddings are one vector per word type, pretrained elsewhere and kept
 fixed here.  Three reserved symbols are appended after the corpus entries:
@@ -6,9 +9,12 @@ start-of-sequence, end-of-sequence, and unknown.  Their rows are all-zero and
 are never trained anywhere in the package.
 """
 
+from dataclasses import asdict, fields
+
 import numpy as np
 
 from .nn import RowGrad, anchored_l2
+from .serialize import check_config, load_model, restore_params, save_model
 
 BOS = "<s>"
 EOS = "</s>"
@@ -47,6 +53,19 @@ class Vocabulary:
 
     def to_ids(self, tokens):
         return np.array([self.id_of(t) for t in tokens], dtype=np.int64)
+
+
+def windows(ids, offsets, bos_id, eos_id):
+    """(n, len(offsets)) matrix whose row ``j`` holds the ids at positions
+    ``j + offset`` of a sentence of ``n`` ids; positions before its start
+    read ``bos_id`` and positions past its end ``eos_id``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = len(ids)
+    pos = np.arange(n)[:, None] + np.asarray(offsets, dtype=np.int64)[None, :]
+    out = ids[np.clip(pos, 0, max(n - 1, 0))]
+    out[pos < 0] = bos_id
+    out[pos >= n] = eos_id
+    return out
 
 
 class EmbeddingTable:
@@ -126,6 +145,86 @@ class AdaptedEmbeddings:
         reserved = self._slot[self.reserved]
         values[reserved[reserved >= 0]] = 0.0
         return penalty, RowGrad(rows, values)
+
+
+_ENCODER_FIELDS = {"arch": str, "token_dim": int, "w_prime": int}
+
+
+def _fingerprint(encoders):
+    """What a model file records of the frozen encoders it was trained with."""
+    return [{name: getattr(e, name) for name in _ENCODER_FIELDS} for e in encoders]
+
+
+class Predictor:
+    """Base of the tagger and the parser: a network ``self.net``, built by the
+    subclass, over the type embeddings of ``table`` (an ``AdaptedEmbeddings``
+    copy with ``config.update_embeddings``) and frozen ``encoders``.
+
+    A subclass sets its model ``kind``, which is also the header key of its
+    ``config_class`` dataclass, and any further header fields: their kinds in
+    ``header_fields`` (see ``serialize.check_config``), values in ``header()``.
+    """
+
+    kind = None
+    config_class = None
+    header_fields = {}
+
+    def __init__(self, config, table, encoders, dtype):
+        for enc in encoders:
+            if enc.dim != table.dim:
+                raise ValueError(
+                    f"encoder dim {enc.dim} does not match table dim {table.dim}")
+        self.config = config
+        self.table = table
+        self.encoders = tuple(encoders)
+        self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
+                        if config.update_embeddings else None)
+        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
+
+    def params(self):
+        out = {f"net.{k}": v for k, v in self.net.params().items()}
+        if self.adapted is not None:
+            out["embeddings"] = self.embeddings
+        return out
+
+    def header(self):
+        """Values of the subclass's ``header_fields``."""
+        return {}
+
+    def save(self, path):
+        cfg = {self.kind: asdict(self.config), "dim": self.table.dim,
+               "vocab_size": len(self.table.vocab),
+               "encoders": _fingerprint(self.encoders), **self.header()}
+        save_model(path, self.kind, cfg, self.params())
+
+    @classmethod
+    def load(cls, path, table, encoders=(), **context):
+        """The model saved at ``path``, which must have been trained over
+        ``table`` and ``encoders``; ``context`` goes on to ``from_header``."""
+        kind, cfg, tensors = load_model(path)
+        if kind != cls.kind:
+            raise ValueError(f"{path}: not a {cls.kind} model (kind={kind!r})")
+        config_fields = {f.name: f.type for f in fields(cls.config_class)}
+        check_config(path, cfg, {cls.kind: config_fields, "dim": int, "vocab_size": int,
+                                 "encoders": [_ENCODER_FIELDS], **cls.header_fields})
+        try:
+            config = cls.config_class(**cfg[cls.kind])
+        except ValueError as e:
+            raise ValueError(f"{path}: config.{cls.kind}: {e}") from None
+        if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
+            raise ValueError(f"{path}: embedding table does not match the model")
+        given = _fingerprint(encoders)
+        if cfg["encoders"] != given:
+            raise ValueError(
+                f"{path}: encoder set {given} does not match stored {cfg['encoders']}")
+        model = cls.from_header(path, config, cfg, table, encoders, **context)
+        restore_params(model.params(), tensors, path)
+        return model
+
+    @classmethod
+    def from_header(cls, path, config, header, table, encoders):
+        """An untrained model of the shape a checked header describes."""
+        return cls(config, table, encoders)
 
 
 def load_word2vec_text(path):

@@ -15,13 +15,13 @@ sum of squared distances between each reconstructed vector and the type
 embedding it should match.  Type embeddings stay fixed throughout.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import rng as rng_mod
-from .nn import MLP, Dense, LstmCell, SgdMomentum, TrainingDiverged
-from .serialize import load_model, restore_params, save_model
+from .embeddings import windows
+from .nn import MLP, Dense, LstmCell, fit
+from .serialize import check_config, load_model, restore_params, save_model
 
 SCHEME_NAMES = ("uniform", "focused", "tapered")
 
@@ -63,37 +63,19 @@ def window_weights(scheme, w_prime):
 
 def extract_window(ids, j, w_prime, bos_id, eos_id):
     """Ids of the 2*w_prime+1 window centered at ``j``, padded at the edges."""
-    ids = np.asarray(ids)
     n = len(ids)
     if not 0 <= j < n:
         raise ValueError(f"position {j} out of range for sentence of length {n}")
     if w_prime < 1:
         raise ValueError("window radius must be at least 1")
-    pos = j + np.arange(-w_prime, w_prime + 1)
-    out = ids[np.clip(pos, 0, n - 1)].copy()
-    out[pos < 0] = bos_id
-    out[pos >= n] = eos_id
-    return out
-
-
-def sentence_windows(ids, w_prime, bos_id, eos_id):
-    """All windows of a sentence as an (n, 2*w_prime+1) id matrix."""
-    ids = np.asarray(ids)
-    n = len(ids)
-    pos = np.arange(n)[:, None] + np.arange(-w_prime, w_prime + 1)[None, :]
-    out = ids[np.clip(pos, 0, n - 1)]
-    out = np.where(pos < 0, bos_id, out)
-    out = np.where(pos >= n, eos_id, out)
-    return out
+    return windows(ids, np.arange(-w_prime, w_prime + 1), bos_id, eos_id)[j]
 
 
 def corpus_windows(table, sentences, w_prime):
     vocab = table.vocab
-    mats = [
-        sentence_windows(vocab.to_ids(toks), w_prime, vocab.bos_id, vocab.eos_id)
-        for toks in sentences
-        if toks
-    ]
+    offsets = np.arange(-w_prime, w_prime + 1)
+    mats = [windows(vocab.to_ids(toks), offsets, vocab.bos_id, vocab.eos_id)
+            for toks in sentences if toks]
     if not mats:
         return np.zeros((0, 2 * w_prime + 1), dtype=np.int64)
     return np.concatenate(mats, axis=0)
@@ -106,7 +88,72 @@ def wre_value(reconstructions, targets, weights):
     return float(per.mean())
 
 
-class FfnEncoder:
+class WindowEncoder:
+    """What both architectures share: the window of ``2*w_prime+1`` type
+    embeddings a code is computed from, encoding, the forward-only
+    reconstruction error and the model file.  Subclasses supply ``_codes``
+    (codes of a (B, 2w'+1, d) array of type vectors), ``decode``,
+    ``loss_and_grads``, ``params`` and ``config``.
+    """
+
+    def __init__(self, dim, w_prime, token_dim, dtype):
+        if w_prime < 0:
+            raise ValueError("window radius must be non-negative")
+        self.dim = int(dim)
+        self.w_prime = int(w_prime)
+        self.token_dim = int(token_dim)
+        self.dtype = np.dtype(dtype)
+
+    @property
+    def window_len(self):
+        return 2 * self.w_prime + 1
+
+    def _embed(self, table, windows):
+        """(B, 2w'+1, d) type vectors of a window matrix, in the model dtype."""
+        if table.dim != self.dim:
+            raise ValueError(f"table dim {table.dim} != encoder dim {self.dim}")
+        return table.vectors[windows].astype(self.dtype, copy=False)
+
+    def _targets(self, table, windows, weights):
+        """Type vectors and float64 position weights of a training batch."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (self.window_len,):
+            raise ValueError(f"need {self.window_len} weights, got {weights.shape}")
+        return self._embed(table, np.atleast_2d(np.asarray(windows))), weights
+
+    def encode(self, table, windows):
+        """Token embeddings for an (B, 2w'+1) id matrix (or a single window)."""
+        windows = np.asarray(windows)
+        codes = self._codes(self._embed(table, np.atleast_2d(windows)))
+        return codes[0] if windows.ndim == 1 else codes
+
+    def encode_sentence(self, table, ids):
+        """Token embeddings of every position of a sentence of ids."""
+        vocab = table.vocab
+        offsets = np.arange(-self.w_prime, self.w_prime + 1)
+        return self.encode(table, windows(ids, offsets, vocab.bos_id, vocab.eos_id))
+
+    def mean_wre(self, table, windows, weights, batch=4096):
+        """Forward-only mean reconstruction error over many windows."""
+        total = 0.0
+        for k in range(0, len(windows), batch):
+            targets = self._embed(table, windows[k:k + batch])
+            rec = self.decode(self._codes(targets))
+            total += wre_value(rec, targets, weights) * len(targets)
+        return total / len(windows)
+
+    def config(self):
+        return {"arch": self.arch, "dim": self.dim, "w_prime": self.w_prime,
+                "token_dim": self.token_dim}
+
+    def save(self, path, scheme=None):
+        cfg = self.config()
+        if scheme is not None:
+            cfg["scheme"] = asdict(scheme)
+        save_model(path, self.arch, cfg, self.params())
+
+
+class FfnEncoder(WindowEncoder):
     """Feedforward window autoencoder.
 
     Encoder: dense(d*(2w'+1) -> hidden, relu) then dense(hidden -> d', linear).
@@ -117,38 +164,15 @@ class FfnEncoder:
 
     def __init__(self, dim, w_prime, token_dim=256, hidden=512, rng=None,
                  dtype=np.float32):
-        if w_prime < 0:
-            raise ValueError("window radius must be non-negative")
-        self.dim = int(dim)
-        self.w_prime = int(w_prime)
-        self.token_dim = int(token_dim)
+        super().__init__(dim, w_prime, token_dim, dtype)
         self.hidden = int(hidden)
         width = self.dim * self.window_len
         self.encoder = MLP([width, hidden, token_dim], ["relu", "linear"], rng, dtype)
         self.decoder = MLP([token_dim, hidden, width], ["relu", "linear"], rng, dtype)
 
-    @property
-    def window_len(self):
-        return 2 * self.w_prime + 1
-
-    def _inputs(self, table, windows):
-        if table.dim != self.dim:
-            raise ValueError(f"table dim {table.dim} != encoder dim {self.dim}")
-        E = table.vectors[windows]  # (B, window, d)
-        return E, E.reshape(len(windows), -1)
-
-    def encode(self, table, windows):
-        """Token embeddings for an (B, 2w'+1) id matrix (or a single window)."""
-        windows = np.asarray(windows)
-        single = windows.ndim == 1
-        _, X = self._inputs(table, np.atleast_2d(windows))
-        Y, _ = self.encoder.forward(X)
-        return Y[0] if single else Y
-
-    def encode_sentence(self, table, ids):
-        vocab = table.vocab
-        wins = sentence_windows(ids, self.w_prime, vocab.bos_id, vocab.eos_id)
-        return self.encode(table, wins)
+    def _codes(self, E):
+        codes, _ = self.encoder.forward(E.reshape(len(E), self.dim * E.shape[1]))
+        return codes
 
     def decode(self, codes):
         """Reconstructions (B, 2w'+1, d) from codes (B, d')."""
@@ -157,13 +181,9 @@ class FfnEncoder:
         return flat.reshape(len(codes), self.window_len, self.dim)
 
     def loss_and_grads(self, table, windows, weights):
-        windows = np.atleast_2d(np.asarray(windows))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.window_len,):
-            raise ValueError(f"need {self.window_len} weights, got {weights.shape}")
-        targets, X = self._inputs(table, windows)
-        B = len(windows)
-        codes, enc_cache = self.encoder.forward(X)
+        targets, weights = self._targets(table, windows, weights)
+        B = len(targets)
+        codes, enc_cache = self.encoder.forward(targets.reshape(B, -1))
         flat, dec_cache = self.decoder.forward(codes)
         rec = flat.reshape(B, self.window_len, self.dim)
         diff = rec - targets
@@ -177,34 +197,16 @@ class FfnEncoder:
         grads.update({f"dec.{k}": v for k, v in dec_grads.items()})
         return loss, grads
 
-    def mean_wre(self, table, windows, weights, batch=4096):
-        """Forward-only mean reconstruction error over many windows."""
-        total = 0.0
-        for k in range(0, len(windows), batch):
-            chunk = windows[k:k + batch]
-            targets, X = self._inputs(table, chunk)
-            codes, _ = self.encoder.forward(X)
-            rec = self.decode(codes)
-            total += wre_value(rec, targets, weights) * len(chunk)
-        return total / len(windows)
-
     def params(self):
         out = {f"enc.{k}": v for k, v in self.encoder.params().items()}
         out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
         return out
 
     def config(self):
-        return {"arch": self.arch, "dim": self.dim, "w_prime": self.w_prime,
-                "token_dim": self.token_dim, "hidden": self.hidden}
-
-    def save(self, path, scheme=None):
-        cfg = self.config()
-        if scheme is not None:
-            cfg["scheme"] = {"name": scheme.name, "center_weight": scheme.center_weight}
-        save_model(path, self.arch, cfg, self.params())
+        return {**super().config(), "hidden": self.hidden}
 
 
-class Seq2SeqEncoder:
+class Seq2SeqEncoder(WindowEncoder):
     """LSTM window autoencoder.
 
     The encoder LSTM reads the window left to right from a zero state; its
@@ -217,24 +219,11 @@ class Seq2SeqEncoder:
     arch = "seq2seq"
 
     def __init__(self, dim, w_prime, token_dim=256, rng=None, dtype=np.float32):
-        if w_prime < 0:
-            raise ValueError("window radius must be non-negative")
-        self.dim = int(dim)
-        self.w_prime = int(w_prime)
-        self.token_dim = int(token_dim)
-        self.hidden = int(token_dim)
+        super().__init__(dim, w_prime, token_dim, dtype)
+        self.hidden = self.token_dim
         self.enc_cell = LstmCell(dim, token_dim, rng, dtype)
         self.dec_cell = LstmCell(dim, token_dim, rng, dtype)
         self.proj = Dense(token_dim, dim, "linear", rng, dtype)
-
-    @property
-    def window_len(self):
-        return 2 * self.w_prime + 1
-
-    def _embed(self, table, windows):
-        if table.dim != self.dim:
-            raise ValueError(f"table dim {table.dim} != encoder dim {self.dim}")
-        return table.vectors[windows]  # (B, window, d)
 
     def _encode_seq(self, E):
         B = E.shape[0]
@@ -260,37 +249,23 @@ class Seq2SeqEncoder:
             proj_caches.append(pcache)
         return rec, dec_caches, proj_caches
 
-    def encode(self, table, windows):
-        windows = np.asarray(windows)
-        single = windows.ndim == 1
-        E = self._embed(table, np.atleast_2d(windows)).astype(self.proj.W.dtype)
-        h, _ = self._encode_seq(E)
-        return h[0] if single else h
-
-    def encode_sentence(self, table, ids):
-        vocab = table.vocab
-        wins = sentence_windows(ids, self.w_prime, vocab.bos_id, vocab.eos_id)
-        return self.encode(table, wins)
+    def _codes(self, E):
+        return self._encode_seq(E)[0]
 
     def decode(self, codes):
-        codes = np.atleast_2d(np.asarray(codes, dtype=self.proj.W.dtype))
+        codes = np.atleast_2d(np.asarray(codes, dtype=self.dtype))
         rec, _, _ = self._decode_seq(codes)
         return rec
 
     def loss_and_grads(self, table, windows, weights):
-        windows = np.atleast_2d(np.asarray(windows))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.window_len,):
-            raise ValueError(f"need {self.window_len} weights, got {weights.shape}")
-        dtype = self.proj.W.dtype
-        targets = self._embed(table, windows).astype(dtype)
-        B = len(windows)
+        targets, weights = self._targets(table, windows, weights)
+        B = len(targets)
         codes, enc_caches = self._encode_seq(targets)
         rec, dec_caches, proj_caches = self._decode_seq(codes)
         diff = rec - targets
         per = (weights[None, :, None] * diff * diff).sum(axis=(1, 2))
         loss = float(per.mean())
-        dRec = ((2.0 / B) * weights[None, :, None] * diff).astype(dtype)
+        dRec = ((2.0 / B) * weights[None, :, None] * diff).astype(self.dtype)
 
         grads = {}
 
@@ -317,42 +292,16 @@ class Seq2SeqEncoder:
             add("enc", g)
         return loss, grads
 
-    def mean_wre(self, table, windows, weights, batch=4096):
-        total = 0.0
-        dtype = self.proj.W.dtype
-        for k in range(0, len(windows), batch):
-            chunk = windows[k:k + batch]
-            targets = self._embed(table, chunk).astype(dtype)
-            codes, _ = self._encode_seq(targets)
-            rec = self.decode(codes)
-            total += wre_value(rec, targets, weights) * len(chunk)
-        return total / len(windows)
-
     def params(self):
         out = {f"enc.{k}": v for k, v in self.enc_cell.params().items()}
         out.update({f"dec.{k}": v for k, v in self.dec_cell.params().items()})
         out.update({f"proj.{k}": v for k, v in self.proj.params().items()})
         return out
 
-    def config(self):
-        return {"arch": self.arch, "dim": self.dim, "w_prime": self.w_prime,
-                "token_dim": self.token_dim}
-
-    def save(self, path, scheme=None):
-        cfg = self.config()
-        if scheme is not None:
-            cfg["scheme"] = {"name": scheme.name, "center_weight": scheme.center_weight}
-        save_model(path, self.arch, cfg, self.params())
-
 
 def wre_loss(model, table, windows, weights):
     """Weighted reconstruction error and gradients for every model parameter."""
     return model.loss_and_grads(table, windows, weights)
-
-
-def decode_window(model, codes):
-    """Per-position reconstruction vectors from token embeddings."""
-    return model.decode(codes)
 
 
 def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
@@ -364,17 +313,25 @@ def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
     raise ValueError(f"unknown encoder architecture {arch!r}")
 
 
+# Header config of an encoder file; only ffn files hold "hidden", and only
+# files saved with their training scheme hold "scheme".
+_CONFIG_FIELDS = {"arch": str, "dim": int, "w_prime": int, "token_dim": int,
+                 "hidden": int, "scheme": {"name": str, "center_weight": float}}
+
+
 def load_encoder(path):
     """Load an encoder model file; returns (model, scheme or None)."""
     kind, cfg, tensors = load_model(path)
     if kind not in ("ffn", "seq2seq"):
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
-    model = build_encoder(kind, cfg["dim"], cfg["w_prime"], cfg["token_dim"],
-                          cfg.get("hidden", 512))
+    check_config(path, cfg, _CONFIG_FIELDS, optional=("hidden", "scheme"))
+    try:
+        model = build_encoder(kind, cfg["dim"], cfg["w_prime"], cfg["token_dim"],
+                              cfg.get("hidden", 512))
+        scheme = WeightScheme(**cfg["scheme"]) if "scheme" in cfg else None
+    except ValueError as e:
+        raise ValueError(f"{path}: config: {e}") from None
     restore_params(model.params(), tensors, path)
-    scheme = None
-    if "scheme" in cfg:
-        scheme = WeightScheme(cfg["scheme"]["name"], cfg["scheme"]["center_weight"])
     return model, scheme
 
 
@@ -401,8 +358,9 @@ def train_encoder(model, table, train_sentences, val_sentences, scheme, cfg):
     """Minibatch SGD over every token window of the shuffled corpus.
 
     Validation WRE (under the training scheme's weights) is measured before
-    training, every ``val_every`` minibatches, and at each epoch end; the
-    best-scoring parameters are kept and restored before returning.
+    training, every ``val_every`` minibatches, and at each epoch end unless
+    the epoch's last minibatch was just measured; the best-scoring
+    parameters are kept and restored before returning.
     """
     if not train_sentences:
         raise ValueError("training corpus is empty")
@@ -414,39 +372,13 @@ def train_encoder(model, table, train_sentences, val_sentences, scheme, cfg):
         raise ValueError("corpus contains no tokens")
     weights = window_weights(scheme, model.w_prime)
 
-    params = model.params()
-    opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
-    shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
+    def batch_loss(sel):
+        return model.loss_and_grads(table, train_wins[sel], weights)
 
-    best = {k: v.copy() for k, v in params.items()}
-    initial = model.mean_wre(table, val_wins, weights)
-    best_val = initial
-    history = [(0, initial)]
+    def evaluate():
+        return model.mean_wre(table, val_wins, weights)
 
-    def checkpoint(step):
-        nonlocal best_val
-        val = model.mean_wre(table, val_wins, weights)
-        history.append((step, val))
-        if val < best_val:
-            best_val = val
-            for k, v in params.items():
-                best[k][...] = v
-
-    step = 0
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(train_wins))
-        for k in range(0, len(order), cfg.batch_size):
-            batch = train_wins[order[k:k + cfg.batch_size]]
-            loss, grads = model.loss_and_grads(table, batch, weights)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite reconstruction loss at minibatch {step}")
-            opt.step(grads)
-            step += 1
-            if cfg.val_every > 0 and step % cfg.val_every == 0:
-                checkpoint(step)
-        checkpoint(step)
-
-    for k, v in params.items():
-        v[...] = best[k]
-    final = model.mean_wre(table, val_wins, weights)
-    return EncoderTrainResult(initial, best_val, final, history, step)
+    res = fit(model.params(), len(train_wins), batch_loss, evaluate, cfg,
+              maximize=False, eval_every=cfg.val_every)
+    history = [(step, val) for _, step, val in res.history]
+    return EncoderTrainResult(history[0][1], res.best, evaluate(), history, res.steps)

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng as rng_mod
+
 ACTIVATIONS = ("linear", "relu", "tanh")
 
 
@@ -332,6 +334,80 @@ class SgdMomentum:
             else:
                 self.velocity[name][rows] = v
                 p[rows] += v
+
+
+@dataclass
+class FitResult:
+    """What ``fit`` did: the best score, every evaluation as (epoch,
+    minibatches taken, score), the epochs started and the minibatches taken."""
+
+    best: float
+    history: list
+    epochs_run: int
+    steps: int
+
+
+def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None,
+        eval_every=0, patience=None):
+    """Train the live ``params`` arrays by minibatch SGD with momentum and
+    keep the best-scoring snapshot.
+
+    ``cfg`` supplies ``epochs``, ``batch_size``, ``learning_rate``,
+    ``momentum`` and ``seed``.  Each epoch visits the ``n_items`` training
+    items in an order drawn from the ``"shuffle"`` stream of the seed,
+    ``batch_size`` at a time; ``batch_loss(indices)`` returns the minibatch's
+    (loss, grads), and a non-finite loss raises ``TrainingDiverged`` before
+    any step is taken with it.  ``evaluate()`` scores the parameters after
+    every ``eval_every``-th minibatch (none unless it is positive) and at
+    each epoch end, at most once per minibatch.  A score strictly better than
+    the best so far, higher when ``maximize`` and lower otherwise, snapshots
+    the parameters.
+    The first score to beat is ``baseline``; with ``None`` it is the score of
+    the starting parameters, recorded as an evaluation after 0 minibatches.
+    Training stops after ``patience`` epochs in a row without a better score
+    (``None``: never), and the best snapshot is copied back into ``params``.
+    """
+    if n_items <= 0:
+        raise ValueError("no training items")
+    opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
+    shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
+    best_params = {k: v.copy() for k, v in params.items()}
+    history = []
+    epoch = step = best_epoch = 0
+    if baseline is None:
+        baseline = evaluate()
+        history.append((epoch, step, baseline))
+    best = baseline
+
+    def checkpoint():
+        nonlocal best, best_epoch
+        score = evaluate()
+        history.append((epoch, step, score))
+        if score > best if maximize else score < best:
+            best, best_epoch = score, epoch
+            for k, v in params.items():
+                best_params[k][...] = v
+
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(n_items)
+        for k in range(0, n_items, cfg.batch_size):
+            loss, grads = batch_loss(order[k:k + cfg.batch_size])
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"non-finite training loss in minibatch {step + 1} (epoch {epoch})")
+            opt.step(grads)
+            step += 1
+            if eval_every > 0 and step % eval_every == 0:
+                checkpoint()
+        if not history or history[-1][1] != step:
+            checkpoint()
+        stale = epoch - best_epoch  # epochs since the last better score
+        if patience is not None and stale and stale >= patience:
+            break
+
+    for k, v in params.items():
+        v[...] = best_params[k]
+    return FitResult(best, history, epoch, step)
 
 
 def anchored_l2(value, anchor, weight):

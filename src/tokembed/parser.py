@@ -17,16 +17,14 @@ Head prediction picks the argmax candidate independently per token, ties
 going to the wall and then to lower positions; no tree constraint is applied.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rng_mod
+from .embeddings import Predictor, windows
 from .features import (PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix,
                        word_features)
-from .embeddings import AdaptedEmbeddings
-from .nn import MLP, SgdMomentum, TrainingDiverged, relu, softmax_logloss
-from .serialize import load_model, restore_params, save_model
+from .nn import MLP, fit, relu, softmax_logloss
 
 
 @dataclass
@@ -156,7 +154,7 @@ class _SentenceCache:
         return len(self.gold)
 
 
-class Parser:
+class Parser(Predictor):
     """Arc scorer and local head predictor.
 
     The first layer is linear in the input row, so it is applied per position
@@ -168,19 +166,16 @@ class Parser:
     """
 
     kind = "parser"
+    config_class = ParserConfig
 
     def __init__(self, config, table, encoders=(), rng=None, dtype=np.float32):
         if config.window == -1 and not encoders:
             raise ValueError("window=-1 with no encoders leaves no lexical input")
-        for enc in encoders:
-            if enc.dim != table.dim:
-                raise ValueError(
-                    f"encoder dim {enc.dim} does not match table dim {table.dim}")
-        self.config = config
-        self.table = table
-        self.encoders = tuple(encoders)
+        super().__init__(config, table, encoders, dtype)
 
-        self.win_len = 0 if config.window == -1 else 2 * config.window + 1
+        # window offsets, none for window -1
+        self._offsets = np.arange(-config.window, config.window + 1)
+        self.win_len = len(self._offsets)
         self.type_width = 2 * self.win_len * table.dim
         self.token_width = 2 * sum(e.token_dim for e in self.encoders)
         shape_width = WORD_FEATURE_COUNT if config.word_features else 0
@@ -200,30 +195,13 @@ class Parser:
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
                        ["relu", "relu", "linear"], rng, dtype)
-        self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
-                        if config.update_embeddings else None)
-        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
 
     # -- input composition ---------------------------------------------------
 
-    def _position_windows(self, ids):
-        """(n+1, win_len) window ids for positions 0..n; row 0 (the wall) uses
-        the all-zero unknown row so wall parents contribute zero vectors."""
-        vocab = self.table.vocab
-        n = len(ids)
-        if self.win_len == 0:
-            return np.zeros((n + 1, 0), dtype=np.int64)
-        w = self.config.window
-        pos = np.arange(n)[:, None] + np.arange(-w, w + 1)[None, :]
-        wins = ids[np.clip(pos, 0, max(n - 1, 0))]
-        wins = np.where(pos < 0, vocab.bos_id, wins)
-        wins = np.where(pos >= n, vocab.eos_id, wins)
-        wall = np.full((1, self.win_len), vocab.unk_id, dtype=np.int64)
-        return np.concatenate([wall, wins], axis=0)
-
     def _cache_sentence(self, sent):
         """Position rows and arc indices for every selected child of a sentence."""
-        ids = self.table.vocab.to_ids(sent.tokens)
+        vocab = self.table.vocab
+        ids = vocab.to_ids(sent.tokens)
         n = len(sent)
         dtype = self.net.layers[0].W.dtype
         positions = np.array([0] + sent.selected_positions(), dtype=np.int64)
@@ -252,8 +230,11 @@ class Parser:
         gold_slot = np.where(heads >= 0, slot_of[np.maximum(heads, 0)], -1)
         # a child's own slot is missing from its candidates, shifting later ones
         gold = np.where(gold_slot > slots, gold_slot - 1, gold_slot)
-        return _SentenceCache(positions, self._position_windows(ids)[positions],
-                              fixed, parent, pair.astype(dtype), gold)
+        # the wall's window reads the all-zero unknown row
+        wins = np.concatenate([np.full((1, self.win_len), vocab.unk_id),
+                               windows(ids, self._offsets, vocab.bos_id, vocab.eos_id)])
+        return _SentenceCache(positions, wins[positions], fixed, parent,
+                              pair.astype(dtype), gold)
 
     def _side_rows(self, cache):
         """(2k+1, input_dim) first-layer rows per position: children (slots
@@ -339,41 +320,6 @@ class Parser:
         for i, cands, scores in self.score_sentence(sent):
             heads[i - 1] = cands[int(np.argmax(scores))]
         return heads
-
-    # -- persistence -----------------------------------------------------------
-
-    def params(self):
-        out = {f"net.{k}": v for k, v in self.net.params().items()}
-        if self.config.update_embeddings:
-            out["embeddings"] = self.embeddings
-        return out
-
-    def save(self, path):
-        cfg = {
-            "parser": asdict(self.config),
-            "dim": self.table.dim,
-            "vocab_size": len(self.table.vocab),
-            "encoders": [{"arch": e.arch, "token_dim": e.token_dim, "w_prime": e.w_prime}
-                         for e in self.encoders],
-        }
-        save_model(path, self.kind, cfg, self.params())
-
-    @classmethod
-    def load(cls, path, table, encoders=()):
-        kind, cfg, tensors = load_model(path)
-        if kind != cls.kind:
-            raise ValueError(f"{path}: not a parser model (kind={kind!r})")
-        config = ParserConfig(**cfg["parser"])
-        if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
-            raise ValueError(f"{path}: embedding table does not match the model")
-        given = [{"arch": e.arch, "token_dim": e.token_dim, "w_prime": e.w_prime}
-                 for e in encoders]
-        if cfg["encoders"] != given:
-            raise ValueError(
-                f"{path}: encoder set {given} does not match stored {cfg['encoders']}")
-        model = cls(config, table, encoders)
-        restore_params(model.params(), tensors, path)
-        return model
 
 
 def arc_loss(scores, gold_offset):
@@ -544,42 +490,16 @@ def train_parser(model, train_sents, val_sents, cfg):
     if not usable:
         raise ValueError("no selected tokens in the training corpus")
 
-    params = model.params()
-    opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
-    shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
+    def batch_loss(sel):
+        return batch_loss_and_grads(model, [caches[usable[q]] for q in sel])
 
     def validation_f1():
         pred = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
                 for s in val_sents]
         return attachment_f1(pred, val_sents)[2]
 
-    best = {k: v.copy() for k, v in params.items()}
-    best_f1 = -1.0
-    history = []
-    stale = 0
-    epochs_run = 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        epochs_run = epoch
-        order = shuffle_rng.permutation(len(usable))
-        for k in range(0, len(order), cfg.batch_size):
-            batch = [caches[usable[q]] for q in order[k:k + cfg.batch_size]]
-            loss, grads = batch_loss_and_grads(model, batch)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite arc loss in epoch {epoch}")
-            opt.step(grads)
-        f1 = validation_f1()
-        history.append((epoch, f1))
-        if f1 > best_f1:
-            best_f1 = f1
-            for k2, v in params.items():
-                best[k2][...] = v
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-
-    for k2, v in params.items():
-        v[...] = best[k2]
-    return ParserTrainResult(best_f1, epochs_run, history)
+    # -1 is below any F1, so the first epoch always takes a snapshot
+    res = fit(model.params(), len(usable), batch_loss, validation_f1, cfg,
+              maximize=True, baseline=-1.0, patience=cfg.patience)
+    return ParserTrainResult(res.best, res.epochs_run,
+                             [(epoch, f1) for epoch, _, f1 in res.history])

@@ -122,6 +122,39 @@ def _tensor_entry(path, k, entry):
     return name, tuple(shape), dt
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
+
+
+def check_config(path, value, kind, optional=(), field="config"):
+    """Reject a header config ``value`` that does not have the given ``kind``.
+
+    A kind is ``bool``, ``int`` (a bool is not one), ``float`` (an int or a
+    float), ``str``, ``[kind]`` for a list of that kind, or a dict of field
+    name -> kind for an object holding each of those fields, except any named
+    in ``optional``, and no other.  A mismatch raises a ``ValueError`` naming
+    the file and the field.
+    """
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {field} is not an object")
+        for name in value:
+            if name not in kind:
+                raise ValueError(f"{path}: {field}.{name} is unknown")
+        for name, sub in kind.items():
+            if name in value:
+                check_config(path, value[name], sub, field=f"{field}.{name}")
+            elif name not in optional:
+                raise ValueError(f"{path}: {field}.{name} is missing")
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: {field} is not a list")
+        for k, item in enumerate(value):
+            check_config(path, item, kind[0], field=f"{field}[{k}]")
+    elif not (type(value) is kind or kind is float and type(value) is int):
+        raise ValueError(f"{path}: {field} is not {_KIND_NAMES[kind]}")
+
+
 def restore_params(params, tensors, path):
     """Copy loaded ``tensors`` into a model's live ``params`` arrays.
 

@@ -16,15 +16,14 @@ freeze structurally.  Optionally the type-embedding table itself is trained
 pretrained values; reserved rows stay zero either way.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
-from .embeddings import AdaptedEmbeddings
+from .embeddings import Predictor, windows
 from .features import extended_feature_width, extended_features, word_features
-from .nn import MLP, SgdMomentum, TrainingDiverged, softmax_logloss_batch
-from .serialize import load_model, restore_params, save_model
+from .nn import MLP, fit, softmax_logloss_batch
 
 
 @dataclass
@@ -99,23 +98,19 @@ def corpus_tag_ids(sentences, tagset):
     return out
 
 
-class Tagger:
+class Tagger(Predictor):
     """Feature composer plus classification network over a fixed tagset."""
 
     kind = "tagger"
+    config_class = TaggerConfig
+    header_fields = {"tagset": [str], "extended_width": int}
 
     def __init__(self, config, tagset, table, encoders=(), resources=None,
                  rng=None, dtype=np.float32):
         if config.extended and resources is None:
             raise ValueError("extended features enabled but no resources supplied")
-        for enc in encoders:
-            if enc.dim != table.dim:
-                raise ValueError(
-                    f"encoder dim {enc.dim} does not match table dim {table.dim}")
-        self.config = config
+        super().__init__(config, table, encoders, dtype)
         self.tagset = list(tagset)
-        self.table = table
-        self.encoders = tuple(encoders)
         self.resources = resources
 
         w = config.window
@@ -133,22 +128,8 @@ class Tagger:
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, len(self.tagset)],
                        ["relu", "relu", "linear"], rng, dtype)
-        self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
-                        if config.update_embeddings else None)
-        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
 
     # -- input composition ------------------------------------------------
-
-    def window_ids(self, ids):
-        """(n, len(offsets)) id matrix of type-embedding context positions."""
-        ids = np.asarray(ids)
-        n = len(ids)
-        vocab = self.table.vocab
-        pos = np.arange(n)[:, None] + self._offsets[None, :]
-        out = ids[np.clip(pos, 0, max(n - 1, 0))]
-        out = np.where(pos < 0, vocab.bos_id, out)
-        out = np.where(pos >= n, vocab.eos_id, out)
-        return out
 
     def const_features(self, tokens):
         """Per-token features that do not depend on trainable state: token
@@ -169,11 +150,11 @@ class Tagger:
 
     def compose_sentence(self, tokens):
         """(n, input_dim) matrix of tagger inputs for a whole sentence."""
-        ids = self.table.vocab.to_ids(tokens)
+        vocab = self.table.vocab
         const = self.const_features(tokens)
         if self.type_width == 0:
             return const
-        wins = self.window_ids(ids)
+        wins = windows(vocab.to_ids(tokens), self._offsets, vocab.bos_id, vocab.eos_id)
         typ = self.embeddings[wins].reshape(len(tokens), -1)
         return np.concatenate([typ, const], axis=1)
 
@@ -197,43 +178,18 @@ class Tagger:
 
     # -- persistence ---------------------------------------------------------
 
-    def params(self):
-        out = {f"net.{k}": v for k, v in self.net.params().items()}
-        if self.config.update_embeddings:
-            out["embeddings"] = self.embeddings
-        return out
-
-    def save(self, path):
-        cfg = {
-            "tagger": asdict(self.config),
-            "tagset": self.tagset,
-            "dim": self.table.dim,
-            "vocab_size": len(self.table.vocab),
-            "encoders": [{"arch": e.arch, "token_dim": e.token_dim, "w_prime": e.w_prime}
-                         for e in self.encoders],
-            "extended_width": (extended_feature_width(self.resources)
-                               if self.config.extended else 0),
-        }
-        save_model(path, self.kind, cfg, self.params())
+    def header(self):
+        return {"tagset": self.tagset,
+                "extended_width": (extended_feature_width(self.resources)
+                                   if self.config.extended else 0)}
 
     @classmethod
-    def load(cls, path, table, encoders=(), resources=None):
-        kind, cfg, tensors = load_model(path)
-        if kind != cls.kind:
-            raise ValueError(f"{path}: not a tagger model (kind={kind!r})")
-        config = TaggerConfig(**cfg["tagger"])
-        if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
-            raise ValueError(f"{path}: embedding table does not match the model")
-        stored = cfg["encoders"]
-        given = [{"arch": e.arch, "token_dim": e.token_dim, "w_prime": e.w_prime}
-                 for e in encoders]
-        if stored != given:
-            raise ValueError(f"{path}: encoder set {given} does not match stored {stored}")
-        if config.extended and extended_feature_width(resources) != cfg["extended_width"]:
-            raise ValueError(f"{path}: resource bundle width differs from training time")
-        model = cls(config, cfg["tagset"], table, encoders, resources)
-        restore_params(model.params(), tensors, path)
-        return model
+    def from_header(cls, path, config, header, table, encoders, resources=None):
+        if config.extended and (resources is None or extended_feature_width(resources)
+                                != header["extended_width"]):
+            raise ValueError(f"{path}: resource bundle missing or of another width "
+                             "than at training time")
+        return cls(config, header["tagset"], table, encoders, resources)
 
 
 @dataclass
@@ -255,12 +211,13 @@ class TaggerTrainResult:
 
 def _flatten_corpus(model, corpus):
     """Precompute per-token training arrays: window ids, constant features, gold."""
+    vocab = model.table.vocab
     wins, consts, golds = [], [], []
     for tokens, tag_ids in corpus:
-        ids = model.table.vocab.to_ids(tokens)
         if np.any(tag_ids < 0) or np.any(tag_ids >= len(model.tagset)):
             raise ValueError("gold tag id outside the tagset")
-        wins.append(model.window_ids(ids))
+        wins.append(windows(vocab.to_ids(tokens), model._offsets, vocab.bos_id,
+                            vocab.eos_id))
         consts.append(model.const_features(tokens))
         golds.append(np.asarray(tag_ids, dtype=np.int64))
     return (np.concatenate(wins, axis=0),
@@ -317,44 +274,21 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
     t_wins, t_consts, t_golds = _flatten_corpus(model, train_corpus)
     v_wins, v_consts, v_golds = _flatten_corpus(model, val_corpus)
 
-    params = model.params()
-    opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
-    shuffle_rng = rng_mod.stream(cfg.seed, "shuffle")
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
     use_dropout = model.config.dropout_input > 0 or model.config.dropout_hidden > 0
 
-    best = {k: v.copy() for k, v in params.items()}
-    best_acc = -1.0
-    history = []
-    stale = 0
-    epochs_run = 0
+    def batch_loss(sel):
+        return batch_loss_and_grads(model, t_wins[sel], t_consts[sel], t_golds[sel],
+                                    dropout_rng if use_dropout else None)
 
-    for epoch in range(1, cfg.epochs + 1):
-        epochs_run = epoch
-        order = shuffle_rng.permutation(len(t_golds))
-        for k in range(0, len(order), cfg.batch_size):
-            sel = order[k:k + cfg.batch_size]
-            loss, grads = batch_loss_and_grads(
-                model, t_wins[sel], t_consts[sel], t_golds[sel],
-                dropout_rng if use_dropout else None)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite log loss in epoch {epoch}")
-            opt.step(grads)
-        acc = 100.0 * float(np.mean(_predicted(model, v_wins, v_consts) == v_golds))
-        history.append((epoch, acc))
-        if acc > best_acc:
-            best_acc = acc
-            for k2, v in params.items():
-                best[k2][...] = v
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    def evaluate():
+        return 100.0 * float(np.mean(_predicted(model, v_wins, v_consts) == v_golds))
 
-    for k2, v in params.items():
-        v[...] = best[k2]
-    return TaggerTrainResult(best_acc, epochs_run, history)
+    # -1 is below any accuracy, so the first epoch always takes a snapshot
+    res = fit(model.params(), len(t_golds), batch_loss, evaluate, cfg,
+              maximize=True, baseline=-1.0, patience=cfg.patience)
+    return TaggerTrainResult(res.best, res.epochs_run,
+                             [(epoch, acc) for epoch, _, acc in res.history])
 
 
 def tagging_accuracy(predicted, gold):

@@ -7,11 +7,12 @@ from tokembed import rng as rng_mod
 from tokembed.cli import main
 from tokembed.embeddings import (load_word2vec_text, save_corpus,
                                  save_word2vec_text)
+from tokembed.encoder import FfnEncoder, WeightScheme
 from tokembed.parser import Parser, ParserConfig, save_dep_corpus
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
                                 toy_embedding_table)
-from tokembed.tagger import save_tagged_corpus
+from tokembed.tagger import Tagger, TaggerConfig, save_tagged_corpus
 
 
 def run(capsys, *argv):
@@ -142,6 +143,54 @@ def test_parse_rejects_corrupted_header(data, capsys, tmp_path, rewrite, field):
     assert code == 1 and summary is None
     assert len(err.strip().splitlines()) == 1
     assert f"{bad}: {field}" in err
+
+
+def save_untrained(command, data, path):
+    """A model file of the kind ``command`` reads."""
+    table = load_word2vec_text(str(data["emb"]))
+    if command == "tag":
+        tagset = data["tagset"].read_text(encoding="utf-8").split()
+        Tagger(TaggerConfig(window=0, hidden=4), tagset, table).save(path)
+    elif command == "parse":
+        Parser(ParserConfig(window=0, hidden=4), table).save(path)
+    else:
+        FfnEncoder(table.dim, 1, token_dim=4, hidden=8).save(path, WeightScheme())
+
+
+@pytest.mark.parametrize("command, corrupt, field", [
+    ("tag", lambda c: c.pop("tagger"), ".tagger is missing"),
+    ("tag", lambda c: c["tagger"].update(window="abc"), ".tagger.window is not an integer"),
+    ("tag", lambda c: c["tagger"].update(window=True), ".tagger.window is not an integer"),
+    ("tag", lambda c: c["tagger"].update(window=-3), ".tagger: tagger window"),
+    ("tag", lambda c: c["tagger"].update(beam=4), ".tagger.beam is unknown"),
+    ("tag", lambda c: c["tagset"].insert(0, 3), ".tagset[0] is not a string"),
+    ("tag", lambda c: c.update(extended_width=None), ".extended_width is not an integer"),
+    ("parse", lambda c: c.pop("dim"), ".dim is missing"),
+    ("parse", lambda c: c.update(encoders="none"), ".encoders is not a list"),
+    ("parse", lambda c: c.update(encoders=[{"arch": "ffn"}]),
+     ".encoders[0].token_dim is missing"),
+    ("parse", lambda c: c["parser"].update(hidden=4.0), ".parser.hidden is not an integer"),
+    ("embed", lambda c: c.pop("w_prime"), ".w_prime is missing"),
+    ("embed", lambda c: c.update(token_dim="4"), ".token_dim is not an integer"),
+    ("embed", lambda c: c.update(scheme=[]), ".scheme is not an object"),
+    ("embed", lambda c: c["scheme"].pop("center_weight"),
+     ".scheme.center_weight is missing"),
+    ("embed", lambda c: c["scheme"].update(name="flat"), ": unknown weighting scheme"),
+])
+def test_model_with_bad_config_field_exits_1(data, capsys, tmp_path, command, corrupt,
+                                             field):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_untrained(command, data, good)
+    kind, config, tensors = load_model(good)
+    corrupt(config)
+    save_model(bad, kind, config, tensors)
+    corpus = data["dep_val"] if command == "parse" else data["val"]
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             "--model", bad, "--corpus", corpus,
+                             "--out", tmp_path / "out.txt")
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"{bad}: config{field}" in err
 
 
 def test_train_encoder_summary_schema(data, capsys, tmp_path):

@@ -1,10 +1,13 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from tokembed import parser, rng as rng_mod, tagger
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
-                                 save_corpus, save_word2vec_text)
+                                 save_corpus, save_word2vec_text, windows)
+from tokembed.encoder import extract_window
 from tokembed.nn import RowGrad, SgdMomentum, anchored_l2
 from tokembed.synthetic import toy_embedding_table
 
@@ -117,6 +120,36 @@ def test_round_trip_within_tolerance(tmp_path):
 def test_vocabulary_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         Vocabulary(["a", "a"])
+
+
+# -- context windows -------------------------------------------------------------
+
+
+def reference_window(ids, j, offsets, bos_id, eos_id):
+    """Window of position ``j``, one position at a time."""
+    out = []
+    for o in offsets:
+        p = j + o
+        out.append(bos_id if p < 0 else eos_id if p >= len(ids) else ids[p])
+    return out
+
+
+@given(st.lists(st.integers(0, 99), max_size=7),
+       st.lists(st.integers(-3, 3), unique=True, max_size=5))
+@example([], [-1, 0, 1])
+@example([7], [])
+@example([7], [-2, -1, 1, 2])
+def test_windows_match_per_position_reference(ids, offsets):
+    # offsets with and without the center, none at all, and sentences of
+    # length 0 and 1; extract_window is the same row, range-checked
+    wins = windows(np.array(ids, dtype=np.int64), offsets, 100, 101)
+    assert wins.shape == (len(ids), len(offsets))
+    assert wins.dtype == np.int64
+    for j in range(len(ids)):
+        assert wins[j].tolist() == reference_window(ids, j, offsets, 100, 101)
+        for w in (1, 3):
+            assert extract_window(np.array(ids), j, w, 100, 101).tolist() == \
+                reference_window(ids, j, range(-w, w + 1), 100, 101)
 
 
 def test_corpus_round_trip(tmp_path):

@@ -6,9 +6,8 @@ from hypothesis import given
 from tokembed import rng as rng_mod
 from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, Seq2SeqEncoder,
                               WeightScheme, build_encoder, corpus_windows,
-                              decode_window, extract_window, load_encoder,
-                              sentence_windows, train_encoder, window_weights,
-                              wre_loss, wre_value)
+                              extract_window, load_encoder, train_encoder,
+                              window_weights, wre_loss, wre_value)
 from tokembed.nn import TrainingDiverged, gradient_check, lstm_step
 from tokembed.synthetic import template_corpus, toy_embedding_table
 
@@ -54,14 +53,6 @@ def test_extract_window_shape_and_center(n, w, j):
     win = extract_window(ids, j, w, 100, 101)
     assert len(win) == 2 * w + 1
     assert win[w] == ids[j]
-
-
-@given(st.integers(1, 8), st.integers(1, 4))
-def test_sentence_windows_match_per_position_extraction(n, w):
-    ids = np.arange(n) * 3
-    wins = sentence_windows(ids, w, 100, 101)
-    for j in range(n):
-        assert np.array_equal(wins[j], extract_window(ids, j, w, 100, 101))
 
 
 # -- weighting schemes ---------------------------------------------------------
@@ -237,7 +228,7 @@ def test_encode_decode_compose_equals_wre(arch, toy_table):
     windows = np.array([[0, 1, 2], [3, 4, 5]])
     weights = window_weights(WeightScheme("focused", 2.0), 1)
     codes = model.encode(toy_table, windows)
-    rec = decode_window(model, codes)
+    rec = model.decode(codes)
     manual = wre_value(rec, toy_table.vectors[windows], weights)
     loss, _ = wre_loss(model, toy_table, windows, weights)
     assert abs(loss - manual) <= 1e-12
@@ -248,7 +239,7 @@ def test_decode_window_zero_decoder(toy_table):
     for layer in model.decoder.layers:
         layer.W[:] = 0.0
         layer.b[:] = 0.0
-    rec = decode_window(model, model.encode(toy_table, np.array([[0, 1, 2]])))
+    rec = model.decode(model.encode(toy_table, np.array([[0, 1, 2]])))
     assert rec.shape == (1, 3, 3)
     assert np.array_equal(rec, np.zeros_like(rec))
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given
 
 from tokembed import rng as rng_mod
 from tokembed.nn import (Dense, DropoutSpec, LstmCell, MLP, RowGrad,
-                         SgdMomentum, anchored_l2, dense_forward, dropout_mask,
-                         gradient_check, lstm_step, relu, softmax_logloss,
+                         SgdMomentum, TrainingDiverged, anchored_l2,
+                         dense_forward, dropout_mask, fit, gradient_check,
+                         lstm_step, relu, softmax_logloss,
                          softmax_logloss_batch)
 
 
@@ -190,6 +192,93 @@ def test_sgd_shape_mismatch():
         opt.step({"w": RowGrad(np.array([0]), np.zeros(2))})
     with pytest.raises(ValueError):
         opt.step({})
+
+
+# -- fit ------------------------------------------------------------------------
+
+
+class ScriptedRun:
+    """Fake training problem: one parameter vector that every minibatch
+    moves by the same step, scored by a scripted sequence of values.  Keeps
+    the parameters seen at each evaluation and the batches it was given."""
+
+    def __init__(self, scores, losses=()):
+        self.params = {"w": np.zeros(2)}
+        self.scores = list(scores)
+        self.losses = list(losses)
+        self.seen = []
+        self.batches = []
+
+    def batch_loss(self, indices):
+        self.batches.append(indices.tolist())
+        loss = self.losses.pop(0) if self.losses else 1.0
+        return loss, {"w": -np.ones(2)}
+
+    def evaluate(self):
+        self.seen.append(self.params["w"].copy())
+        return self.scores.pop(0)
+
+
+def fit_cfg(**kw):
+    return SimpleNamespace(**{"epochs": 10, "batch_size": 4, "learning_rate": 1.0,
+                              "momentum": 0.0, "seed": 3, **kw})
+
+
+def test_fit_stops_after_patience_and_restores_earlier_of_tied_best():
+    run = ScriptedRun([50.0, 70.0, 70.0, 60.0, 90.0])
+    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(),
+              maximize=True, baseline=-1.0, patience=2)
+    # epoch 3 ties epoch 2, epoch 4 is worse: two stale epochs end training
+    assert res.epochs_run == 4 and res.steps == 4
+    assert res.best == 70.0
+    assert [(e, s, v) for e, s, v in res.history] == [
+        (1, 1, 50.0), (2, 2, 70.0), (3, 3, 70.0), (4, 4, 60.0)]
+    assert np.array_equal(run.seen[1], [2.0, 2.0])
+    assert np.array_equal(run.params["w"], run.seen[1])
+
+
+def test_fit_minimizes_from_the_starting_score_and_evaluates_once_per_minibatch():
+    # 4 items in batches of 2 take 2 minibatches an epoch; evaluating every
+    # 2nd one coincides with each epoch end, every 3rd one does not
+    run = ScriptedRun([5.0, 4.0, 6.0, 6.0])
+    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(epochs=3, batch_size=2),
+              maximize=False, eval_every=2)
+    assert [(e, s) for e, s, _ in res.history] == [(0, 0), (1, 2), (2, 4), (3, 6)]
+    assert res.best == 4.0 and res.epochs_run == 3 and res.steps == 6
+    assert np.array_equal(run.params["w"], [2.0, 2.0])
+    run = ScriptedRun([5.0, 6.0, 7.0, 8.0, 9.0])
+    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(epochs=2, batch_size=2),
+              maximize=False, eval_every=3)
+    assert [(e, s) for e, s, _ in res.history] == [(0, 0), (1, 2), (2, 3), (2, 4)]
+    assert res.best == 5.0
+    assert np.array_equal(run.params["w"], [0.0, 0.0])
+
+
+def test_fit_draws_each_epoch_order_from_the_shuffle_stream():
+    run = ScriptedRun([1.0] * 3)
+    fit(run.params, 5, run.batch_loss, run.evaluate, fit_cfg(epochs=3, batch_size=2),
+        maximize=True, baseline=-1.0)
+    shuffle = rng_mod.stream(3, "shuffle")
+    expected = []
+    for _ in range(3):
+        order = shuffle.permutation(5).tolist()
+        expected += [order[k:k + 2] for k in range(0, 5, 2)]
+    assert run.batches == expected
+
+
+def test_fit_non_finite_loss_raises_before_the_step():
+    run = ScriptedRun([1.0], losses=[1.0, 1.0, float("inf")])
+    with pytest.raises(TrainingDiverged, match="minibatch 3"):
+        fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(batch_size=2),
+            maximize=True, baseline=-1.0)
+    assert np.array_equal(run.params["w"], [2.0, 2.0])
+
+
+def test_fit_rejects_an_empty_training_set():
+    run = ScriptedRun([])
+    with pytest.raises(ValueError):
+        fit(run.params, 0, run.batch_loss, run.evaluate, fit_cfg(),
+            maximize=True, baseline=-1.0)
 
 
 # -- anchored L2 -----------------------------------------------------------

@@ -9,13 +9,15 @@ from hypothesis import given
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder
 from tokembed.features import PAIR_FEATURE_COUNT
-from tokembed.nn import gradient_check
+from tokembed.nn import TrainingDiverged, gradient_check
 from tokembed.parser import (DepSentence, Parser, ParserConfig,
                              ParserTrainConfig, arc_loss, attachment_f1,
                              batch_loss_and_grads, candidate_heads,
                              export_arc_scores, load_dep_corpus,
                              save_dep_corpus, sentence_loss, train_parser)
 from tokembed.synthetic import chain_dep_corpus, toy_embedding_table
+
+from test_embeddings import reference_window
 
 
 def small_table(seed=40, n_words=10, dim=4):
@@ -153,6 +155,24 @@ def test_cache_keeps_no_per_arc_input_rows():
     assert per_arc
     assert all(a.ndim == 1 or a.shape[1] <= PAIR_FEATURE_COUNT for a in per_arc)
     assert model.input_dim > PAIR_FEATURE_COUNT
+
+
+@given(st.integers(-1, 2), st.lists(st.booleans(), max_size=6))
+def test_cache_windows_are_wall_row_plus_selected_windows(window, selected):
+    table = small_table(dim=3)
+    enc = FfnEncoder(3, 0, token_dim=2, hidden=2)
+    model = Parser(ParserConfig(window=window, hidden=2), table, encoders=[enc])
+    tokens = [f"t{k}" for k in range(len(selected) - 1)] + ["oov"] * bool(selected)
+    sent = DepSentence(tokens, [-1] * len(tokens), selected)
+    v = table.vocab
+    ids = v.to_ids(tokens).tolist()
+    offsets = range(-window, window + 1)
+    expected = [[v.unk_id] * len(offsets)] + [
+        reference_window(ids, p - 1, offsets, v.bos_id, v.eos_id)
+        for p in sent.selected_positions()]
+    wins = model._cache_sentence(sent).wins
+    assert wins.shape == (len(expected), len(offsets))
+    assert wins.tolist() == expected
 
 
 def test_window_minus_one_has_no_type_inputs():
@@ -436,6 +456,18 @@ def test_train_zero_learning_rate_fixed_point():
     train_parser(model, sents[:10], sents[10:], cfg)
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_raises():
+    rng = rng_mod.stream(51, "data")
+    words, sents = chain_dep_corpus(rng, n_sentences=12, max_len=4)
+    table = toy_embedding_table(words, 4, rng)
+    model = Parser(ParserConfig(window=0, hidden=6), table,
+                   rng=rng_mod.stream(51, "init"))
+    cfg = ParserTrainConfig(epochs=3, batch_size=2, learning_rate=1e30, seed=51)
+    with pytest.raises(TrainingDiverged):
+        train_parser(model, sents[:10], sents[10:], cfg)
 
 
 def test_train_learns_positional_rule_quickly():

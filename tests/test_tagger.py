@@ -4,6 +4,7 @@ import pytest
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder, Seq2SeqEncoder
 from tokembed.features import ResourceBundle, extended_feature_width
+from tokembed.nn import TrainingDiverged
 from tokembed.synthetic import toy_embedding_table
 from tokembed.tagger import (Tagger, TaggerConfig, TaggerTrainConfig,
                              corpus_tag_ids, load_tagged_corpus, load_tagset,
@@ -286,6 +287,16 @@ def test_dropout_training_still_learns():
     assert res.best_val_accuracy >= 80.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_raises():
+    table, train, val = rule_corpus(n_sentences=20, n_val=5)
+    model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table,
+                   rng=rng_mod.stream(39, "init"))
+    cfg = TaggerTrainConfig(epochs=3, batch_size=8, learning_rate=1e30, seed=39)
+    with pytest.raises(TrainingDiverged):
+        train_tagger(model, train, val, cfg)
+
+
 # -- accuracy metric -------------------------------------------------------------
 
 
@@ -350,6 +361,22 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.tag_ids(toks), model.tag_ids(toks))
     for k, v in model.params().items():
         assert np.array_equal(loaded.params()[k], v)
+
+
+def test_load_extended_model_needs_the_same_resources(tmp_path):
+    table = big_table(dim=4)
+    resources = ResourceBundle(brown_clusters={"w0": "01"}, tag_dictionary={},
+                               name_lists=[frozenset({"w1"})], char_ngrams={})
+    model = Tagger(TaggerConfig(window=0, hidden=4, extended=True), TAGSET, table,
+                   resources=resources)
+    path = tmp_path / "tagger.bin"
+    model.save(path)
+    assert Tagger.load(str(path), table, resources=resources).tagset == TAGSET
+    fewer = ResourceBundle(brown_clusters={"w0": "01"}, tag_dictionary={},
+                           name_lists=[], char_ngrams={})
+    for other in (None, fewer):
+        with pytest.raises(ValueError, match="resource bundle"):
+            Tagger.load(str(path), table, resources=other)
 
 
 def test_load_rejects_wrong_encoders(tmp_path):
