@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import ENCODE_BLOCK, corpus_windows
+
 METRICS = ("euclidean", "cosine")
+
+# Index rows per distance computation: the float64 copies of a block stay a
+# few MB, where the whole index's would set the process's peak memory.
+DISTANCE_BLOCK = 1024
 
 
 @dataclass
@@ -43,27 +49,34 @@ def index_corpus(model, table, sentences, type_filter=None, tags=None):
     """One TokenRecord per token whose type passes ``type_filter`` (or all).
 
     ``tags`` optionally supplies a gold tag sequence per sentence, aligned
-    with ``sentences``.
+    with ``sentences``.  The admitted tokens' windows are encoded in one pass
+    over the corpus, ``ENCODE_BLOCK`` rows per ``model.encode`` call.
     """
     if type_filter is not None:
         type_filter = set(type_filter)
+    places, rows = [], []
+    row = 0
+    for si, tokens in enumerate(sentences):
+        for j, tok in enumerate(tokens):
+            if type_filter is None or tok in type_filter:
+                places.append((si, j))
+                rows.append(row + j)
+        row += len(tokens)
+    wins = corpus_windows(table, sentences, model.w_prime)[rows]
     records = []
     w = model.w_prime
-    for si, tokens in enumerate(sentences):
-        ids = table.vocab.to_ids(tokens)
-        embs = model.encode_sentence(table, ids)
-        sent_tags = tags[si] if tags is not None else None
-        for j, tok in enumerate(tokens):
-            if type_filter is not None and tok not in type_filter:
-                continue
+    for start in range(0, len(wins), ENCODE_BLOCK):
+        codes = model.encode(table, wins[start:start + ENCODE_BLOCK])
+        for (si, j), emb in zip(places[start:start + ENCODE_BLOCK], codes):
+            tokens = sentences[si]
             records.append(TokenRecord(
                 sentence_id=si,
                 position=j,
-                token=tok,
-                embedding=np.array(embs[j]),
+                token=tokens[j],
+                embedding=emb,
                 left=" ".join(tokens[max(0, j - w):j]),
                 right=" ".join(tokens[j + 1:j + 1 + w]),
-                tag=sent_tags[j] if sent_tags is not None else None,
+                tag=tags[si][j] if tags is not None else None,
             ))
     return records
 
@@ -100,8 +113,10 @@ def nearest_neighbors(query, index, k=4, metric="euclidean"):
     """
     if not index:
         raise ValueError("empty index")
-    M = np.stack([r.embedding for r in index])
-    dists = distances(query.embedding, M, metric)
+    dists = np.concatenate([
+        distances(query.embedding,
+                  np.stack([r.embedding for r in index[k:k + DISTANCE_BLOCK]]), metric)
+        for k in range(0, len(index), DISTANCE_BLOCK)])
     order = np.argsort(dists, kind="stable")
     out = []
     for idx in order:
@@ -123,12 +138,12 @@ def export_embeddings_tsv(index, path):
     dim = len(index[0].embedding) if index else 0
     header = ["sentence_id", "position", "token", "left_context",
               "right_context", "tag"] + [f"e{k}" for k in range(dim)]
+    row = "\t".join(["%s"] * 6 + ["%.8g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for rec in index:
-            coords = [f"{x:.8g}" for x in rec.embedding]
-            fh.write("\t".join([str(rec.sentence_id), str(rec.position), rec.token,
-                                rec.left, rec.right, rec.tag or ""] + coords) + "\n")
+            fh.write(row % (rec.sentence_id, rec.position, rec.token, rec.left,
+                            rec.right, rec.tag or "", *rec.embedding.tolist()))
 
 
 def load_embeddings_tsv(path):

@@ -226,9 +226,11 @@ def cmd_knn(args):
     if args.same_type:
         types = {query_token}
     index = index_corpus(model, table, sentences, types, tags)
-    query = next(r for r in index_corpus(model, table, [tokens])
-                 if r.position == args.position)
-    query.sentence_id = args.sentence
+    identity = (args.sentence, args.position)
+    query = next((r for r in index if r.identity == identity), None)
+    if query is None:  # the type filter rejects the query token
+        query = index_corpus(model, table, [tokens])[args.position]
+        query.sentence_id = args.sentence
     neighbors = nearest_neighbors(query, index, args.k, args.metric)
     lines = [f"Q  {query.snippet()}"]
     lines += [f"{r + 1}  (d={d:.4f}) {rec.snippet()}"

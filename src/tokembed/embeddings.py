@@ -14,7 +14,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .nn import RowGrad, anchored_l2
-from .serialize import check_config, load_model, restore_params, save_model
+from .serialize import (check_config, check_sizes, load_model, restore_params,
+                        save_model)
 
 BOS = "<s>"
 EOS = "</s>"
@@ -213,6 +214,8 @@ class Predictor:
             raise ValueError(f"{path}: config.{cls.kind}: {e}") from None
         if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
             raise ValueError(f"{path}: embedding table does not match the model")
+        check_sizes(path, tensors,
+                    {f"config.{cls.kind}.hidden": ("net.0.b", (config.hidden,))})
         given = _fingerprint(encoders)
         if cfg["encoders"] != given:
             raise ValueError(

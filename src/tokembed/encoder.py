@@ -21,9 +21,16 @@ import numpy as np
 
 from .embeddings import windows
 from .nn import MLP, Dense, LstmCell, fit
-from .serialize import check_config, load_model, restore_params, save_model
+from .serialize import (check_config, check_sizes, load_model, restore_params,
+                        save_model)
 
 SCHEME_NAMES = ("uniform", "focused", "tapered")
+
+# Windows per forward pass when encoding a corpus: enough rows to amortise the
+# per-call cost, few enough that a block's activations stay a few MB.  The
+# seq2seq step caches take about 24 kB per row at d'=256, so 1024-row blocks
+# already raise the peak memory of a run.
+ENCODE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -306,6 +313,12 @@ def wre_loss(model, table, windows, weights):
 
 def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
                   dtype=np.float32):
+    sizes = {"dim": dim, "token_dim": token_dim}
+    if arch == "ffn":
+        sizes["hidden"] = hidden
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be positive, got {size}")
     if arch == "ffn":
         return FfnEncoder(dim, w_prime, token_dim, hidden, rng, dtype)
     if arch == "seq2seq":
@@ -325,6 +338,15 @@ def load_encoder(path):
     if kind not in ("ffn", "seq2seq"):
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
     check_config(path, cfg, _CONFIG_FIELDS, optional=("hidden", "scheme"))
+    if kind == "ffn":
+        width = cfg["dim"] * (2 * cfg["w_prime"] + 1)
+        sizes = {"config.hidden": ("enc.0.b", (cfg.get("hidden", 512),)),
+                 "config.token_dim": ("enc.1.b", (cfg["token_dim"],)),
+                 "config.dim, config.w_prime": ("dec.1.b", (width,))}
+    else:
+        sizes = {"config.token_dim": ("enc.bi", (cfg["token_dim"],)),
+                 "config.dim": ("proj.b", (cfg["dim"],))}
+    check_sizes(path, tensors, sizes)
     try:
         model = build_encoder(kind, cfg["dim"], cfg["w_prime"], cfg["token_dim"],
                               cfg.get("hidden", 512))

@@ -25,13 +25,10 @@ def relu(z):
 
 
 def sigmoid(z):
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
+    # overflows.  min(z, -z) rather than -|z| keeps the sign of a nan input.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, z.dtype.type(1), e) / (1 + e)
 
 
 def glorot_uniform(rng, n_in, n_out, shape, dtype):

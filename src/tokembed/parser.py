@@ -124,6 +124,8 @@ class ParserConfig:
     def __post_init__(self):
         if self.window < -1:
             raise ValueError("parser window must be >= -1")
+        if self.hidden < 1:
+            raise ValueError("parser hidden size must be positive")
 
 
 @dataclass

@@ -155,6 +155,19 @@ def check_config(path, value, kind, optional=(), field="config"):
         raise ValueError(f"{path}: {field} is not {_KIND_NAMES[kind]}")
 
 
+def check_sizes(path, tensors, sizes):
+    """Reject header sizes that disagree with the stored tensors, before a
+    model of those sizes is built and allocated.  ``sizes`` maps a header
+    field to the tensor it fixes and the shape its value implies.
+    """
+    for field, (name, shape) in sizes.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: {field}: tensor {name!r} has shape "
+                             f"{tensors[name].shape}, expected {shape}")
+
+
 def restore_params(params, tensors, path):
     """Copy loaded ``tensors`` into a model's live ``params`` arrays.
 

@@ -41,6 +41,8 @@ class TaggerConfig:
     def __post_init__(self):
         if self.window < 0:
             raise ValueError("tagger window must be non-negative")
+        if self.hidden < 1:
+            raise ValueError("tagger hidden size must be positive")
         for r in (self.dropout_input, self.dropout_hidden):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"dropout rate {r} outside [0, 1)")

@@ -1,11 +1,16 @@
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from tokembed import analysis
 from tokembed import rng as rng_mod
-from tokembed.analysis import (TokenRecord, distances, export_embeddings_tsv,
-                               index_corpus, load_embeddings_tsv,
-                               nearest_neighbors)
-from tokembed.encoder import FfnEncoder
+from tokembed.analysis import (DISTANCE_BLOCK, TokenRecord, distances,
+                               export_embeddings_tsv, index_corpus,
+                               load_embeddings_tsv, nearest_neighbors)
+from tokembed.encoder import ENCODE_BLOCK, FfnEncoder, Seq2SeqEncoder
 from tokembed.synthetic import toy_embedding_table
 
 
@@ -53,6 +58,75 @@ def test_index_context_and_tags(setup):
     assert index[0].snippet() == "[ <w0> w1 ]"
 
 
+# -- batched index against a per-sentence reference ---------------------------
+
+WORDS = [f"w{k}" for k in range(6)] + ["oov"]
+TABLE = toy_embedding_table(WORDS[:6], 4, rng_mod.stream(62, "data"))
+ENCODERS = {
+    "ffn": FfnEncoder(4, 2, token_dim=3, hidden=6, rng=rng_mod.stream(62, "init")),
+    "seq2seq": Seq2SeqEncoder(4, 1, token_dim=3, rng=rng_mod.stream(63, "init")),
+}
+
+
+def per_sentence_index(model, table, sentences, type_filter, tags):
+    """(identity, token, left, right, tag, embedding) of every admitted token,
+    each sentence encoded on its own."""
+    w = model.w_prime
+    out = []
+    for si, toks in enumerate(sentences):
+        embs = model.encode_sentence(table, table.vocab.to_ids(toks))
+        for j, tok in enumerate(toks):
+            if type_filter is None or tok in type_filter:
+                out.append(((si, j), tok, " ".join(toks[max(0, j - w):j]),
+                            " ".join(toks[j + 1:j + 1 + w]),
+                            tags[si][j] if tags is not None else None, embs[j]))
+    return out
+
+
+def check_index_against_reference(model, sentences, type_filter, tags):
+    rows = []
+    encode = model.encode
+
+    def counting_encode(table, windows):
+        rows.append(len(windows))
+        return encode(table, windows)
+
+    with mock.patch.object(model, "encode", counting_encode):
+        index = index_corpus(model, TABLE, sentences, type_filter, tags)
+    want = per_sentence_index(model, TABLE, sentences, type_filter, tags)
+    assert [(r.identity, r.token, r.left, r.right, r.tag) for r in index] == \
+        [w[:5] for w in want]
+    for rec, w in zip(index, want):
+        assert rec.embedding.dtype == w[5].dtype
+        np.testing.assert_allclose(rec.embedding, w[5], rtol=1e-5, atol=1e-6)
+    assert sum(rows) == len(index)
+    assert all(0 < n <= analysis.ENCODE_BLOCK for n in rows)
+    return index
+
+
+@pytest.mark.parametrize("arch", sorted(ENCODERS))
+@given(sentences=st.lists(st.lists(st.sampled_from(WORDS), max_size=5), max_size=8),
+       type_filter=st.none() | st.sets(st.sampled_from(WORDS)),
+       tagged=st.booleans(),
+       block=st.sampled_from([1, 2, 3, 7]))
+def test_index_matches_per_sentence_encoding(arch, sentences, type_filter, tagged,
+                                             block):
+    tags = [[f"T{len(t)}{j}" for j in range(len(t))] for t in sentences] if tagged else None
+    with mock.patch.object(analysis, "ENCODE_BLOCK", block):
+        check_index_against_reference(ENCODERS[arch], sentences, type_filter, tags)
+
+
+@pytest.mark.parametrize("arch", sorted(ENCODERS))
+def test_index_across_the_encode_block_boundary(arch):
+    rng = rng_mod.stream(64, "data")
+    sentences = [[WORDS[k] for k in rng.integers(len(WORDS), size=rng.integers(1, 6))]
+                 for _ in range(ENCODE_BLOCK)]
+    assert sum(map(len, sentences)) > 2 * ENCODE_BLOCK
+    index = check_index_against_reference(ENCODERS[arch], sentences, None, None)
+    assert len(index) == sum(map(len, sentences))
+    check_index_against_reference(ENCODERS[arch], sentences, {"w1", "oov"}, None)
+
+
 def make_index(embs):
     return [TokenRecord(k, 0, "q", np.asarray(e, dtype=np.float64))
             for k, e in enumerate(embs)]
@@ -84,6 +158,23 @@ def test_nn_k_larger_than_index_returns_all_sorted():
     assert [rec.sentence_id for rec, _ in out] == [2, 3, 1]
     dists = [d for _, d in out]
     assert dists == sorted(dists)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_blocked_nn_equals_unblocked_reference(metric):
+    rng = rng_mod.stream(65, "data")
+    embs = rng.normal(size=(2 * DISTANCE_BLOCK + 37, 5)).astype(np.float32)
+    embs[DISTANCE_BLOCK + 3] = embs[5]  # a tie across a block boundary
+    embs[7] = 0.0
+    index = [TokenRecord(k, 0, "q", e) for k, e in enumerate(embs)]
+    query = index[5]
+    got = nearest_neighbors(query, index, k=len(index), metric=metric)
+    dists = distances(query.embedding, np.stack(embs), metric)
+    order = [k for k in np.argsort(dists, kind="stable") if k != 5]
+    assert [rec.sentence_id for rec, _ in got] == order
+    assert np.array_equal(np.array([d for _, d in got]).view(np.uint64),
+                          dists[order].view(np.uint64))
+    assert got[0][0] is index[DISTANCE_BLOCK + 3] and got[0][1] == 0.0
 
 
 def test_nn_empty_index_rejected():
@@ -157,3 +248,39 @@ def test_export_empty_index_header_only(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("sentence_id\tposition\ttoken")
+
+
+def per_element_tsv(index, path):
+    """Reference writer: every coordinate formatted on its own."""
+    dim = len(index[0].embedding) if index else 0
+    header = ["sentence_id", "position", "token", "left_context",
+              "right_context", "tag"] + [f"e{k}" for k in range(dim)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for rec in index:
+            coords = [f"{x:.8g}" for x in rec.embedding]
+            fh.write("\t".join([str(rec.sentence_id), str(rec.position), rec.token,
+                                rec.left, rec.right, rec.tag or ""] + coords) + "\n")
+
+
+TEXT = st.text(alphabet="ab%s\u00e9 ", max_size=4)
+
+
+@st.composite
+def token_records(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    dim = draw(st.integers(1, 4))
+    values = st.floats(width=32 if dtype is np.float32 else 64)
+    return [TokenRecord(draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 99)),
+                        draw(TEXT), np.array(draw(st.lists(values, min_size=dim,
+                                                           max_size=dim)), dtype=dtype),
+                        draw(TEXT), draw(TEXT), draw(st.none() | TEXT))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@given(token_records())
+def test_export_bytes_equal_per_element_writer(tmp_path_factory, index):
+    root = tmp_path_factory.mktemp("tsv")
+    export_embeddings_tsv(index, root / "got.tsv")
+    per_element_tsv(index, root / "want.tsv")
+    assert (root / "got.tsv").read_bytes() == (root / "want.tsv").read_bytes()

@@ -1,13 +1,17 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from tokembed import cli
 from tokembed import rng as rng_mod
+from tokembed.analysis import nearest_neighbors
 from tokembed.cli import main
-from tokembed.embeddings import (load_word2vec_text, save_corpus,
+from tokembed.embeddings import (load_corpus, load_word2vec_text, save_corpus,
                                  save_word2vec_text)
-from tokembed.encoder import FfnEncoder, WeightScheme
+from tokembed.encoder import FfnEncoder, WeightScheme, WindowEncoder, load_encoder
+from tokembed.nn import Dense, LstmCell
 from tokembed.parser import Parser, ParserConfig, save_dep_corpus
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
@@ -191,6 +195,88 @@ def test_model_with_bad_config_field_exits_1(data, capsys, tmp_path, command, co
     assert code == 1 and summary is None
     assert len(err.strip().splitlines()) == 1
     assert f"{bad}: config{field}" in err
+
+
+HUGE = 10 ** 7
+
+
+@pytest.mark.parametrize("command, corrupt, field", [
+    ("tag", lambda c: c["tagger"].update(hidden=-4),
+     "config.tagger: tagger hidden size must be positive"),
+    ("tag", lambda c: c["tagger"].update(hidden=HUGE),
+     "config.tagger.hidden: tensor 'net.0.b' has shape (4,)"),
+    ("parse", lambda c: c["parser"].update(hidden=-4),
+     "config.parser: parser hidden size must be positive"),
+    ("parse", lambda c: c["parser"].update(hidden=HUGE),
+     "config.parser.hidden: tensor 'net.0.b' has shape (4,)"),
+    ("embed", lambda c: c.update(hidden=-4), "config.hidden: tensor 'enc.0.b'"),
+    ("embed", lambda c: c.update(hidden=HUGE), "config.hidden: tensor 'enc.0.b'"),
+    ("embed", lambda c: c.update(token_dim=HUGE), "config.token_dim: tensor 'enc.1.b'"),
+    ("embed", lambda c: c.update(dim=-6), "config.dim, config.w_prime: tensor 'dec.1.b'"),
+    ("embed", lambda c: c.update(w_prime=HUGE),
+     "config.dim, config.w_prime: tensor 'dec.1.b'"),
+])
+def test_model_with_bad_size_exits_1_before_building(data, capsys, tmp_path, monkeypatch,
+                                                     command, corrupt, field):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_untrained(command, data, good)
+    kind, config, tensors = load_model(good)
+    corrupt(config)
+    save_model(bad, kind, config, tensors)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a layer was built from a bad header")
+
+    monkeypatch.setattr(Dense, "__init__", build)
+    monkeypatch.setattr(LstmCell, "__init__", build)
+    corpus = data["dep_val"] if command == "parse" else data["val"]
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             "--model", bad, "--corpus", corpus,
+                             "--out", tmp_path / "out.txt")
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"{bad}: {field}" in err
+
+
+def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
+                                                     monkeypatch):
+    enc = tmp_path / "enc.bin"
+    train_encoder_file(data, capsys, enc)
+    seen = []
+
+    def recording(query, index, k, metric):
+        seen.append((query, index))
+        return nearest_neighbors(query, index, k, metric)
+
+    encoded = []
+    encode = WindowEncoder.encode
+
+    def counting_encode(self, table, windows):
+        encoded.append(len(windows))
+        return encode(self, table, windows)
+
+    monkeypatch.setattr(cli, "nearest_neighbors", recording)
+    monkeypatch.setattr(WindowEncoder, "encode", counting_encode)
+    sentence = load_corpus(str(data["val"]))[1]
+    assert sentence[2] == "lb"
+    for extra, indexed in ((["--same-type"], True), ([], True), (["--types", "pv"], False)):
+        code, summary, _ = run(capsys, "knn", "--embeddings", data["emb"],
+                               "--model", enc, "--corpus", data["val"],
+                               "--sentence", 1, "--position", 2, "-k", 2, *extra)
+        assert code == 0 and summary["query"]["token"] == "lb"
+        query, index = seen.pop()
+        assert query.identity == (1, 2)
+        own = [r for r in index if r.identity == query.identity]
+        assert sum(encoded) == len(index) + (0 if indexed else len(sentence))
+        encoded.clear()
+        if indexed:
+            assert np.array_equal(query.embedding.view(np.uint32),
+                                  own[0].embedding.view(np.uint32))
+        else:  # the filter rejects the query's type: it is encoded on its own
+            assert own == []
+            table = load_word2vec_text(str(data["emb"]))
+            direct = load_encoder(enc)[0].encode_sentence(table, table.vocab.to_ids(sentence))
+            np.testing.assert_allclose(query.embedding, direct[2], rtol=1e-5, atol=1e-6)
 
 
 def test_train_encoder_summary_schema(data, capsys, tmp_path):

@@ -9,6 +9,7 @@ from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, Seq2SeqEncoder,
                               extract_window, load_encoder, train_encoder,
                               window_weights, wre_loss, wre_value)
 from tokembed.nn import TrainingDiverged, gradient_check, lstm_step
+from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import template_corpus, toy_embedding_table
 
 
@@ -328,3 +329,30 @@ def test_encoder_save_load_bit_exact(arch, toy_table, tmp_path):
 def test_build_encoder_unknown_arch():
     with pytest.raises(ValueError):
         build_encoder("transformer", 4, 1)
+
+
+@pytest.mark.parametrize("arch, sizes", [
+    ("ffn", {"dim": 0}), ("ffn", {"token_dim": -1}), ("ffn", {"hidden": 0}),
+    ("seq2seq", {"dim": -3}), ("seq2seq", {"token_dim": 0}),
+])
+def test_build_encoder_rejects_non_positive_sizes(arch, sizes):
+    args = {"dim": 3, "token_dim": 4, "hidden": 5, **sizes}
+    (name, value), = sizes.items()
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        build_encoder(arch, args["dim"], 1, args["token_dim"], args["hidden"])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("token_dim", 10 ** 9, "config.token_dim: tensor 'enc.bi' has shape (4,)"),
+    ("token_dim", -4, "config.token_dim: tensor 'enc.bi' has shape (4,)"),
+    ("dim", 10 ** 9, "config.dim: tensor 'proj.b' has shape (3,)"),
+])
+def test_seq2seq_header_size_checked_against_tensors(tmp_path, field, value, message):
+    path = tmp_path / "enc.bin"
+    build_encoder("seq2seq", 3, 1, token_dim=4).save(path)
+    kind, config, tensors = load_model(path)
+    config[field] = value
+    save_model(path, kind, config, tensors)
+    with pytest.raises(ValueError) as err:
+        load_encoder(str(path))
+    assert str(err.value).startswith(f"{path}: {message}")

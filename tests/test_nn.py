@@ -10,7 +10,7 @@ from tokembed import rng as rng_mod
 from tokembed.nn import (Dense, DropoutSpec, LstmCell, MLP, RowGrad,
                          SgdMomentum, TrainingDiverged, anchored_l2,
                          dense_forward, dropout_mask, fit, gradient_check,
-                         lstm_step, relu, softmax_logloss,
+                         lstm_step, relu, sigmoid, softmax_logloss,
                          softmax_logloss_batch)
 
 
@@ -59,6 +59,29 @@ def test_relu_nonnegative(xs):
 def test_tanh_strictly_bounded(xs):
     t = np.tanh(np.array(xs))
     assert np.all(t > -1) and np.all(t < 1)
+
+
+def split_by_sign_sigmoid(z):
+    """Reference: 1/(1+exp(-z)) on z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SPECIAL = [0.0, -0.0, 100.0, -100.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -745.0]
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_sigmoid_bitwise_equals_split_by_sign(dtype, bits, xs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.array(SPECIAL + xs, dtype=dtype)
+        got, want = sigmoid(z), split_by_sign_sigmoid(z)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 # -- LSTM -----------------------------------------------------------------
