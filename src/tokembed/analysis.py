@@ -111,12 +111,14 @@ def nearest_neighbors(query, index, k=4, metric="euclidean"):
     break by index order.  If fewer than ``k`` records remain, all are
     returned, sorted.
     """
+    if k < 1:
+        raise ValueError(f"-k must be at least 1, got {k}")
     if not index:
         raise ValueError("empty index")
     dists = np.concatenate([
         distances(query.embedding,
-                  np.stack([r.embedding for r in index[k:k + DISTANCE_BLOCK]]), metric)
-        for k in range(0, len(index), DISTANCE_BLOCK)])
+                  np.stack([r.embedding for r in index[s:s + DISTANCE_BLOCK]]), metric)
+        for s in range(0, len(index), DISTANCE_BLOCK)])
     order = np.argsort(dists, kind="stable")
     out = []
     for idx in order:

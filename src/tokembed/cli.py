@@ -167,6 +167,11 @@ def cmd_train_encoder(args):
     table = load_word2vec_text(args.embeddings)
     train = load_corpus(args.train)
     val = load_corpus(args.val)
+    vocab = table.vocab
+    for path, corpus in ((args.train, train), (args.val, val)):
+        if corpus and all(vocab.id_of(t) >= vocab.bos_id for toks in corpus for t in toks):
+            raise CliError(f"{path}: no token is in the embeddings vocabulary, "
+                           "so every window is all zero rows")
     scheme = WeightScheme(args.scheme, args.center_weight)
     init_rng = rng_mod.stream(args.seed, "init")
     model = build_encoder(args.arch, table.dim, args.w_prime, args.token_dim,

@@ -192,6 +192,14 @@ class Predictor:
         """Values of the subclass's ``header_fields``."""
         return {}
 
+    @classmethod
+    def input_width(cls, config, dim, token_dim, header):
+        """Width of the network's input rows, the columns of ``net.0.W``, for
+        ``config`` over a ``dim``-wide table and encoders whose token
+        embeddings are ``token_dim`` wide in all; ``header`` holds the values
+        of the subclass's ``header_fields``."""
+        raise NotImplementedError
+
     def save(self, path):
         cfg = {self.kind: asdict(self.config), "dim": self.table.dim,
                "vocab_size": len(self.table.vocab),
@@ -214,8 +222,11 @@ class Predictor:
             raise ValueError(f"{path}: config.{cls.kind}: {e}") from None
         if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
             raise ValueError(f"{path}: embedding table does not match the model")
-        check_sizes(path, tensors,
-                    {f"config.{cls.kind}.hidden": ("net.0.b", (config.hidden,))})
+        width = cls.input_width(config, cfg["dim"],
+                                sum(e["token_dim"] for e in cfg["encoders"]), cfg)
+        check_sizes(path, tensors, {
+            f"config.{cls.kind}.hidden": ("net.0.b", (config.hidden,)),
+            f"config.{cls.kind}.window": ("net.0.W", (config.hidden, width))})
         given = _fingerprint(encoders)
         if cfg["encoders"] != given:
             raise ValueError(
@@ -234,9 +245,12 @@ def load_word2vec_text(path):
     """Read a text-format embedding file.
 
     Expected layout: a header line "<count> <dim>" followed by ``count`` lines
-    of "<word> <dim floats>".  Reserved symbols are appended automatically.
-    Malformed headers, wrong float counts, duplicate words, count mismatches
-    and non-finite values are rejected with the offending line number.
+    of "<word> <dim floats>", fields separated by any whitespace.  Reserved
+    symbols are appended automatically.  Malformed headers, wrong float
+    counts, duplicate words, count mismatches and non-finite values are
+    rejected with the offending line number.  Files with single spaces
+    between fields are parsed in blocks; any other file, and any file the
+    blocks reject, is read line by line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -251,10 +265,63 @@ def load_word2vec_text(path):
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected two integers") from None
     if count < 0 or dim <= 0:
         raise ValueError(f"{path}:1: nonsensical header values {count} {dim}")
+    entries = lines[1:]
+    words, vectors = (_read_entries_bulk(entries, count, dim)
+                      or _read_entries(path, entries, count, dim))
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        # Entry k sits on line k + 2; values beyond float32 range read as inf.
+        raise ValueError(f"{path}:{bad[0] + 2}: non-finite value for word {words[bad[0]]!r}")
+    return EmbeddingTable(Vocabulary(words), vectors)
+
+
+_BULK_LINES = 1024  # entry lines per np.loadtxt call; bounds its float64 copy
+
+
+def _read_entries_bulk(entries, count, dim):
+    """Words and float32 vectors of the entry lines when every line is
+    "<word> <dim floats>" separated by single spaces and the words are
+    valid: no whitespace in a word, no duplicate or reserved word, exactly
+    ``count`` lines.  Returns None for any other input, which
+    ``_read_entries`` then reads or reports.  An accepted line holds the
+    same tokens as ``line.split()``, and ``np.loadtxt`` parses ASCII floats
+    as ``float()`` does, so the result is that of ``_read_entries``.
+    """
+    if len(entries) != count:
+        return None
+    words = []
+    vectors = np.zeros((count + len(RESERVED), dim), dtype=np.float32)
+    for start in range(0, count, _BULK_LINES):
+        pairs = [line.split(" ", 1) for line in entries[start:start + _BULK_LINES]]
+        # np.loadtxt skips an empty line, so an empty rest would shift rows
+        if any(len(p) != 2 or not p[1] for p in pairs):
+            return None
+        block_words = [p[0] for p in pairs]
+        if " ".join(block_words).split() != block_words:
+            return None
+        try:
+            block = np.loadtxt([p[1] for p in pairs], dtype=np.float64, delimiter=" ",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape != (len(pairs), dim):
+            return None
+        with np.errstate(over="ignore"):  # the non-finite check names the word
+            vectors[start:start + len(pairs)] = block
+        words += block_words
+    if len(set(words)) != count or not set(RESERVED).isdisjoint(words):
+        return None
+    return words, vectors
+
+
+def _read_entries(path, entries, count, dim):
+    """Words and float32 vectors of the entry lines, read one line at a time
+    with any whitespace between fields; a malformed line raises a
+    ``ValueError`` naming the path, the line number and the word."""
     words = []
     first_line = {}
     vectors = np.zeros((count + len(RESERVED), dim), dtype=np.float32)
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(entries, start=2):
         parts = line.split()
         if not parts:
             raise ValueError(f"{path}:{lineno}: blank line inside the entry block")
@@ -272,18 +339,16 @@ def load_word2vec_text(path):
         if len(words) >= count:
             raise ValueError(f"{path}:{lineno}: more entries than the declared count {count}")
         try:
-            vectors[len(words)] = [float(t) for t in parts[1:]]
+            row = [float(t) for t in parts[1:]]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable float for word {word!r}") from None
+        with np.errstate(over="ignore"):  # the non-finite check names the word
+            vectors[len(words)] = row
         first_line[word] = lineno
         words.append(word)
     if len(words) != count:
         raise ValueError(f"{path}: header declares {count} entries, file has {len(words)}")
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if len(bad):
-        # Entry k sits on line k + 2; values beyond float32 range read as inf.
-        raise ValueError(f"{path}:{bad[0] + 2}: non-finite value for word {words[bad[0]]!r}")
-    return EmbeddingTable(Vocabulary(words), vectors)
+    return words, vectors
 
 
 def save_word2vec_text(table, path):

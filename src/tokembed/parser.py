@@ -179,10 +179,10 @@ class Parser(Predictor):
         self._offsets = np.arange(-config.window, config.window + 1)
         self.win_len = len(self._offsets)
         self.type_width = 2 * self.win_len * table.dim
-        self.token_width = 2 * sum(e.token_dim for e in self.encoders)
+        token_dim = sum(e.token_dim for e in self.encoders)
+        self.token_width = 2 * token_dim
         shape_width = WORD_FEATURE_COUNT if config.word_features else 0
-        self.feat_width = 2 * shape_width + PAIR_FEATURE_COUNT
-        self.input_dim = self.type_width + self.token_width + self.feat_width
+        self.input_dim = self.input_width(config, table.dim, token_dim, {})
 
         # (offset, width) of the type-window, token-embedding and shape blocks
         # in a position row.  The network input holds each block twice, child
@@ -197,6 +197,15 @@ class Parser(Predictor):
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
                        ["relu", "relu", "linear"], rng, dtype)
+
+    @classmethod
+    def input_width(cls, config, dim, token_dim, header):
+        """Child then parent copies of the type window, the token embeddings
+        and the word features, then the pair features; window -1 has no
+        type window."""
+        win_len = max(2 * config.window + 1, 0)
+        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
+        return 2 * (win_len * dim + token_dim + shape_width) + PAIR_FEATURE_COUNT
 
     # -- input composition ---------------------------------------------------
 

@@ -119,12 +119,9 @@ class Tagger(Predictor):
         offsets = [o for o in range(-w, w + 1) if not (config.omit_center and o == 0)]
         self._offsets = np.array(offsets, dtype=np.int64)
         self.type_width = len(offsets) * table.dim
-        self.const_width = sum(e.token_dim for e in self.encoders)
-        if config.word_features:
-            self.const_width += 10
-        if config.extended:
-            self.const_width += extended_feature_width(resources)
-        self.input_dim = self.type_width + self.const_width
+        self.input_dim = self.input_width(config, table.dim,
+                                          sum(e.token_dim for e in self.encoders),
+                                          self.header())
         if self.input_dim == 0:
             raise ValueError("tagger input is empty: no embeddings, encoders, or features")
 
@@ -184,6 +181,14 @@ class Tagger(Predictor):
         return {"tagset": self.tagset,
                 "extended_width": (extended_feature_width(self.resources)
                                    if self.config.extended else 0)}
+
+    @classmethod
+    def input_width(cls, config, dim, token_dim, header):
+        """The type window, then the token embeddings, the word features and
+        the extended features, each when enabled."""
+        n_offsets = 2 * config.window + 1 - config.omit_center
+        return (n_offsets * dim + token_dim + (10 if config.word_features else 0)
+                + (header["extended_width"] if config.extended else 0))
 
     @classmethod
     def from_header(cls, path, config, header, table, encoders, resources=None):

@@ -209,6 +209,10 @@ HUGE = 10 ** 7
      "config.parser: parser hidden size must be positive"),
     ("parse", lambda c: c["parser"].update(hidden=HUGE),
      "config.parser.hidden: tensor 'net.0.b' has shape (4,)"),
+    ("tag", lambda c: c["tagger"].update(window=c["tagger"]["window"] + 1),
+     "config.tagger.window: tensor 'net.0.W' has shape (4, 6), expected (4, 18)"),
+    ("parse", lambda c: c["parser"].update(window=c["parser"]["window"] + 1),
+     "config.parser.window: tensor 'net.0.W' has shape (4, 42), expected (4, 66)"),
     ("embed", lambda c: c.update(hidden=-4), "config.hidden: tensor 'enc.0.b'"),
     ("embed", lambda c: c.update(hidden=HUGE), "config.hidden: tensor 'enc.0.b'"),
     ("embed", lambda c: c.update(token_dim=HUGE), "config.token_dim: tensor 'enc.1.b'"),
@@ -277,6 +281,32 @@ def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
             table = load_word2vec_text(str(data["emb"]))
             direct = load_encoder(enc)[0].encode_sentence(table, table.vocab.to_ids(sentence))
             np.testing.assert_allclose(query.embedding, direct[2], rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_knn_rejects_k_below_1(data, capsys, tmp_path, k):
+    enc = tmp_path / "enc.bin"
+    train_encoder_file(data, capsys, enc)
+    code, summary, err = run(capsys, "knn", "--embeddings", data["emb"],
+                             "--model", enc, "--corpus", data["val"], "-k", k)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: -k must be at least 1, got {k}"]
+
+
+@pytest.mark.parametrize("flag", ["--train", "--val"])
+def test_train_encoder_without_known_tokens_exits_1(data, capsys, tmp_path, flag):
+    # nothing is learned from all-zero windows, and all-zero validation
+    # windows score every model 0, so the initial one would be kept
+    oov = tmp_path / "oov.txt"
+    save_corpus([["zzz", "qqq"], ["<unk>", "yyy", "xxx"]], oov)
+    files = {"--train": data["train"], "--val": data["val"], flag: oov}
+    code, summary, err = run(capsys, "train-encoder", "--embeddings", data["emb"],
+                             *[a for kv in files.items() for a in kv],
+                             "--out", tmp_path / "enc.bin", *ENC_ARGS)
+    assert code == 1 and summary is None
+    assert len(err.strip().splitlines()) == 1
+    assert f"error: {oov}: no token is in the embeddings vocabulary" in err
+    assert not (tmp_path / "enc.bin").exists()
 
 
 def test_train_encoder_summary_schema(data, capsys, tmp_path):

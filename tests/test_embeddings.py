@@ -1,9 +1,11 @@
+import warnings
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given
 
-from tokembed import parser, rng as rng_mod, tagger
+from tokembed import embeddings, parser, rng as rng_mod, tagger
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text, windows)
@@ -75,6 +77,98 @@ def test_non_finite_value_named(tmp_path, value):
     f = write(tmp_path / "e.txt", f"3 2\na 1 2\nb 3 {value}\nc 5 6\n")
     with pytest.raises(ValueError, match=r":3: non-finite value for word 'b'"):
         load_word2vec_text(f)
+
+
+@pytest.mark.parametrize("sep", [" ", "\t"])  # read in bulk, then line by line
+def test_float32_overflow_warns_nothing(tmp_path, sep):
+    f = write(tmp_path / "e.txt", f"2 2\na{sep}1{sep}2\nb{sep}1e39{sep}3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r":3: non-finite value for word 'b'"):
+            load_word2vec_text(f)
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the error message, or the words and the
+    bits of the vectors."""
+    try:
+        table = load_word2vec_text(path)
+    except ValueError as e:
+        return str(e)
+    return table.vocab.words, table.vectors.tobytes()
+
+
+CLEAN = {"words": ["a", "b", "c", "\xe9t\xe9"],
+         "values": ["1", "-0", "0.5", "+.5", "3.", "1e-3", "2E+2", "1.5e-50"],
+         "seps": [" "], "ends": ["\n"], "edges": [""], "shifts": [0]}
+ODD = {"words": CLEAN["words"] + ["w\xa0x", "c\td", "d\u2003", "e\x1f", UNK],
+       "values": CLEAN["values"] + ["nan", "-inf", "Infinity", "1e39", "1_000",
+                                    "\u0661", "0x1p3", "abc", "1\x00"],
+       "seps": [" "] * 4 + ["  ", "\t", " \t", "\xa0", "\u3000"],
+       "ends": ["\n"] * 4 + ["\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028"],
+       "edges": ["", "", " ", "\t"], "shifts": [0] * 6 + [-1, 1]}
+
+
+@st.composite
+def word2vec_texts(draw):
+    """Embedding files, half of them single-spaced and well formed; the
+    others may also hold odd separators, line breaks and spellings, wrong
+    counts, duplicate or reserved words and blank lines."""
+    pool = draw(st.sampled_from([CLEAN, ODD]))
+    dim = draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from(pool["values"]),
+                       st.floats(width=32).map(repr),
+                       st.floats(width=32).map(lambda x: f"{x:.6g}"))
+    words = draw(st.lists(st.sampled_from(pool["words"])
+                          | st.from_regex(r"[a-z]{1,3}", fullmatch=True),
+                          max_size=6, unique=pool is CLEAN))
+    lines = []
+    for word in words:
+        if pool is ODD and draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        line = draw(st.sampled_from(pool["edges"])) + word
+        for _ in range(dim + draw(st.sampled_from(pool["shifts"]))):
+            line += draw(st.sampled_from(pool["seps"])) + draw(values)
+        lines.append(line + draw(st.sampled_from(pool["edges"])))
+    count = len(lines) + draw(st.sampled_from(pool["shifts"]))
+    lines.insert(0, f"{count} {dim}")
+    return "".join(line + draw(st.sampled_from(pool["ends"])) for line in lines)
+
+
+@given(word2vec_texts())
+@example("3 2\na 1 2\nb -0 1e-3\nc nan 4\n")
+@example("2 1\na 1\r\nb 2\x0c")
+@example("2 1\na\xa0x 1\nb 2\n")
+@example("1 1\na \n")
+@example("2 1\na 1\nb 2\nc 3\n")
+def test_bulk_reader_matches_line_reader(tmp_path_factory, text):
+    # two-line blocks, so that lines of one file fall in several blocks
+    path = tmp_path_factory.mktemp("w2v") / "e.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(embeddings, "_BULK_LINES", 2)
+        got = load_outcome(str(path))
+        mp.setattr(embeddings, "_read_entries_bulk", lambda *args: None)
+        assert got == load_outcome(str(path))
+
+
+def test_single_space_file_is_read_in_bulk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(7, 4)).astype(np.float32)
+    text = "".join(f"w{k} " + " ".join(repr(float(x)) for x in rows[k]) + "\n"
+                   for k in range(7))
+    f = write(tmp_path / "e.txt", f"7 4\n{text}")
+
+    def line_reader(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(embeddings, "_read_entries", line_reader)
+    monkeypatch.setattr(embeddings, "_BULK_LINES", 3)
+    table = load_word2vec_text(f)
+    assert table.vocab.corpus_words == [f"w{k}" for k in range(7)]
+    assert table.vectors[:7].tobytes() == rows.tobytes()
 
 
 def test_lookup_oov_is_unk_row(tmp_path):
