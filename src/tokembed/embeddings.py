@@ -13,6 +13,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from .features import WORD_FEATURE_COUNT, word_features
 from .nn import RowGrad, anchored_l2
 from .serialize import (check_config, check_sizes, load_model, restore_params,
                         save_model)
@@ -89,10 +90,6 @@ class EmbeddingTable:
     @property
     def dim(self):
         return self.vectors.shape[1]
-
-    def lookup(self, word):
-        """Type vector for ``word``, or the (all-zero) unknown row."""
-        return self.vectors[self.vocab.id_of(word)]
 
 
 class AdaptedEmbeddings:
@@ -181,6 +178,19 @@ class Predictor:
         self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
                         if config.update_embeddings else None)
         self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
+
+    def token_features(self, tokens, ids):
+        """(n, width) frozen block of a sentence of ``n`` tokens and their
+        vocabulary ``ids``: each encoder's token embeddings, then the
+        word-shape bits when ``config.word_features`` is on."""
+        blocks = [enc.encode_sentence(self.table, ids) for enc in self.encoders]
+        if self.config.word_features:
+            # np.array rather than np.stack, which refuses a 0-token sentence
+            blocks.append(np.array([word_features(t) for t in tokens], dtype=np.float32)
+                          .reshape(len(tokens), WORD_FEATURE_COUNT))
+        if not blocks:
+            return np.zeros((len(tokens), 0), dtype=np.float32)
+        return np.concatenate(blocks, axis=1)
 
     def params(self):
         out = {f"net.{k}": v for k, v in self.net.params().items()}

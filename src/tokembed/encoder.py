@@ -68,16 +68,6 @@ def window_weights(scheme, w_prime):
     return np.maximum(4.0 - dist, 1.0)
 
 
-def extract_window(ids, j, w_prime, bos_id, eos_id):
-    """Ids of the 2*w_prime+1 window centered at ``j``, padded at the edges."""
-    n = len(ids)
-    if not 0 <= j < n:
-        raise ValueError(f"position {j} out of range for sentence of length {n}")
-    if w_prime < 1:
-        raise ValueError("window radius must be at least 1")
-    return windows(ids, np.arange(-w_prime, w_prime + 1), bos_id, eos_id)[j]
-
-
 def corpus_windows(table, sentences, w_prime):
     vocab = table.vocab
     offsets = np.arange(-w_prime, w_prime + 1)

@@ -86,15 +86,6 @@ class Dense:
         return {"W": self.W, "b": self.b}
 
 
-def dense_forward(layer, x):
-    """Apply a Dense layer to a single vector."""
-    x = np.asarray(x, dtype=layer.W.dtype)
-    if x.shape != (layer.n_in,):
-        raise ValueError(f"expected vector of length {layer.n_in}, got {x.shape}")
-    y, _ = layer.forward(x[None, :])
-    return y[0]
-
-
 class MLP:
     """Stack of Dense layers with manual backprop and optional inverted dropout.
 
@@ -237,14 +228,6 @@ class LstmCell:
         return out
 
 
-def lstm_step(cell, x, h_prev, c_prev):
-    """Run one LSTM step on single vectors, returning (h, c)."""
-    h, c, _ = cell.step(
-        np.asarray(x)[None, :], np.asarray(h_prev)[None, :], np.asarray(c_prev)[None, :]
-    )
-    return h[0], c[0]
-
-
 def softmax_logloss(logits, gold):
     """Cross-entropy of one prediction, computed with max subtraction.
 
@@ -363,7 +346,12 @@ def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None,
     the starting parameters, recorded as an evaluation after 0 minibatches.
     Training stops after ``patience`` epochs in a row without a better score
     (``None``: never), and the best snapshot is copied back into ``params``.
+    Overflow and invalid-value warnings are silenced inside the loop: the
+    loss check reports a diverged run in one line.
     """
+    for name in ("epochs", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if n_items <= 0:
         raise ValueError("no training items")
     opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
@@ -385,22 +373,23 @@ def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None,
             for k, v in params.items():
                 best_params[k][...] = v
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n_items)
-        for k in range(0, n_items, cfg.batch_size):
-            loss, grads = batch_loss(order[k:k + cfg.batch_size])
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite training loss in minibatch {step + 1} (epoch {epoch})")
-            opt.step(grads)
-            step += 1
-            if eval_every > 0 and step % eval_every == 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n_items)
+            for k in range(0, n_items, cfg.batch_size):
+                loss, grads = batch_loss(order[k:k + cfg.batch_size])
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite training loss in minibatch {step + 1} (epoch {epoch})")
+                opt.step(grads)
+                step += 1
+                if eval_every > 0 and step % eval_every == 0:
+                    checkpoint()
+            if not history or history[-1][1] != step:
                 checkpoint()
-        if not history or history[-1][1] != step:
-            checkpoint()
-        stale = epoch - best_epoch  # epochs since the last better score
-        if patience is not None and stale and stale >= patience:
-            break
+            stale = epoch - best_epoch  # epochs since the last better score
+            if patience is not None and stale and stale >= patience:
+                break
 
     for k, v in params.items():
         v[...] = best_params[k]
@@ -418,20 +407,6 @@ def anchored_l2(value, anchor, weight):
         raise ValueError("value and anchor shapes differ")
     d = value - anchor
     return float(weight * (d * d).sum()), (2.0 * weight) * d
-
-
-@dataclass
-class DropoutSpec:
-    """Inverted-dropout rates for the input and hidden layers."""
-
-    input_rate: float = 0.0
-    hidden_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for r in (self.input_rate, self.hidden_rate):
-            if not 0.0 <= r < 1.0:
-                raise ValueError(f"dropout rate {r} outside [0, 1)")
 
 
 def dropout_mask(rng, shape, rate, dtype=np.float32):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import Predictor, windows
-from .features import (PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix,
-                       word_features)
+from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
 from .nn import MLP, fit, relu, softmax_logloss
 
 
@@ -126,6 +125,9 @@ class ParserConfig:
             raise ValueError("parser window must be >= -1")
         if self.hidden < 1:
             raise ValueError("parser hidden size must be positive")
+        if not 0.0 <= self.anchor_weight < np.inf:
+            raise ValueError(f"anchor weight {self.anchor_weight} is not a finite "
+                             "non-negative number")
 
 
 @dataclass
@@ -220,14 +222,7 @@ class Parser(Predictor):
         k = len(tokens)
 
         fixed = np.zeros((k + 1, self.pos_width - self.type_width // 2), dtype=dtype)
-        col = 0
-        for enc in self.encoders:
-            embs = enc.encode_sentence(self.table, ids)
-            fixed[1:, col:col + enc.token_dim] = embs[tokens - 1]
-            col += enc.token_dim
-        if self.config.word_features:
-            for s, p in enumerate(tokens, start=1):
-                fixed[s, col:] = word_features(sent.tokens[p - 1])
+        fixed[1:] = self.token_features(sent.tokens, ids)[tokens - 1]
 
         slots = np.arange(1, k + 1)
         grid = np.concatenate([np.zeros((k, 1), dtype=np.int64),
@@ -336,18 +331,6 @@ class Parser(Predictor):
 def arc_loss(scores, gold_offset):
     """Softmax log loss of the gold candidate against all candidates."""
     return softmax_logloss(scores, gold_offset)
-
-
-def sentence_loss(model, sent):
-    """Sum of per-child arc losses over the selected tokens."""
-    total = 0.0
-    for i, cands, scores in model.score_sentence(sent):
-        gold = sent.heads[i - 1]
-        if gold == -1:
-            raise ValueError(f"selected token {i} has no gold head")
-        loss, _ = arc_loss(scores, cands.index(gold))
-        total += loss
-    return total
 
 
 def attachment_f1(predicted, gold):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .embeddings import Predictor, windows
-from .features import extended_feature_width, extended_features, word_features
+from .features import extended_feature_width, extended_features
 from .nn import MLP, fit, softmax_logloss_batch
 
 
@@ -43,6 +43,9 @@ class TaggerConfig:
             raise ValueError("tagger window must be non-negative")
         if self.hidden < 1:
             raise ValueError("tagger hidden size must be positive")
+        if not 0.0 <= self.anchor_weight < np.inf:
+            raise ValueError(f"anchor weight {self.anchor_weight} is not a finite "
+                             "non-negative number")
         for r in (self.dropout_input, self.dropout_hidden):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"dropout rate {r} outside [0, 1)")
@@ -131,45 +134,44 @@ class Tagger(Predictor):
     # -- input composition ------------------------------------------------
 
     def const_features(self, tokens):
-        """Per-token features that do not depend on trainable state: token
-        embeddings from the frozen encoders plus any enabled feature blocks."""
-        n = len(tokens)
-        ids = self.table.vocab.to_ids(tokens)
-        blocks = []
-        for enc in self.encoders:
-            blocks.append(enc.encode_sentence(self.table, ids).astype(np.float32))
-        if self.config.word_features:
-            blocks.append(np.stack([word_features(t) for t in tokens]))
-        if self.config.extended:
-            blocks.append(np.stack(
-                [extended_features(tokens, j, self.resources) for j in range(n)]))
-        if blocks:
-            return np.concatenate(blocks, axis=1)
-        return np.zeros((n, 0), dtype=np.float32)
+        """Per-token features that do not depend on trainable state: the
+        frozen ``token_features`` block, then the extended stack when enabled."""
+        fixed = self.token_features(tokens, self.table.vocab.to_ids(tokens))
+        if not self.config.extended:
+            return fixed
+        ext = np.stack([extended_features(tokens, j, self.resources)
+                        for j in range(len(tokens))])
+        return np.concatenate([fixed, ext], axis=1)
 
-    def compose_sentence(self, tokens):
-        """(n, input_dim) matrix of tagger inputs for a whole sentence."""
+    def features(self, sentences):
+        """Type-window ids and constant features of every token of
+        ``sentences``, in corpus order; ``inputs`` composes them."""
         vocab = self.table.vocab
-        const = self.const_features(tokens)
-        if self.type_width == 0:
-            return const
-        wins = windows(vocab.to_ids(tokens), self._offsets, vocab.bos_id, vocab.eos_id)
-        typ = self.embeddings[wins].reshape(len(tokens), -1)
-        return np.concatenate([typ, const], axis=1)
+        wins, consts = [], []
+        for tokens in sentences:
+            wins.append(windows(vocab.to_ids(tokens), self._offsets, vocab.bos_id,
+                                vocab.eos_id))
+            consts.append(self.const_features(tokens))
+        return np.concatenate(wins), np.concatenate(consts)
 
-    def compose_input(self, tokens, j):
-        """Input vector for the token at position ``j``."""
-        if not 0 <= j < len(tokens):
-            raise ValueError(f"position {j} out of range")
-        return self.compose_sentence(tokens)[j]
+    def inputs(self, wins, consts):
+        """Network input rows: the type embeddings of the window ids, then the
+        constant features."""
+        if self.type_width == 0:
+            return consts
+        typ = self.embeddings[wins].reshape(len(wins), -1)
+        return np.concatenate([typ, consts], axis=1)
 
     # -- prediction --------------------------------------------------------
 
-    def tag_ids(self, tokens):
-        """Predicted tag ids, one per token; argmax ties go to the lowest id."""
-        X = self.compose_sentence(tokens)
-        logits, _ = self.net.forward(X)
+    def predict(self, wins, consts):
+        """Predicted tag id of each row; argmax ties go to the lowest id."""
+        logits, _ = self.net.forward(self.inputs(wins, consts))
         return np.argmax(logits, axis=1)
+
+    def tag_ids(self, tokens):
+        """Predicted tag ids, one per token."""
+        return self.predict(*self.features([tokens]))
 
     def tag_sentence(self, tokens):
         """Predicted tag strings for one sentence."""
@@ -216,40 +218,12 @@ class TaggerTrainResult:
     history: list  # (epoch, validation accuracy)
 
 
-def _flatten_corpus(model, corpus):
-    """Precompute per-token training arrays: window ids, constant features, gold."""
-    vocab = model.table.vocab
-    wins, consts, golds = [], [], []
-    for tokens, tag_ids in corpus:
-        if np.any(tag_ids < 0) or np.any(tag_ids >= len(model.tagset)):
-            raise ValueError("gold tag id outside the tagset")
-        wins.append(windows(vocab.to_ids(tokens), model._offsets, vocab.bos_id,
-                            vocab.eos_id))
-        consts.append(model.const_features(tokens))
-        golds.append(np.asarray(tag_ids, dtype=np.int64))
-    return (np.concatenate(wins, axis=0),
-            np.concatenate(consts, axis=0),
-            np.concatenate(golds, axis=0))
-
-
-def _batch_inputs(model, wins, consts):
-    if model.type_width == 0:
-        return consts
-    typ = model.embeddings[wins].reshape(len(wins), -1)
-    return np.concatenate([typ, consts], axis=1)
-
-
-def _predicted(model, wins, consts):
-    logits, _ = model.net.forward(_batch_inputs(model, wins, consts))
-    return np.argmax(logits, axis=1)
-
-
 def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     """Mean log loss of one minibatch plus, when embedding updates are on,
     the anchored penalty; gradients cover the network and (scattered
     through the window ids) the rows of the embedding table that
     ``AdaptedEmbeddings`` tracks."""
-    X = _batch_inputs(model, wins, consts)
+    X = model.inputs(wins, consts)
     if dropout_rng is not None:
         logits, cache = model.net.forward(
             X, rng=dropout_rng, input_rate=model.config.dropout_input,
@@ -278,8 +252,15 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
     """
     if not train_corpus or not val_corpus:
         raise ValueError("empty corpus")
-    t_wins, t_consts, t_golds = _flatten_corpus(model, train_corpus)
-    v_wins, v_consts, v_golds = _flatten_corpus(model, val_corpus)
+
+    def flatten(corpus):
+        golds = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in corpus])
+        if np.any(golds < 0) or np.any(golds >= len(model.tagset)):
+            raise ValueError("gold tag id outside the tagset")
+        return (*model.features([tokens for tokens, _ in corpus]), golds)
+
+    t_wins, t_consts, t_golds = flatten(train_corpus)
+    v_wins, v_consts, v_golds = flatten(val_corpus)
 
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
     use_dropout = model.config.dropout_input > 0 or model.config.dropout_hidden > 0
@@ -289,7 +270,7 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
                                     dropout_rng if use_dropout else None)
 
     def evaluate():
-        return 100.0 * float(np.mean(_predicted(model, v_wins, v_consts) == v_golds))
+        return 100.0 * float(np.mean(model.predict(v_wins, v_consts) == v_golds))
 
     # -1 is below any accuracy, so the first epoch always takes a snapshot
     res = fit(model.params(), len(t_golds), batch_loss, evaluate, cfg,
@@ -300,17 +281,17 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
 
 def tagging_accuracy(predicted, gold):
     """Token-level accuracy in percent between aligned tag-sequence corpora."""
+    if len(predicted) != len(gold):
+        raise ValueError(f"corpora have different sentence counts: {len(predicted)} "
+                         f"predicted, {len(gold)} gold")
     total = 0
     matched = 0
-    try:
-        for p, g in zip(predicted, gold, strict=True):
-            if len(p) != len(g):
-                raise ValueError("sentence length mismatch between corpora")
-            for a, b in zip(p, g):
-                total += 1
-                matched += a == b
-    except ValueError as e:
-        raise ValueError(str(e)) from None
+    for p, g in zip(predicted, gold):
+        if len(p) != len(g):
+            raise ValueError("sentence length mismatch between corpora")
+        for a, b in zip(p, g):
+            total += 1
+            matched += a == b
     if total == 0:
         raise ValueError("empty corpora")
     return float(100.0 * matched / total)

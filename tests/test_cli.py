@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,8 @@ def save_untrained(command, data, path):
     ("tag", lambda c: c["tagger"].update(window="abc"), ".tagger.window is not an integer"),
     ("tag", lambda c: c["tagger"].update(window=True), ".tagger.window is not an integer"),
     ("tag", lambda c: c["tagger"].update(window=-3), ".tagger: tagger window"),
+    ("tag", lambda c: c["tagger"].update(anchor_weight=-1.0),
+     ".tagger: anchor weight -1.0 is not a finite non-negative number"),
     ("tag", lambda c: c["tagger"].update(beam=4), ".tagger.beam is unknown"),
     ("tag", lambda c: c["tagset"].insert(0, 3), ".tagset[0] is not a string"),
     ("tag", lambda c: c.update(extended_width=None), ".extended_width is not an integer"),
@@ -174,6 +177,8 @@ def save_untrained(command, data, path):
     ("parse", lambda c: c.update(encoders=[{"arch": "ffn"}]),
      ".encoders[0].token_dim is missing"),
     ("parse", lambda c: c["parser"].update(hidden=4.0), ".parser.hidden is not an integer"),
+    ("parse", lambda c: c["parser"].update(anchor_weight=-0.5),
+     ".parser: anchor weight -0.5 is not a finite non-negative number"),
     ("embed", lambda c: c.pop("w_prime"), ".w_prime is missing"),
     ("embed", lambda c: c.update(token_dim="4"), ".token_dim is not an integer"),
     ("embed", lambda c: c.update(scheme=[]), ".scheme is not an object"),
@@ -321,7 +326,6 @@ def test_train_encoder_summary_schema(data, capsys, tmp_path):
     assert summary["config"]["epochs"] == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_2(data, capsys, tmp_path):
     code, _, err = run(capsys, "train-encoder", "--embeddings", data["emb"],
                        "--train", data["train"], "--val", data["val"],
@@ -329,6 +333,57 @@ def test_divergence_exits_2(data, capsys, tmp_path):
                        "--batch-size", 4, "--lr", 1e14)
     assert code == 2
     assert "numerical" in err
+
+
+@pytest.mark.parametrize("arch, lr", [("ffn", 0.1), ("ffn", 1e14), ("seq2seq", 1e14)])
+def test_divergence_prints_no_numpy_warning(data, capsys, tmp_path, arch, lr):
+    # with every warning an error, an overflow warning would escape main
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, summary, err = run(capsys, "train-encoder", "--embeddings", data["emb"],
+                                 "--train", data["train"], "--val", data["val"],
+                                 "--out", tmp_path / "x.bin", "--arch", arch,
+                                 "--w-prime", 1, "--token-dim", 4, "--hidden", 8,
+                                 "--epochs", 2, "--batch-size", 4, "--lr", lr)
+    assert code == 2 and summary is None
+    assert err.strip().splitlines()[-1].startswith("numerical failure: non-finite")
+    assert not any("Warning" in line for line in err.splitlines())
+
+
+TRAIN_INPUTS = {
+    "train-encoder": lambda d: ["--train", d["train"], "--val", d["val"],
+                                "--w-prime", 1, "--token-dim", 4, "--hidden", 8],
+    "train-tagger": lambda d: ["--train", d["train_tags"], "--val", d["val_tags"],
+                               "--tagset", d["tagset"], "--window", 0, "--hidden", 8],
+    "train-parser": lambda d: ["--train", d["dep_train"], "--val", d["dep_val"],
+                               "--window", 0, "--hidden", 8],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRAIN_INPUTS))
+@pytest.mark.parametrize("flag, value", [("--epochs", 0), ("--batch-size", 0),
+                                         ("--batch-size", -1)])
+def test_train_rejects_epochs_or_batch_size_below_1(data, capsys, tmp_path, command,
+                                                    flag, value):
+    out = tmp_path / "model.bin"
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             *TRAIN_INPUTS[command](data), "--out", out, flag, value)
+    assert code == 1 and summary is None
+    field = flag[2:].replace("-", "_")
+    # the one line after the "training ..." progress line
+    assert err.strip().splitlines()[1:] == [f"error: {field} must be at least 1, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-tagger", "train-parser"])
+@pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
+def test_train_rejects_bad_anchor_weight(data, capsys, tmp_path, command, weight):
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             *TRAIN_INPUTS[command](data), "--out", tmp_path / "m.bin",
+                             "--update-embeddings", "--anchor-weight", weight)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: anchor weight {float(weight)} is not a finite non-negative number"]
 
 
 def test_same_seed_same_bytes(data, capsys, tmp_path):

@@ -9,7 +9,6 @@ from tokembed import embeddings, parser, rng as rng_mod, tagger
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text, windows)
-from tokembed.encoder import extract_window
 from tokembed.nn import RowGrad, SgdMomentum, anchored_l2
 from tokembed.synthetic import toy_embedding_table
 
@@ -24,15 +23,16 @@ def test_load_basic(tmp_path):
     table = load_word2vec_text(f)
     assert len(table.vocab) == 5  # a, b + three reserved symbols
     assert table.dim == 3
-    assert np.allclose(table.lookup("a"), [1, 0, 0])
-    assert np.allclose(table.lookup("b"), [0, 1, 0])
+    assert np.allclose(table.vectors[table.vocab.id_of("a")], [1, 0, 0])
+    assert np.allclose(table.vectors[table.vocab.id_of("b")], [0, 1, 0])
 
 
 def test_reserved_rows_zero(tmp_path):
     f = write(tmp_path / "e.txt", "1 2\na 5 5\n")
     table = load_word2vec_text(f)
     for sym in (BOS, EOS, UNK):
-        assert np.array_equal(table.lookup(sym), np.zeros(2, dtype=np.float32))
+        assert np.array_equal(table.vectors[table.vocab.id_of(sym)],
+                              np.zeros(2, dtype=np.float32))
 
 
 def test_wrong_float_count_names_line(tmp_path):
@@ -174,14 +174,15 @@ def test_single_space_file_is_read_in_bulk(tmp_path, monkeypatch):
 def test_lookup_oov_is_unk_row(tmp_path):
     f = write(tmp_path / "e.txt", "1 3\na 1 2 3\n")
     table = load_word2vec_text(f)
-    assert np.array_equal(table.lookup("zzz"), table.vectors[table.vocab.unk_id])
-    assert np.array_equal(table.lookup("zzz"), np.zeros(3, dtype=np.float32))
+    assert table.vocab.id_of("zzz") == table.vocab.unk_id
+    assert np.array_equal(table.vectors[table.vocab.unk_id], np.zeros(3, dtype=np.float32))
 
 
 def test_lookup_deterministic(tmp_path):
     f = write(tmp_path / "e.txt", "1 3\na 1 2 3\n")
     table = load_word2vec_text(f)
-    assert np.array_equal(table.lookup("a"), table.lookup("a"))
+    assert table.vocab.id_of("a") == table.vocab.id_of("a") == 0
+    assert np.array_equal(table.vocab.to_ids(["a", "zzz", "a"]), [0, 3, 0])
 
 
 def test_all_words_match_file_rows(tmp_path):
@@ -193,7 +194,7 @@ def test_all_words_match_file_rows(tmp_path):
     f = write(tmp_path / "e.txt", f"7 4\n{body}")
     table = load_word2vec_text(f)
     for k in range(7):
-        assert np.allclose(table.lookup(f"w{k}"), rows[k], atol=1e-5)
+        assert np.allclose(table.vectors[table.vocab.id_of(f"w{k}")], rows[k], atol=1e-5)
 
 
 def test_round_trip_within_tolerance(tmp_path):
@@ -235,15 +236,12 @@ def reference_window(ids, j, offsets, bos_id, eos_id):
 @example([7], [-2, -1, 1, 2])
 def test_windows_match_per_position_reference(ids, offsets):
     # offsets with and without the center, none at all, and sentences of
-    # length 0 and 1; extract_window is the same row, range-checked
+    # length 0 and 1
     wins = windows(np.array(ids, dtype=np.int64), offsets, 100, 101)
     assert wins.shape == (len(ids), len(offsets))
     assert wins.dtype == np.int64
     for j in range(len(ids)):
         assert wins[j].tolist() == reference_window(ids, j, offsets, 100, 101)
-        for w in (1, 3):
-            assert extract_window(np.array(ids), j, w, 100, 101).tolist() == \
-                reference_window(ids, j, range(-w, w + 1), 100, 101)
 
 
 def test_corpus_round_trip(tmp_path):
@@ -292,7 +290,8 @@ def _tagger_setup(table, words, rng):
         return tagger.Tagger(cfg, ["A", "B", "C"], table, rng=rng_mod.stream(71, "init"))
 
     def batches(model):
-        wins, consts, golds = tagger._flatten_corpus(model, sents)
+        wins, consts = model.features([toks for toks, _ in sents])
+        golds = np.concatenate([g for _, g in sents])
         return [(wins[k:k + 7], consts[k:k + 7], golds[k:k + 7])
                 for k in range(0, len(golds), 7)]
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 
 from tokembed import rng as rng_mod
+from tokembed.embeddings import windows
 from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, Seq2SeqEncoder,
                               WeightScheme, build_encoder, corpus_windows,
-                              extract_window, load_encoder, train_encoder,
-                              window_weights, wre_loss, wre_value)
-from tokembed.nn import TrainingDiverged, gradient_check, lstm_step
+                              load_encoder, train_encoder, window_weights,
+                              wre_loss, wre_value)
+from tokembed.nn import TrainingDiverged, gradient_check
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import template_corpus, toy_embedding_table
 
@@ -20,38 +21,34 @@ def ids_of(table, toks):
     return table.vocab.to_ids(toks)
 
 
+def window_at(ids, j, w_prime, bos_id, eos_id):
+    """The radius-``w_prime`` window of position ``j``, as an encoder reads it."""
+    return windows(ids, np.arange(-w_prime, w_prime + 1), bos_id, eos_id)[j]
+
+
 def test_extract_window_interior(abc_table):
     v = abc_table.vocab
-    win = extract_window(ids_of(abc_table, ["a", "b", "c"]), 1, 1, v.bos_id, v.eos_id)
+    win = window_at(ids_of(abc_table, ["a", "b", "c"]), 1, 1, v.bos_id, v.eos_id)
     assert list(win) == [v.id_of("a"), v.id_of("b"), v.id_of("c")]
 
 
 def test_extract_window_left_padding(abc_table):
     v = abc_table.vocab
-    win = extract_window(ids_of(abc_table, ["a", "b", "c"]), 0, 2, v.bos_id, v.eos_id)
+    win = window_at(ids_of(abc_table, ["a", "b", "c"]), 0, 2, v.bos_id, v.eos_id)
     assert list(win) == [v.bos_id, v.bos_id, v.id_of("a"), v.id_of("b"), v.id_of("c")]
 
 
 def test_extract_window_both_pads(abc_table):
     v = abc_table.vocab
-    win = extract_window(ids_of(abc_table, ["a"]), 0, 1, v.bos_id, v.eos_id)
+    win = window_at(ids_of(abc_table, ["a"]), 0, 1, v.bos_id, v.eos_id)
     assert list(win) == [v.bos_id, v.id_of("a"), v.eos_id]
-
-
-def test_extract_window_errors(abc_table):
-    v = abc_table.vocab
-    ids = ids_of(abc_table, ["a", "b"])
-    with pytest.raises(ValueError):
-        extract_window(ids, 2, 1, v.bos_id, v.eos_id)
-    with pytest.raises(ValueError):
-        extract_window(ids, 0, 0, v.bos_id, v.eos_id)
 
 
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 7))
 def test_extract_window_shape_and_center(n, w, j):
     j = min(j, n - 1)
     ids = np.arange(n)
-    win = extract_window(ids, j, w, 100, 101)
+    win = window_at(ids, j, w, 100, 101)
     assert len(win) == 2 * w + 1
     assert win[w] == ids[j]
 
@@ -114,8 +111,8 @@ def test_ffn_locality(toy_table):
     s1 = ids_of(toy_table, ["x0", "x1", "x2", "x3"])
     s2 = ids_of(toy_table, ["x5", "x1", "x2", "x3"])
     v = toy_table.vocab
-    w1 = extract_window(s1, 2, 1, v.bos_id, v.eos_id)
-    w2 = extract_window(s2, 2, 1, v.bos_id, v.eos_id)
+    w1 = window_at(s1, 2, 1, v.bos_id, v.eos_id)
+    w2 = window_at(s2, 2, 1, v.bos_id, v.eos_id)
     assert np.array_equal(model.encode(toy_table, w1), model.encode(toy_table, w2))
 
 
@@ -138,9 +135,9 @@ def test_seq2seq_single_step_equals_lstm_step(toy_table):
     model = Seq2SeqEncoder(3, 0, token_dim=4, rng=rng_mod.stream(1, "init"))
     win = np.array([2])
     code = model.encode(toy_table, win)
-    h, _ = lstm_step(model.enc_cell, toy_table.vectors[2], np.zeros(4, np.float32),
-                     np.zeros(4, np.float32))
-    assert np.allclose(code, h)
+    h, _, _ = model.enc_cell.step(toy_table.vectors[2][None, :],
+                                  *model.enc_cell.zero_state(1))
+    assert np.allclose(code, h[0])
 
 
 @pytest.mark.parametrize("arch", ["ffn", "seq2seq"])
@@ -292,7 +289,6 @@ def test_train_encoder_improves_and_selects_best():
     assert res.final_val_wre == pytest.approx(res.best_val_wre, rel=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_encoder_divergence_raises():
     table, train, val = corpus_fixture()
     model = FfnEncoder(4, 1, token_dim=3, hidden=8, rng=rng_mod.stream(10, "init"))

@@ -7,40 +7,45 @@ import pytest
 from hypothesis import given
 
 from tokembed import rng as rng_mod
-from tokembed.nn import (Dense, DropoutSpec, LstmCell, MLP, RowGrad,
-                         SgdMomentum, TrainingDiverged, anchored_l2,
-                         dense_forward, dropout_mask, fit, gradient_check,
-                         lstm_step, relu, sigmoid, softmax_logloss,
+from tokembed.nn import (Dense, LstmCell, MLP, RowGrad, SgdMomentum,
+                         TrainingDiverged, anchored_l2, dropout_mask, fit,
+                         gradient_check, relu, sigmoid, softmax_logloss,
                          softmax_logloss_batch)
 
 
 # -- dense layers ---------------------------------------------------------
 
 
+def dense_row(layer, x):
+    """``layer`` applied to the single input row ``x``."""
+    y, _ = layer.forward(np.asarray(x)[None, :])
+    return y[0]
+
+
 def test_dense_identity():
     layer = Dense(2, 2, "linear")
     layer.W[:] = np.eye(2)
-    assert np.allclose(dense_forward(layer, np.array([3.0, -1.0])), [3.0, -1.0])
+    assert np.allclose(dense_row(layer, [3.0, -1.0]), [3.0, -1.0])
 
 
 def test_dense_relu_clips():
     layer = Dense(2, 1, "relu")
     layer.W[:] = [[1.0, 1.0]]
-    assert np.allclose(dense_forward(layer, np.array([2.0, -5.0])), [0.0])
+    assert np.allclose(dense_row(layer, [2.0, -5.0]), [0.0])
 
 
 def test_dense_tanh():
     layer = Dense(2, 1, "tanh")
     layer.W[:] = [[1.0, 1.0]]
     layer.b[:] = [1.0]
-    out = dense_forward(layer, np.array([0.0, 0.0]))
+    out = dense_row(layer, [0.0, 0.0])
     assert np.allclose(out, math.tanh(1.0), atol=1e-6)
 
 
 def test_dense_dimension_mismatch():
     layer = Dense(3, 2)
-    with pytest.raises(ValueError):
-        dense_forward(layer, np.zeros(4))
+    with pytest.raises(ValueError, match="width 3"):
+        dense_row(layer, np.zeros(4))
 
 
 def test_unknown_activation():
@@ -89,16 +94,16 @@ def test_sigmoid_bitwise_equals_split_by_sign(dtype, bits, xs):
 
 def test_lstm_zero_parameters_fixed_point():
     cell = LstmCell(3, 4)
-    h, c = lstm_step(cell, np.array([5.0, -2.0, 1.0]), np.zeros(4), np.zeros(4))
-    assert np.array_equal(h, np.zeros(4))
-    assert np.array_equal(c, np.zeros(4))
+    h, c, _ = cell.step(np.array([[5.0, -2.0, 1.0]]), *cell.zero_state(1))
+    assert np.array_equal(h, np.zeros((1, 4)))
+    assert np.array_equal(c, np.zeros((1, 4)))
 
 
 def test_lstm_deterministic():
     cell = LstmCell(2, 3, rng=rng_mod.stream(0, "init"))
-    x = np.array([0.3, -0.7])
-    a = lstm_step(cell, x, np.zeros(3), np.zeros(3))
-    b = lstm_step(cell, x, np.zeros(3), np.zeros(3))
+    x = np.array([[0.3, -0.7]])
+    a = cell.step(x, *cell.zero_state(1))
+    b = cell.step(x, *cell.zero_state(1))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -335,12 +340,12 @@ def test_anchored_l2_shape_mismatch():
 # -- dropout -----------------------------------------------------------------
 
 
-def test_dropout_spec_validation():
-    DropoutSpec(0.2, 0.4)
-    with pytest.raises(ValueError):
-        DropoutSpec(1.0, 0.0)
-    with pytest.raises(ValueError):
-        DropoutSpec(0.0, -0.1)
+def test_dropout_rate_validation():
+    rng = rng_mod.stream(0, "dropout")
+    assert dropout_mask(rng, (2, 3), 0.4).shape == (2, 3)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError, match="outside"):
+            dropout_mask(rng, (2, 3), rate)
 
 
 def test_dropout_eval_mode_is_identity():

@@ -8,13 +8,13 @@ from hypothesis import given
 
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder
-from tokembed.features import PAIR_FEATURE_COUNT
+from tokembed.features import PAIR_FEATURE_COUNT, word_features
 from tokembed.nn import TrainingDiverged, gradient_check
 from tokembed.parser import (DepSentence, Parser, ParserConfig,
                              ParserTrainConfig, arc_loss, attachment_f1,
                              batch_loss_and_grads, candidate_heads,
                              export_arc_scores, load_dep_corpus,
-                             save_dep_corpus, sentence_loss, train_parser)
+                             save_dep_corpus, train_parser)
 from tokembed.synthetic import chain_dep_corpus, toy_embedding_table
 
 from test_embeddings import reference_window
@@ -175,6 +175,22 @@ def test_cache_windows_are_wall_row_plus_selected_windows(window, selected):
     assert wins.tolist() == expected
 
 
+def test_fixed_rows_are_token_blocks_of_selected_positions():
+    # per selected token: its encoder row, computed over the whole sentence,
+    # then the shape bits of its own token; the wall row stays zero
+    table = small_table(dim=3)
+    enc = FfnEncoder(3, 1, token_dim=2, hidden=4, rng=rng_mod.stream(44, "init"))
+    model = Parser(ParserConfig(window=0, hidden=2), table, encoders=[enc])
+    sent = DepSentence(["t0", "@you", "42", "t3", "#tag"], [-1, 0, -1, 2, 4],
+                       [False, True, False, True, True])
+    fixed = model._cache_sentence(sent).fixed
+    embs = enc.encode_sentence(table, table.vocab.to_ids(sent.tokens))
+    assert np.array_equal(fixed[0], np.zeros(12, np.float32))
+    for slot, p in enumerate(sent.selected_positions(), start=1):
+        want = np.concatenate([embs[p - 1], word_features(sent.tokens[p - 1])])
+        assert np.array_equal(fixed[slot], want)
+
+
 def test_window_minus_one_has_no_type_inputs():
     table = small_table(dim=3)
     enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(44, "init"))
@@ -235,19 +251,27 @@ def test_arc_loss_gradient_through_network():
 # -- sentence loss -----------------------------------------------------------
 
 
+def summed_loss(model, sent):
+    """Sum of the per-child arc losses of one sentence: the minibatch mean of
+    ``batch_loss_and_grads`` times its child count."""
+    cache = model._cache_sentence(sent)
+    mean, _ = batch_loss_and_grads(model, [cache])
+    return mean * cache.n_children
+
+
 def test_single_token_wall_only_loss_zero():
     table = small_table()
     model = Parser(ParserConfig(window=0, hidden=6), table,
                    rng=rng_mod.stream(46, "init"))
     sent = DepSentence(["t0"], [0], [True])
-    assert abs(sentence_loss(model, sent)) < 1e-9
+    assert abs(summed_loss(model, sent)) < 1e-9
 
 
 def test_two_token_uniform_loss():
     table = small_table()
     model = Parser(ParserConfig(window=0, hidden=6), table)  # zero net
     sent = DepSentence(["t0", "t1"], [0, 1], [True, True])
-    assert abs(sentence_loss(model, sent) - 2 * math.log(2)) < 1e-9
+    assert abs(summed_loss(model, sent) - 2 * math.log(2)) < 1e-9
 
 
 def test_sentence_loss_equals_sum_of_arc_losses():
@@ -259,15 +283,15 @@ def test_sentence_loss_equals_sum_of_arc_losses():
     for i, cands, scores in model.score_sentence(sent):
         loss, _ = arc_loss(scores, cands.index(sent.heads[i - 1]))
         total += loss
-    assert abs(sentence_loss(model, sent) - total) < 1e-12
+    assert abs(summed_loss(model, sent) - total) < 1e-12
 
 
 def test_sentence_loss_missing_gold_head():
     table = small_table()
     model = Parser(ParserConfig(window=0, hidden=6), table)
     sent = DepSentence(["t0", "t1"], [-1, -1], [True, True])
-    with pytest.raises(ValueError):
-        sentence_loss(model, sent)
+    with pytest.raises(ValueError, match="no gold candidate"):
+        summed_loss(model, sent)
 
 
 # -- head prediction -----------------------------------------------------------
@@ -458,7 +482,6 @@ def test_train_zero_learning_rate_fixed_point():
         assert np.array_equal(v, before[k]), k
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_raises():
     rng = rng_mod.stream(51, "data")
     words, sents = chain_dep_corpus(rng, n_sentences=12, max_len=4)

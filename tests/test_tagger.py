@@ -3,7 +3,8 @@ import pytest
 
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder, Seq2SeqEncoder
-from tokembed.features import ResourceBundle, extended_feature_width
+from tokembed.features import (ResourceBundle, extended_feature_width,
+                               extended_features, word_features)
 from tokembed.nn import TrainingDiverged
 from tokembed.synthetic import toy_embedding_table
 from tokembed.tagger import (Tagger, TaggerConfig, TaggerTrainConfig,
@@ -22,11 +23,16 @@ def big_table(seed=20, n_words=8, dim=100):
 # -- input composition --------------------------------------------------------
 
 
+def input_rows(model, tokens):
+    """The network input rows of one sentence, composed as training does."""
+    return model.inputs(*model.features([tokens]))
+
+
 def test_compose_width_window_only():
     table = big_table()
     model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table)
     assert model.input_dim == 300
-    assert model.compose_input(["w0", "w1", "w2"], 1).shape == (300,)
+    assert input_rows(model, ["w0", "w1", "w2"]).shape == (3, 300)
 
 
 def test_compose_width_encoder_and_features():
@@ -48,8 +54,8 @@ def test_compose_width_omit_center():
 def test_compose_order_type_embeddings_first():
     table = big_table(dim=4)
     model = Tagger(TaggerConfig(window=0, hidden=8), TAGSET, table)
-    row = model.compose_input(["w3"], 0)
-    assert np.array_equal(row, table.lookup("w3"))
+    row = input_rows(model, ["w3"])[0]
+    assert np.array_equal(row, table.vectors[table.vocab.id_of("w3")])
 
 
 def test_compose_width_two_encoders():
@@ -59,7 +65,7 @@ def test_compose_width_two_encoders():
             Seq2SeqEncoder(8, 3, token_dim=6, rng=rng_mod.stream(2, "init"))]
     model = Tagger(TaggerConfig(window=0, hidden=8), TAGSET, table, encoders=encs)
     assert model.input_dim == 8 + 4 + 6
-    assert model.compose_input(["w0", "w1"], 0).shape == (18,)
+    assert input_rows(model, ["w0", "w1"]).shape == (2, 18)
 
 
 def test_compose_width_extended_stack():
@@ -74,8 +80,11 @@ def test_compose_width_extended_stack():
                                 extended=True), TAGSET, table,
                    resources=resources)
     assert model.input_dim == 4 + 10 + extended_feature_width(resources)
-    row = model.compose_input(["w0", "w1", "w2"], 1)
-    assert row.shape == (model.input_dim,)
+    rows = input_rows(model, ["w0", "w1", "w2"])
+    assert rows.shape == (3, model.input_dim)
+    assert np.array_equal(rows[1, 4:14], word_features("w1"))
+    assert np.array_equal(rows[1, 14:], extended_features(["w0", "w1", "w2"], 1,
+                                                          resources))
 
 
 def test_empty_input_rejected():
@@ -237,7 +246,7 @@ def test_update_embeddings_gradients_match_finite_differences():
     # w=0 keeps the padding rows out of the inputs, so only real rows carry
     # gradient; reserved rows are excluded from probing (they are pinned)
     from tokembed.nn import gradient_check
-    from tokembed.tagger import _flatten_corpus, batch_loss_and_grads
+    from tokembed.tagger import batch_loss_and_grads
 
     rng = rng_mod.stream(36, "data")
     words = [f"v{k}" for k in range(6)]
@@ -251,7 +260,8 @@ def test_update_embeddings_gradients_match_finite_differences():
     model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))  # off the anchor
     corpus = [([words[int(rng.integers(6))] for _ in range(4)],
                rng.integers(0, len(TAGSET), size=4)) for _ in range(3)]
-    wins, consts, golds = _flatten_corpus(model, corpus)
+    wins, consts = model.features([toks for toks, _ in corpus])
+    golds = np.concatenate([g for _, g in corpus])
 
     params = {k: v for k, v in model.params().items() if k != "embeddings"}
     params["embeddings"] = model.embeddings[:6]  # view: probes mutate the model
@@ -287,7 +297,6 @@ def test_dropout_training_still_learns():
     assert res.best_val_accuracy >= 80.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises():
     table, train, val = rule_corpus(n_sentences=20, n_val=5)
     model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table,
@@ -317,9 +326,9 @@ def test_accuracy_random_is_chance():
 
 
 def test_accuracy_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different sentence counts: 1 predicted, 2 gold"):
         tagging_accuracy([[1, 2]], [[1, 2], [3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sentence length mismatch"):
         tagging_accuracy([[1, 2]], [[1, 2, 3]])
 
 
