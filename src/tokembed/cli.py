@@ -312,10 +312,18 @@ def cmd_tag(args):
     return 0
 
 
-def cmd_eval_tags(args):
+def _load_pred_and_gold(args, load, tokens):
+    """Both corpora, rejected at the first sentence whose tokens differ."""
     _require(args, "pred", "gold")
-    pred = load_tagged_corpus(args.pred)
-    gold = load_tagged_corpus(args.gold)
+    pred, gold = load(args.pred), load(args.gold)
+    for k, (p, g) in enumerate(zip(pred, gold), start=1):
+        if tokens(p) != tokens(g):
+            raise CliError(f"{args.pred} and {args.gold}: the tokens of sentence {k} differ")
+    return pred, gold
+
+
+def cmd_eval_tags(args):
+    pred, gold = _load_pred_and_gold(args, load_tagged_corpus, lambda s: s[0])
     accuracy = tagging_accuracy([t for _, t in pred], [t for _, t in gold])
     log(f"tagging accuracy {accuracy:.2f}%")
     _emit(args, {"metrics": {"accuracy": accuracy}})
@@ -373,9 +381,7 @@ def cmd_parse(args):
 
 
 def cmd_eval_parse(args):
-    _require(args, "pred", "gold")
-    pred = load_dep_corpus(args.pred)
-    gold = load_dep_corpus(args.gold)
+    pred, gold = _load_pred_and_gold(args, load_dep_corpus, lambda s: s.tokens)
     precision, recall, f1 = attachment_f1(pred, gold)
     log(f"attachment P={precision:.2f} R={recall:.2f} F1={f1:.2f}")
     _emit(args, {"metrics": {"precision": precision, "recall": recall, "f1": f1}})
@@ -579,8 +585,9 @@ def main(argv=None):
     commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     try:
         _apply_config_file(args, argv, commands.choices[args.command])
-        if args.seed < 0:
-            raise CliError("seed must be non-negative")
+        for field, least in (("seed", 0), ("epochs", 1), ("batch_size", 1)):
+            if getattr(args, field, least) < least:
+                raise CliError(f"{field} must be at least {least}, got {getattr(args, field)}")
         return args.func(args)
     except TrainingDiverged as e:
         log(f"numerical failure: {e}")

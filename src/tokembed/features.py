@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import read_tsv, tsv_int
+
 # The 32 ASCII punctuation characters, frozen explicitly.
 PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 ASCII_DIGITS = frozenset("0123456789")
@@ -251,32 +253,21 @@ def build_char_ngram_index(sentences, min_count=3):
 def load_brown_clusters(path):
     """Lines of "bitstring<TAB>word<TAB>count"."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            out[parts[1]] = parts[0]
+    for block in read_tsv(path, 3):
+        for row in block:
+            tsv_int(path, row, 3)  # unused, but the format says it is an integer
+            out[row[1][1]] = row[1][0]
     return out
 
 
 def load_tag_dictionary(path):
     """Lines of "word<TAB>tag<TAB>count"."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            word, tag, count = parts[0], parts[1], int(parts[2])
+    for block in read_tsv(path, 3):
+        for row in block:
+            word, tag, _ = row[1]
             entry = out.setdefault(word, {})
-            entry[tag] = entry.get(tag, 0) + count
+            entry[tag] = entry.get(tag, 0) + tsv_int(path, row, 3)
     return out
 
 
@@ -293,14 +284,6 @@ def save_char_ngram_index(index, path):
 
 
 def load_char_ngram_index(path):
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'ngram<TAB>slot'")
-            out[parts[0]] = int(parts[1])
-    return out
+    """Lines of "ngram<TAB>slot"."""
+    return {row[1][0]: tsv_int(path, row, 2)
+            for block in read_tsv(path, 2) for row in block}

@@ -24,6 +24,7 @@ import numpy as np
 from .embeddings import Predictor, windows
 from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
 from .nn import MLP, fit, relu, softmax_logloss
+from .serialize import read_tsv, tsv_int
 
 
 @dataclass
@@ -71,35 +72,18 @@ def load_dep_corpus(path):
     """CoNLL-like file: "index<TAB>token<TAB>head<TAB>selected" lines, blank
     line between sentences; head is -1 (and selected 0) for unselected tokens."""
     sentences = []
-    rows = []
-
-    def finish(lineno):
-        if not rows:
-            return
-        if [r[0] for r in rows] != list(range(1, len(rows) + 1)):
-            raise ValueError(f"{path}:{lineno}: token indices are not 1..n")
-        sentences.append(DepSentence(
-            tokens=[r[1] for r in rows],
-            heads=[r[2] for r in rows],
-            selected=[bool(r[3]) for r in rows],
-        ))
-        rows.clear()
-
-    with open(path, "r", encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                finish(lineno)
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            try:
-                rows.append((int(parts[0]), parts[1], int(parts[2]), int(parts[3])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable integer field") from None
-        finish(lineno + 1)
+    for block in read_tsv(path, 4):
+        index, heads, selected = ([tsv_int(path, row, k) for row in block] for k in (1, 3, 4))
+        for (lineno, fields), flag in zip(block, selected):
+            if flag not in (0, 1):
+                raise ValueError(f"{path}:{lineno}: field 4 is not 0 or 1: {fields[3]!r}")
+        try:  # a fault of the sentence as a whole is reported at its first line
+            if index != list(range(1, len(block) + 1)):
+                raise ValueError("token indices are not 1..n")
+            sentences.append(DepSentence([fields[1] for _, fields in block], heads,
+                                         [flag == 1 for flag in selected]))
+        except ValueError as e:
+            raise ValueError(f"{path}:{block[0][0]}: {e}") from None
     return sentences
 
 

@@ -17,6 +17,8 @@ The header object is::
 Tensor payloads are raw C-order bytes of the declared (little-endian) dtype,
 so save followed by load reproduces every array bit for bit.  The layout is
 stable across releases; incompatible changes bump the version integer.
+
+``read_tsv`` is the one reader of the tab-separated corpus and resource files.
 """
 
 import json
@@ -171,9 +173,9 @@ def check_sizes(path, tensors, sizes):
 def restore_params(params, tensors, path):
     """Copy loaded ``tensors`` into a model's live ``params`` arrays.
 
-    The names must match exactly and every shape must equal its parameter's;
-    otherwise a ``ValueError`` names the file and the tensor and no parameter
-    is touched.
+    The names must match exactly, every shape must equal its parameter's and
+    every value must be finite; otherwise a ``ValueError`` names the file and
+    the tensor and no parameter is touched.
     """
     for name, arr in params.items():
         if name not in tensors:
@@ -181,8 +183,46 @@ def restore_params(params, tensors, path):
         if tensors[name].shape != arr.shape:
             raise ValueError(f"{path}: tensor {name!r} has shape "
                              f"{tensors[name].shape}, expected {arr.shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"{path}: tensor {name!r} has a non-finite value")
     for name in tensors:
         if name not in params:
             raise ValueError(f"{path}: unknown tensor {name!r}")
     for name, arr in params.items():
         arr[...] = tensors[name]
+
+
+def read_tsv(path, n_fields):
+    """Yield the blocks of rows of a tab-separated file; a blank line ends a block.
+
+    Each row is ``(line number, fields)``.  A line without exactly ``n_fields``
+    tab-separated fields, or with an empty field, raises a ``ValueError`` that
+    names ``path:line``.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                if rows:
+                    yield rows
+                    rows = []
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated "
+                                 f"fields, got {len(fields)}")
+            if "" in fields:
+                raise ValueError(f"{path}:{lineno}: field {fields.index('') + 1} is empty")
+            rows.append((lineno, fields))
+    if rows:
+        yield rows
+
+
+def tsv_int(path, row, k):
+    """Field ``k`` (1-based) of a ``read_tsv`` row as an integer."""
+    try:
+        return int(row[1][k - 1])
+    except ValueError:
+        raise ValueError(f"{path}:{row[0]}: field {k} is not an integer: "
+                         f"{row[1][k - 1]!r}") from None

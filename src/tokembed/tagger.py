@@ -24,6 +24,7 @@ from . import rng as rng_mod
 from .embeddings import Predictor, windows
 from .features import extended_feature_width, extended_features
 from .nn import MLP, fit, softmax_logloss_batch
+from .serialize import read_tsv
 
 
 @dataclass
@@ -62,24 +63,8 @@ def load_tagset(path):
 
 def load_tagged_corpus(path):
     """CoNLL-like tagged file: "token<TAB>tag" lines, blank line between sentences."""
-    sentences = []
-    tokens, tags = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                if tokens:
-                    sentences.append((tokens, tags))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>tag'")
-            tokens.append(parts[0])
-            tags.append(parts[1])
-    if tokens:
-        sentences.append((tokens, tags))
-    return sentences
+    return [([fields[0] for _, fields in block], [fields[1] for _, fields in block])
+            for block in read_tsv(path, 2)]
 
 
 def save_tagged_corpus(sentences, path):

@@ -1,14 +1,22 @@
+import argparse
+import contextlib
+import io
 import json
+import os
+import shutil
+import string
 import struct
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from tokembed import cli
 from tokembed import rng as rng_mod
 from tokembed.analysis import nearest_neighbors
-from tokembed.cli import main
+from tokembed.cli import build_arg_parser, main
 from tokembed.embeddings import (load_corpus, load_word2vec_text, save_corpus,
                                  save_word2vec_text)
 from tokembed.encoder import FfnEncoder, WeightScheme, WindowEncoder, load_encoder
@@ -150,16 +158,17 @@ def test_parse_rejects_corrupted_header(data, capsys, tmp_path, rewrite, field):
     assert f"{bad}: {field}" in err
 
 
-def save_untrained(command, data, path):
+def save_untrained(command, data, path, hidden=4):
     """A model file of the kind ``command`` reads."""
     table = load_word2vec_text(str(data["emb"]))
     if command == "tag":
         tagset = data["tagset"].read_text(encoding="utf-8").split()
-        Tagger(TaggerConfig(window=0, hidden=4), tagset, table).save(path)
+        Tagger(TaggerConfig(window=0, hidden=hidden), tagset, table).save(path)
     elif command == "parse":
-        Parser(ParserConfig(window=0, hidden=4), table).save(path)
+        Parser(ParserConfig(window=0, hidden=hidden), table).save(path)
     else:
-        FfnEncoder(table.dim, 1, token_dim=4, hidden=8).save(path, WeightScheme())
+        FfnEncoder(table.dim, 1, token_dim=hidden, hidden=2 * hidden).save(path,
+                                                                         WeightScheme())
 
 
 @pytest.mark.parametrize("command, corrupt, field", [
@@ -370,8 +379,8 @@ def test_train_rejects_epochs_or_batch_size_below_1(data, capsys, tmp_path, comm
                              *TRAIN_INPUTS[command](data), "--out", out, flag, value)
     assert code == 1 and summary is None
     field = flag[2:].replace("-", "_")
-    # the one line after the "training ..." progress line
-    assert err.strip().splitlines()[1:] == [f"error: {field} must be at least 1, got {value}"]
+    # rejected before any input is loaded, so no "training ..." line precedes it
+    assert err.strip().splitlines() == [f"error: {field} must be at least 1, got {value}"]
     assert not out.exists()
 
 
@@ -634,3 +643,193 @@ def test_train_fraction_subsamples(data, capsys, tmp_path):
                            "--train-fraction", 0.5, "--seed", 5)
     assert code == 0
     assert summary["metrics"]["n_train_sentences"] == 15
+
+
+def tsv_argv(fmt, data, path, tmp_path):
+    """A command that reads ``path`` as a file of format ``fmt``."""
+    if fmt == "tagged":
+        return ["build-ngrams", "--train", path, "--out", tmp_path / "ngrams.tsv"]
+    if fmt == "dep":
+        return ["eval-parse", "--pred", path, "--gold", data["dep_val"]]
+    # resources load before the model, so the model file need not exist
+    return ["tag", "--embeddings", data["emb"], "--model", tmp_path / "unused.bin",
+            "--corpus", data["val"], "--out", tmp_path / "out.tags", "--extended",
+            {"brown": "--brown", "tagdict": "--tag-dict", "ngrams": "--ngrams"}[fmt], path]
+
+
+@pytest.mark.parametrize("fmt, text, line, message", [
+    ("tagged", "a\tNN\n\nb\tNN\tX\n", 3, "expected 2 tab-separated fields, got 3"),
+    ("tagged", "a\tNN\n\tNN\n", 2, "field 1 is empty"),
+    ("dep", "1\ta\t0\t1\n2\tb\t1\n", 2, "expected 4 tab-separated fields, got 3"),
+    ("dep", "1\t\t0\t1\n", 1, "field 2 is empty"),
+    ("dep", "1\ta\t0\t1\n\n1\tb\tx\t1\n", 3, "field 3 is not an integer: 'x'"),
+    ("dep", "1.0\ta\t0\t1\n", 1, "field 1 is not an integer: '1.0'"),
+    ("dep", "1\ta\t0\t7\n", 1, "field 4 is not 0 or 1: '7'"),
+    ("dep", "1\ta\t0\t1\n\n1\tb\t0\t1\n2\tc\t5\t1\n", 3, "token 2 has invalid head 5"),
+    ("dep", "1\ta\t0\t1\n\n1\tb\t0\t1\n3\tc\t1\t1\n", 3, "token indices are not 1..n"),
+    ("brown", "0010\tthe\t100\n0011\tcat\n", 2, "expected 3 tab-separated fields, got 2"),
+    ("brown", "0010\t\t100\n", 1, "field 2 is empty"),
+    ("brown", "0010\tthe\tmany\n", 1, "field 3 is not an integer: 'many'"),
+    ("tagdict", "the\tDT\t90\n\nthe\tNN\n", 3, "expected 3 tab-separated fields, got 2"),
+    ("tagdict", "the\tDT\t\n", 1, "field 3 is empty"),
+    ("tagdict", "the\tDT\tx\n", 1, "field 3 is not an integer: 'x'"),
+    ("ngrams", "th\t0\nhe\n", 2, "expected 2 tab-separated fields, got 1"),
+    ("ngrams", "\t0\n", 1, "field 1 is empty"),
+    ("ngrams", "th\tzero\n", 1, "field 2 is not an integer: 'zero'"),
+])
+def test_malformed_tsv_field_exits_1_naming_line(data, capsys, tmp_path, fmt, text,
+                                                 line, message):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    code, summary, err = run(capsys, *tsv_argv(fmt, data, path, tmp_path))
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {path}:{line}: {message}"]
+
+
+@pytest.mark.parametrize("command, pred_text, gold_text", [
+    ("eval-tags", "a\tT0\nb\tT1\n", "x\tT0\ny\tT1\n"),
+    ("eval-parse", "1\ta\t0\t1\n\n1\tb\t0\t1\n", "1\ta\t0\t1\n\n1\tc\t0\t1\n"),
+])
+def test_eval_rejects_different_tokens(capsys, tmp_path, command, pred_text, gold_text):
+    pred, gold = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
+    pred.write_text(pred_text, encoding="utf-8")
+    gold.write_text(gold_text, encoding="utf-8")
+    code, summary, err = run(capsys, command, "--pred", pred, "--gold", gold)
+    assert code == 1 and summary is None
+    sentence = 1 if command == "eval-tags" else 2
+    assert err.strip().splitlines() == [
+        f"error: {pred} and {gold}: the tokens of sentence {sentence} differ"]
+
+
+@pytest.mark.parametrize("command, tensor", [("tag", "net.0.W"), ("parse", "net.1.b"),
+                                             ("embed", "enc.0.W")])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_with_non_finite_tensor_exits_1(data, capsys, tmp_path, command, tensor,
+                                              value):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_untrained(command, data, good)
+    kind, config, tensors = load_model(good)
+    tensors[tensor].flat[-1] = value
+    save_model(bad, kind, config, tensors)
+    corpus = data["dep_val"] if command == "parse" else data["val"]
+    out = tmp_path / "out.txt"
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             "--model", bad, "--corpus", corpus, "--out", out)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {bad}: tensor {tensor!r} has a non-finite value"]
+    assert not out.exists()
+
+
+# -- fuzzing the commands that read a model file ------------------------------------
+
+FUZZ_COMMANDS = ["tag", "parse", "embed", "knn"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(data):
+    """Originals of the fuzzed commands' inputs: the data files and a small
+    untrained model per command (an encoder for ``embed`` and ``knn``)."""
+    inputs = {key: data[key] for key in ("emb", "val", "dep_val")}
+    for command in FUZZ_COMMANDS:
+        inputs[command] = data["root"] / f"fuzz_{command}.bin"
+        save_untrained(command, data, inputs[command], hidden=1)
+    return inputs
+
+
+def fuzz_argv(command, files, model):
+    corpus = files["dep_val"] if command == "parse" else files["val"]
+    argv = [command, "--embeddings", files["emb"], "--model", model, "--corpus", corpus]
+    return argv + ([] if command == "knn" else ["--out", files["out"]])
+
+
+def exit_code_of(argv):
+    """``main(argv)``, asserting that it exits 0, or 1 with exactly one stderr
+    line starting ``error:``.  Every warning is an error, so no exception and
+    no warning may escape."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in argv])
+    lines = err.getvalue().strip().splitlines()
+    assert code == 0 or (code == 1 and len(lines) == 1
+                         and lines[0].startswith("error:")), (code, lines)
+    return code
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_every_truncated_model_exits_1(data, fuzz_inputs, command):
+    blob = fuzz_inputs[command].read_bytes()
+    bad = data["root"] / "truncated.bin"
+    files = dict(fuzz_inputs, out=data["root"] / "fuzz.out")
+    for n in range(len(blob)):
+        bad.write_bytes(blob[:n])
+        assert exit_code_of(fuzz_argv(command, files, bad)) == 1
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@given(pos=st.integers(0, 10**6), byte=st.integers(0, 255))
+def test_model_with_a_replaced_header_byte_exits_cleanly(data, fuzz_inputs, command,
+                                                         pos, byte):
+    """One byte of the magic, version, length or JSON header replaced.
+
+    The tensor payload is covered only by the non-finite cases of
+    ``test_model_with_non_finite_tensor_exits_1``: container version 1 has no
+    checksum, so a payload byte change that yields another finite weight is a
+    valid model and cannot be detected.
+    """
+    blob = bytearray(fuzz_inputs[command].read_bytes())
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    blob[pos % (12 + hlen)] = byte
+    bad = data["root"] / "replaced.bin"
+    bad.write_bytes(bytes(blob))
+    exit_code_of(fuzz_argv(command, dict(fuzz_inputs, out=data["root"] / "fuzz.out"), bad))
+
+
+def option_names(command):
+    commands = next(a for a in build_arg_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return sorted(a.dest for a in commands.choices[command]._actions if a.dest != "help")
+
+
+JUNK_KEYS = st.text(string.ascii_letters + "_-", min_size=1, max_size=10)
+JUNK_TEXT = st.text(max_size=10)
+JUNK_VALUES = st.one_of(
+    st.integers(-2, 3), st.integers(), st.floats(), st.booleans(), st.none(), JUNK_TEXT,
+    st.lists(st.one_of(JUNK_TEXT, st.integers()), max_size=2),
+    st.sampled_from(["euclidean", "cosine", "pv", ",", ""]))
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@given(case=st.data())
+def test_fuzzed_config_file_exits_cleanly(data, fuzz_inputs, command, case):
+    """A ``--config`` file of the command's valid options, then lines of its
+    real option names and junk keys with junk values, file paths or raw text."""
+    root = data["root"] / "fuzz_config"
+    root.mkdir(exist_ok=True)
+    files = {}
+    for key, original in fuzz_inputs.items():  # a command may overwrite any of them
+        files[key] = root / original.name
+        shutil.copyfile(original, files[key])
+    files["out"] = root / "out.txt"
+    argv = fuzz_argv(command, files, files[command])
+    lines = [f"{flag[2:]} = {json.dumps(str(value))}"
+             for flag, value in zip(argv[1::2], argv[2::2])]
+    keys = st.sampled_from(option_names(command))
+    paths = st.sampled_from([str(p) for p in files.values()] + [str(root), str(root / "no")])
+    values = st.one_of(JUNK_VALUES.map(json.dumps), paths.map(json.dumps), JUNK_TEXT)
+    for _ in range(case.draw(st.integers(1, 4))):
+        junk_key = case.draw(st.sampled_from([False, False, True]))
+        key = case.draw(JUNK_KEYS if junk_key else keys)
+        value = case.draw(values)
+        raw = case.draw(st.sampled_from([False] * 9 + [True]))  # not "key = value"
+        lines.append(value if raw else f"{key} = {value}")
+    cfg = root / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(root)  # a junk relative --out path is written here
+    try:
+        exit_code_of([command, "--config", cfg])
+    finally:
+        os.chdir(cwd)

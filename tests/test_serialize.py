@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from tokembed.serialize import MAGIC, VERSION, load_model, restore_params, save_model
+from tokembed.serialize import (MAGIC, VERSION, load_model, read_tsv, restore_params,
+                                save_model, tsv_int)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -164,3 +165,26 @@ def test_corrupted_header_loads_or_is_rejected(tmp_path_factory, edits):
     except ValueError as e:
         assert str(e).startswith(f"{path}: ")
         assert "\n" not in str(e)
+
+
+def test_read_tsv_blocks_and_line_numbers(tmp_path):
+    path = tmp_path / "f.tsv"
+    path.write_text("\n\na\t1\nb\t-2\n\n\nc\t3", encoding="utf-8")
+    blocks = list(read_tsv(str(path), 2))
+    assert blocks == [[(3, ["a", "1"]), (4, ["b", "-2"])], [(7, ["c", "3"])]]
+    assert [tsv_int(str(path), row, 2) for row in blocks[0]] == [1, -2]
+    path.write_text("\n\n", encoding="utf-8")
+    assert list(read_tsv(str(path), 2)) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a\t1\n b\n", "2: expected 2 tab-separated fields, got 1"),
+    ("a\t1\t\n", "1: expected 2 tab-separated fields, got 3"),
+    ("a\t1\n\na\t\n", "3: field 2 is empty"),
+    ("\t\n", "1: field 1 is empty"),
+])
+def test_read_tsv_rejects_malformed_line(tmp_path, text, message):
+    path = tmp_path / "f.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{message}") + "$"):
+        list(read_tsv(str(path), 2))
