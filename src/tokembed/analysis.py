@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ENCODE_BLOCK, corpus_windows
+from .serialize import open_text
 
 METRICS = ("euclidean", "cosine")
 
@@ -151,7 +152,7 @@ def export_embeddings_tsv(index, path):
 def load_embeddings_tsv(path):
     """Reload an exported TSV into TokenRecords (embeddings as float32)."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         dim = len(header) - 6
         for lineno, line in enumerate(fh, start=2):

@@ -29,6 +29,7 @@ from .nn import TrainingDiverged
 from .parser import (DepSentence, Parser, ParserConfig, ParserTrainConfig,
                      attachment_f1, export_arc_scores, load_dep_corpus,
                      save_dep_corpus, train_parser)
+from .serialize import open_text
 from .tagger import (Tagger, TaggerConfig, TaggerTrainConfig, corpus_tag_ids,
                      load_tagged_corpus, load_tagset, save_tagged_corpus,
                      tagging_accuracy, train_tagger)
@@ -47,7 +48,7 @@ def log(msg):
 def _parse_config_file(path):
     """key -> (value, line number) of a ``key = value`` file."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -217,6 +218,8 @@ def cmd_embed(args):
 
 def cmd_knn(args):
     _require(args, "embeddings", "model", "corpus")
+    if args.k < 1:
+        raise CliError(f"-k must be at least 1, got {args.k}")
     table = load_word2vec_text(args.embeddings)
     model, _ = load_encoder(args.model)
     sentences = load_corpus(args.corpus)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .features import WORD_FEATURE_COUNT, word_features
 from .nn import RowGrad, anchored_l2
-from .serialize import (check_config, check_sizes, load_model, restore_params,
-                        save_model)
+from .serialize import (check_config, check_sizes, load_model, open_text,
+                        restore_params, save_model)
 
 BOS = "<s>"
 EOS = "</s>"
@@ -258,11 +258,11 @@ def load_word2vec_text(path):
     of "<word> <dim floats>", fields separated by any whitespace.  Reserved
     symbols are appended automatically.  Malformed headers, wrong float
     counts, duplicate words, count mismatches and non-finite values are
-    rejected with the offending line number.  Files with single spaces
-    between fields are parsed in blocks; any other file, and any file the
-    blocks reject, is read line by line.
+    rejected with the offending line number.  The values are read by
+    ``np.loadtxt``, a block of lines at a time, so a float is an ASCII
+    spelling that ``float()`` accepts, without ``_``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -275,9 +275,7 @@ def load_word2vec_text(path):
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected two integers") from None
     if count < 0 or dim <= 0:
         raise ValueError(f"{path}:1: nonsensical header values {count} {dim}")
-    entries = lines[1:]
-    words, vectors = (_read_entries_bulk(entries, count, dim)
-                      or _read_entries(path, entries, count, dim))
+    words, vectors = _parse_entries(path, lines[1:], count, dim)
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if len(bad):
         # Entry k sits on line k + 2; values beyond float32 range read as inf.
@@ -285,53 +283,44 @@ def load_word2vec_text(path):
     return EmbeddingTable(Vocabulary(words), vectors)
 
 
-_BULK_LINES = 1024  # entry lines per np.loadtxt call; bounds its float64 copy
+_BLOCK_LINES = 1024  # entry lines per np.loadtxt call; bounds its float64 copy
 
 
-def _read_entries_bulk(entries, count, dim):
-    """Words and float32 vectors of the entry lines when every line is
-    "<word> <dim floats>" separated by single spaces and the words are
-    valid: no whitespace in a word, no duplicate or reserved word, exactly
-    ``count`` lines.  Returns None for any other input, which
-    ``_read_entries`` then reads or reports.  An accepted line holds the
-    same tokens as ``line.split()``, and ``np.loadtxt`` parses ASCII floats
-    as ``float()`` does, so the result is that of ``_read_entries``.
-    """
-    if len(entries) != count:
-        return None
+def _parse_entries(path, entries, count, dim):
+    """Words and float32 vectors of the entry lines, ``_BLOCK_LINES`` lines
+    per ``np.loadtxt`` call; a block with a fault raises ``_raise_line_fault``."""
     words = []
-    vectors = np.zeros((count + len(RESERVED), dim), dtype=np.float32)
-    for start in range(0, count, _BULK_LINES):
-        pairs = [line.split(" ", 1) for line in entries[start:start + _BULK_LINES]]
-        # np.loadtxt skips an empty line, so an empty rest would shift rows
-        if any(len(p) != 2 or not p[1] for p in pairs):
-            return None
-        block_words = [p[0] for p in pairs]
-        if " ".join(block_words).split() != block_words:
-            return None
-        try:
-            block = np.loadtxt([p[1] for p in pairs], dtype=np.float64, delimiter=" ",
-                               comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if block.shape != (len(pairs), dim):
-            return None
+    seen = set()
+    vectors = np.zeros((min(count, len(entries)) + len(RESERVED), dim), dtype=np.float32)
+    for start in range(0, len(entries), _BLOCK_LINES):
+        lines = entries[start:start + _BLOCK_LINES]
+        pairs = [line.split(None, 1) for line in lines]
+        seen.update(p[0] for p in pairs if p)
+        block = None
+        # one rest per line: np.loadtxt would skip an empty one, shifting rows
+        if (all(len(p) == 2 for p in pairs) and start + len(pairs) <= count
+                and len(seen) == start + len(pairs) and seen.isdisjoint(RESERVED)):
+            try:
+                block = np.loadtxt([p[1] for p in pairs], dtype=np.float64,
+                                   comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if block is None or block.shape != (len(pairs), dim):
+            _raise_line_fault(path, lines, words, count, dim)
         with np.errstate(over="ignore"):  # the non-finite check names the word
             vectors[start:start + len(pairs)] = block
-        words += block_words
-    if len(set(words)) != count or not set(RESERVED).isdisjoint(words):
-        return None
+        words += [p[0] for p in pairs]
+    if len(words) != count:
+        raise ValueError(f"{path}: header declares {count} entries, file has {len(words)}")
     return words, vectors
 
 
-def _read_entries(path, entries, count, dim):
-    """Words and float32 vectors of the entry lines, read one line at a time
-    with any whitespace between fields; a malformed line raises a
-    ``ValueError`` naming the path, the line number and the word."""
-    words = []
-    first_line = {}
-    vectors = np.zeros((count + len(RESERVED), dim), dtype=np.float32)
-    for lineno, line in enumerate(entries, start=2):
+def _raise_line_fault(path, lines, words, count, dim):
+    """Raise the error of the first faulty line of ``lines``, the entry lines
+    after those that gave ``words``.  Each line is checked as its block was,
+    so a block with no faulty line would have loaded."""
+    first_line = {word: k + 2 for k, word in enumerate(words)}
+    for lineno, line in enumerate(lines, start=len(words) + 2):
         parts = line.split()
         if not parts:
             raise ValueError(f"{path}:{lineno}: blank line inside the entry block")
@@ -346,19 +335,13 @@ def _read_entries(path, entries, count, dim):
             )
         if word in RESERVED:
             raise ValueError(f"{path}:{lineno}: word {word!r} collides with a reserved symbol")
-        if len(words) >= count:
+        if lineno - 2 >= count:
             raise ValueError(f"{path}:{lineno}: more entries than the declared count {count}")
         try:
-            row = [float(t) for t in parts[1:]]
+            np.loadtxt([line.split(None, 1)[1]], dtype=np.float64, comments=None)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable float for word {word!r}") from None
-        with np.errstate(over="ignore"):  # the non-finite check names the word
-            vectors[len(words)] = row
         first_line[word] = lineno
-        words.append(word)
-    if len(words) != count:
-        raise ValueError(f"{path}: header declares {count} entries, file has {len(words)}")
-    return words, vectors
 
 
 def save_word2vec_text(table, path):
@@ -374,7 +357,7 @@ def save_word2vec_text(table, path):
 def load_corpus(path):
     """Read an unlabeled corpus: one sentence per line, space-separated tokens."""
     sentences = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             toks = line.split()
             if toks:

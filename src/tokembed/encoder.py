@@ -183,9 +183,8 @@ class FfnEncoder(WindowEncoder):
         codes, enc_cache = self.encoder.forward(targets.reshape(B, -1))
         flat, dec_cache = self.decoder.forward(codes)
         rec = flat.reshape(B, self.window_len, self.dim)
+        loss = wre_value(rec, targets, weights)
         diff = rec - targets
-        per = (weights[None, :, None] * diff * diff).sum(axis=(1, 2))
-        loss = float(per.mean())
         dRec = (2.0 / B) * weights[None, :, None] * diff
         dFlat = dRec.reshape(B, -1).astype(flat.dtype)
         dCodes, dec_grads = self.decoder.backward(dFlat, dec_cache)
@@ -259,9 +258,8 @@ class Seq2SeqEncoder(WindowEncoder):
         B = len(targets)
         codes, enc_caches = self._encode_seq(targets)
         rec, dec_caches, proj_caches = self._decode_seq(codes)
+        loss = wre_value(rec, targets, weights)
         diff = rec - targets
-        per = (weights[None, :, None] * diff * diff).sum(axis=(1, 2))
-        loss = float(per.mean())
         dRec = ((2.0 / B) * weights[None, :, None] * diff).astype(self.dtype)
 
         grads = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import read_tsv, tsv_int
+from .serialize import open_text, read_tsv, tsv_int
 
 # The 32 ASCII punctuation characters, frozen explicitly.
 PUNCTUATION = frozenset("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
@@ -273,7 +273,7 @@ def load_tag_dictionary(path):
 
 def load_name_list(path):
     """One word per line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return frozenset(line.strip() for line in fh if line.strip())
 
 

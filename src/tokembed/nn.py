@@ -228,38 +228,36 @@ class LstmCell:
         return out
 
 
-def softmax_logloss(logits, gold):
-    """Cross-entropy of one prediction, computed with max subtraction.
+def softmax_logloss_rows(logits, gold):
+    """Cross-entropy of each row of ``logits`` against its ``gold`` column,
+    with max subtraction: (per-row losses, gradient w.r.t. logits, softmax
+    minus the one-hot gold indicator), both in the dtype of ``logits``."""
+    Z = np.asarray(logits)
+    rows = np.arange(len(Z))
+    m = Z.max(axis=1, keepdims=True)
+    e = np.exp(Z - m)
+    s = e.sum(axis=1, keepdims=True)
+    grad = e / s
+    grad[rows, gold] -= 1.0
+    return np.log(s[:, 0]) + m[:, 0] - Z[rows, gold], grad
 
-    Returns (loss, gradient w.r.t. logits); the gradient is softmax minus the
-    one-hot gold indicator.  Computed in float64 regardless of input dtype.
-    """
+
+def softmax_logloss(logits, gold):
+    """Cross-entropy of one prediction; (loss, gradient w.r.t. logits).
+    Computed in float64 regardless of input dtype."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logits must be a non-empty vector")
     if not 0 <= gold < z.size:
         raise ValueError(f"gold index {gold} out of range for {z.size} classes")
-    m = z.max()
-    e = np.exp(z - m)
-    s = e.sum()
-    loss = float(np.log(s) + m - z[gold])
-    grad = e / s
-    grad[gold] -= 1.0
-    return loss, grad
+    losses, grad = softmax_logloss_rows(z[None, :], [gold])
+    return float(losses[0]), grad[0]
 
 
 def softmax_logloss_batch(logits, gold):
     """Mean cross-entropy over a batch; gradient already divided by the batch size."""
-    Z = np.asarray(logits)
-    B = Z.shape[0]
-    idx = np.arange(B)
-    m = Z.max(axis=1, keepdims=True)
-    e = np.exp(Z - m)
-    s = e.sum(axis=1, keepdims=True)
-    losses = np.log(s[:, 0]) + m[:, 0] - Z[idx, gold]
-    grad = e / s
-    grad[idx, gold] -= 1.0
-    grad /= B
+    losses, grad = softmax_logloss_rows(logits, gold)
+    grad /= len(losses)
     return float(losses.mean()), grad
 
 

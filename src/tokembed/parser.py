@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import Predictor, windows
 from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
-from .nn import MLP, fit, relu, softmax_logloss
+from .nn import MLP, fit, relu, softmax_logloss, softmax_logloss_rows
 from .serialize import read_tsv, tsv_int
 
 
@@ -362,18 +362,11 @@ def export_arc_scores(model, sentences, path):
 
 def _child_losses(scores, gold):
     """Softmax log loss of each child's gold candidate, one row of candidate
-    scores per child, as a log-sum-exp over each row.  Returns float64
-    (losses, gradients with respect to the scores)."""
+    scores per child.  Returns float64 (losses, gradients with respect to
+    the scores)."""
     if (gold < 0).any():
         raise ValueError("a selected child has no gold candidate")
-    z = np.asarray(scores, dtype=np.float64)
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
-    rows = np.arange(len(z))
-    grad = e / s
-    grad[rows, gold] -= 1.0
-    return np.log(s[:, 0]) + m[:, 0] - z[rows, gold], grad
+    return softmax_logloss_rows(np.asarray(scores, dtype=np.float64), gold)
 
 
 def batch_loss_and_grads(model, caches):

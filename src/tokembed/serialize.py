@@ -18,12 +18,15 @@ Tensor payloads are raw C-order bytes of the declared (little-endian) dtype,
 so save followed by load reproduces every array bit for bit.  The layout is
 stable across releases; incompatible changes bump the version integer.
 
-``read_tsv`` is the one reader of the tab-separated corpus and resource files.
+``open_text`` opens every text input; ``read_tsv`` is the one reader of the
+tab-separated corpus and resource files.
 """
 
 import json
 import math
+import re
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -192,6 +195,25 @@ def restore_params(params, tensors, path):
         arr[...] = tensors[name]
 
 
+@contextmanager
+def open_text(path):
+    """The UTF-8 text file at ``path``, open for reading as ``open`` in text
+    mode opens it; a byte that is not UTF-8 raises a ``ValueError`` naming
+    ``path:line``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder reads in chunks, so its error does not give the line
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    bad = re.search("[\udc80-\udcff]", line)
+                    if bad:
+                        raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xdc00:02x}"
+                                         " is not UTF-8") from None
+            raise
+
+
 def read_tsv(path, n_fields):
     """Yield the blocks of rows of a tab-separated file; a blank line ends a block.
 
@@ -200,7 +222,7 @@ def read_tsv(path, n_fields):
     names ``path:line``.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

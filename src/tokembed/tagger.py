@@ -24,7 +24,7 @@ from . import rng as rng_mod
 from .embeddings import Predictor, windows
 from .features import extended_feature_width, extended_features
 from .nn import MLP, fit, softmax_logloss_batch
-from .serialize import read_tsv
+from .serialize import open_text, read_tsv
 
 
 @dataclass
@@ -54,7 +54,7 @@ class TaggerConfig:
 
 def load_tagset(path):
     """One tag per line; line number is the tag id."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         tags = [line.strip() for line in fh if line.strip()]
     if len(set(tags)) != len(tags):
         raise ValueError(f"{path}: duplicate tags")

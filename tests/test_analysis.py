@@ -242,6 +242,15 @@ def test_export_reload_round_trip(setup, tmp_path):
         assert np.allclose(a.embedding, b.embedding, atol=1e-5)
 
 
+def test_reload_rejects_bytes_that_are_not_utf8(setup, tmp_path):
+    table, model = setup
+    path = tmp_path / "emb.tsv"
+    export_embeddings_tsv(index_corpus(model, table, [["w0", "w1"]]), path)
+    path.write_bytes(path.read_bytes().replace(b"\t1\tw1\t", b"\t1\tw\xff\t"))
+    with pytest.raises(ValueError, match=r":3: byte 0xff is not UTF-8"):
+        load_embeddings_tsv(str(path))
+
+
 def test_export_empty_index_header_only(tmp_path):
     path = tmp_path / "emb.tsv"
     export_embeddings_tsv([], path)

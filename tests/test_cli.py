@@ -298,9 +298,14 @@ def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_knn_rejects_k_below_1(data, capsys, tmp_path, k):
+def test_knn_rejects_k_below_1(data, capsys, tmp_path, monkeypatch, k):
     enc = tmp_path / "enc.bin"
     train_encoder_file(data, capsys, enc)
+
+    def index_corpus(*args):
+        raise AssertionError("the corpus was indexed before -k was checked")
+
+    monkeypatch.setattr(cli, "index_corpus", index_corpus)
     code, summary, err = run(capsys, "knn", "--embeddings", data["emb"],
                              "--model", enc, "--corpus", data["val"], "-k", k)
     assert code == 1 and summary is None
@@ -684,6 +689,51 @@ def test_malformed_tsv_field_exits_1_naming_line(data, capsys, tmp_path, fmt, te
     code, summary, err = run(capsys, *tsv_argv(fmt, data, path, tmp_path))
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [f"error: {path}:{line}: {message}"]
+
+
+def input_argv(flag, data, path, tmp_path):
+    """A command that reads ``path`` through ``flag`` before it opens any
+    other input that could fail."""
+    unused = tmp_path / "unused.bin"
+    tag = ["tag", "--embeddings", data["emb"], "--model", unused, "--corpus", data["val"],
+           "--out", tmp_path / "out.tags", "--extended", flag, path]
+    return {
+        "--embeddings": ["embed", "--embeddings", path, "--model", unused,
+                         "--corpus", data["val"], "--out", tmp_path / "out.tsv"],
+        "--train": ["train-encoder", "--embeddings", data["emb"], "--train", path,
+                    "--val", data["val"], "--out", unused],
+        "--tagset": ["train-tagger", "--embeddings", data["emb"], "--train",
+                     data["train_tags"], "--val", data["val_tags"], "--tagset", path,
+                     "--out", unused],
+        "--name-list": tag, "--brown": tag, "--tag-dict": tag, "--ngrams": tag,
+        "--pred": ["eval-tags", "--pred", path, "--gold", data["val_tags"]],
+        "--gold": ["eval-parse", "--pred", data["dep_val"], "--gold", path],
+        "--config": ["eval-tags", "--config", path, "--pred", data["val_tags"],
+                     "--gold", data["val_tags"]],
+    }[flag]
+
+
+@pytest.mark.parametrize("flag, content, line, byte", [
+    # past the text decoder's first chunk, so its error cannot give the line
+    ("--embeddings", b"2001 1\n" + b"".join(b"w%d 1\n" % k for k in range(2000))
+     + b"w\xff 1\n", 2002, 0xff),
+    ("--train", b"a b\nc \xff d\n", 2, 0xff),
+    ("--tagset", b"NN\nV\xffB\n", 2, 0xff),
+    ("--name-list", b"Paris\nM\xfcnchen\n", 2, 0xfc),
+    ("--brown", b"0010\tthe\t100\n0011\tc\xe9t\t5\n", 2, 0xe9),
+    ("--tag-dict", b"the\tDT\t90\r\nthe\tNN\xff\t3\r\n", 2, 0xff),
+    ("--ngrams", b"th\t0\rhe\t1\r\xff\t2\n", 3, 0xff),
+    ("--pred", b"a\tN\xff\n", 1, 0xff),
+    ("--gold", b"1\ta\t0\t1\n\n1\tb\xff\t0\t1\n", 3, 0xff),
+    ("--config", b"seed = 1\n# caf\xe9\n", 2, 0xe9),
+])
+def test_input_that_is_not_utf8_exits_1_naming_line(data, capsys, tmp_path, flag, content,
+                                                    line, byte):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    code, summary, err = run(capsys, *input_argv(flag, data, path, tmp_path))
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {path}:{line}: byte 0x{byte:02x} is not UTF-8"]
 
 
 @pytest.mark.parametrize("command, pred_text, gold_text", [

@@ -79,7 +79,7 @@ def test_non_finite_value_named(tmp_path, value):
         load_word2vec_text(f)
 
 
-@pytest.mark.parametrize("sep", [" ", "\t"])  # read in bulk, then line by line
+@pytest.mark.parametrize("sep", [" ", "\t"])
 def test_float32_overflow_warns_nothing(tmp_path, sep):
     f = write(tmp_path / "e.txt", f"2 2\na{sep}1{sep}2\nb{sep}1e39{sep}3\n")
     with warnings.catch_warnings():
@@ -136,36 +136,96 @@ def word2vec_texts(draw):
     return "".join(line + draw(st.sampled_from(pool["ends"])) for line in lines)
 
 
+def reference_outcome(path):
+    """``load_outcome`` of a reader that takes ``path`` line by line: the
+    fields of ``line.split()``, each value through ``float()``.  A value must
+    also be ASCII without ``_``, as ``np.loadtxt`` requires; ``float()``
+    alone takes ``1_000`` and non-ASCII digits such as ``\u0661``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        return f"{path}: empty file"
+    head = lines[0].split()
+    if len(head) != 2:
+        return f"{path}:1: malformed header {lines[0]!r}, expected '<count> <dim>'"
+    try:
+        count, dim = int(head[0]), int(head[1])
+    except ValueError:
+        return f"{path}:1: malformed header {lines[0]!r}, expected two integers"
+    if count < 0 or dim <= 0:
+        return f"{path}:1: nonsensical header values {count} {dim}"
+    words, first_line, rows = [], {}, []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            return f"{path}:{lineno}: blank line inside the entry block"
+        word = parts[0]
+        if len(parts) - 1 != dim:
+            return f"{path}:{lineno}: word {word!r} has {len(parts) - 1} values, expected {dim}"
+        if word in first_line:
+            return (f"{path}:{lineno}: duplicate word {word!r} "
+                    f"(first at line {first_line[word]})")
+        if word in (BOS, EOS, UNK):
+            return f"{path}:{lineno}: word {word!r} collides with a reserved symbol"
+        if len(words) >= count:
+            return f"{path}:{lineno}: more entries than the declared count {count}"
+        try:
+            if not all(t.isascii() and "_" not in t for t in parts[1:]):
+                raise ValueError
+            row = [float(t) for t in parts[1:]]
+        except ValueError:
+            return f"{path}:{lineno}: unparseable float for word {word!r}"
+        first_line[word] = lineno
+        words.append(word)
+        rows.append(row)
+    if len(words) != count:
+        return f"{path}: header declares {count} entries, file has {len(words)}"
+    with np.errstate(over="ignore"):
+        vectors = np.array(rows + [[0.0] * dim] * 3, dtype=np.float32).reshape(-1, dim)
+    for k, row in enumerate(vectors[:count]):
+        if not np.isfinite(row).all():
+            return f"{path}:{k + 2}: non-finite value for word {words[k]!r}"
+    return words + [BOS, EOS, UNK], vectors.tobytes()
+
+
 @given(word2vec_texts())
 @example("3 2\na 1 2\nb -0 1e-3\nc nan 4\n")
 @example("2 1\na 1\r\nb 2\x0c")
 @example("2 1\na\xa0x 1\nb 2\n")
 @example("1 1\na \n")
 @example("2 1\na 1\nb 2\nc 3\n")
-def test_bulk_reader_matches_line_reader(tmp_path_factory, text):
+@example(f"2 1\na 1\n{UNK} 2\n")
+@example("3 1\na 1\nb 2\nc 1_000\n")
+@example("2 1\na\t\u0661\nb 2\n")
+@example("3 1\na 1\nb 2\nc 3\nb 4\n")
+@example("3 1\na 1\nb 2\nc x\nb 4\n")
+def test_reader_matches_line_by_line_reference(tmp_path_factory, text):
     # two-line blocks, so that lines of one file fall in several blocks
     path = tmp_path_factory.mktemp("w2v") / "e.txt"
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        mp.setattr(embeddings, "_BULK_LINES", 2)
-        got = load_outcome(str(path))
-        mp.setattr(embeddings, "_read_entries_bulk", lambda *args: None)
-        assert got == load_outcome(str(path))
+        mp.setattr(embeddings, "_BLOCK_LINES", 2)
+        assert load_outcome(str(path)) == reference_outcome(str(path))
 
 
-def test_single_space_file_is_read_in_bulk(tmp_path, monkeypatch):
+@pytest.mark.parametrize("seps", [[" "], ["\t"], [" ", "\t", "  ", " \t ", "\xa0", "\u3000"]],
+                         ids=["spaces", "tabs", "mixed"])
+def test_any_whitespace_is_read_in_blocks(tmp_path, monkeypatch, seps):
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(7, 4)).astype(np.float32)
-    text = "".join(f"w{k} " + " ".join(repr(float(x)) for x in rows[k]) + "\n"
-                   for k in range(7))
-    f = write(tmp_path / "e.txt", f"7 4\n{text}")
+    text = "7 4\n"
+    for k in range(7):
+        values = [repr(float(x)) for x in rows[k]]
+        text += f"w{k}" + "".join(seps[(k + i) % len(seps)] + v
+                                  for i, v in enumerate(values)) + "\n"
+    f = write(tmp_path / "e.txt", text)
 
-    def line_reader(*args):
+    def line_by_line(*args):
         raise AssertionError("read line by line")
 
-    monkeypatch.setattr(embeddings, "_read_entries", line_reader)
-    monkeypatch.setattr(embeddings, "_BULK_LINES", 3)
+    monkeypatch.setattr(embeddings, "_raise_line_fault", line_by_line)
+    monkeypatch.setattr(embeddings, "_BLOCK_LINES", 3)
     table = load_word2vec_text(f)
     assert table.vocab.corpus_words == [f"w{k}" for k in range(7)]
     assert table.vectors[:7].tobytes() == rows.tobytes()
