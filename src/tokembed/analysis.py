@@ -159,11 +159,16 @@ def load_embeddings_tsv(path):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != len(header):
                 raise ValueError(f"{path}:{lineno}: wrong column count")
+            try:
+                sentence_id, position = int(parts[0]), int(parts[1])
+                coords = [float(x) for x in parts[6:]]
+            except ValueError:
+                raise _field_error(path, lineno, header, parts) from None
             records.append(TokenRecord(
-                sentence_id=int(parts[0]),
-                position=int(parts[1]),
+                sentence_id=sentence_id,
+                position=position,
                 token=parts[2],
-                embedding=np.array([float(x) for x in parts[6:]], dtype=np.float32),
+                embedding=np.array(coords, dtype=np.float32),
                 left=parts[3],
                 right=parts[4],
                 tag=parts[5] or None,
@@ -171,3 +176,15 @@ def load_embeddings_tsv(path):
             if len(records[-1].embedding) != dim:
                 raise ValueError(f"{path}:{lineno}: wrong embedding width")
     return records
+
+
+def _field_error(path, lineno, header, parts):
+    """The error naming the first numeric field of a TSV row that does not
+    parse: the two ids as integers, then the coordinates as floats."""
+    for k in [0, 1] + list(range(6, len(parts))):
+        kind, what = (int, "an integer") if k < 2 else (float, "a number")
+        try:
+            kind(parts[k])
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: field {header[k]!r} is not {what}: "
+                              f"{parts[k]!r}")

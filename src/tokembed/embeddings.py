@@ -275,6 +275,8 @@ def load_word2vec_text(path):
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected two integers") from None
     if count < 0 or dim <= 0:
         raise ValueError(f"{path}:1: nonsensical header values {count} {dim}")
+    if count == 0:
+        raise ValueError(f"{path}:1: header declares no entries")
     words, vectors = _parse_entries(path, lines[1:], count, dim)
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if len(bad):
@@ -288,10 +290,12 @@ _BLOCK_LINES = 1024  # entry lines per np.loadtxt call; bounds its float64 copy
 
 def _parse_entries(path, entries, count, dim):
     """Words and float32 vectors of the entry lines, ``_BLOCK_LINES`` lines
-    per ``np.loadtxt`` call; a block with a fault raises ``_raise_line_fault``."""
+    per ``np.loadtxt`` call; a block with a fault raises ``_raise_line_fault``.
+    The table is allocated once the first block has shown ``dim`` values per
+    line, so a header's ``dim`` alone sizes nothing."""
     words = []
     seen = set()
-    vectors = np.zeros((min(count, len(entries)) + len(RESERVED), dim), dtype=np.float32)
+    vectors = None
     for start in range(0, len(entries), _BLOCK_LINES):
         lines = entries[start:start + _BLOCK_LINES]
         pairs = [line.split(None, 1) for line in lines]
@@ -307,6 +311,9 @@ def _parse_entries(path, entries, count, dim):
                 pass
         if block is None or block.shape != (len(pairs), dim):
             _raise_line_fault(path, lines, words, count, dim)
+        if vectors is None:
+            vectors = np.zeros((min(count, len(entries)) + len(RESERVED), dim),
+                               dtype=np.float32)
         with np.errstate(over="ignore"):  # the non-finite check names the word
             vectors[start:start + len(pairs)] = block
         words += [p[0] for p in pairs]

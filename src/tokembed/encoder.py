@@ -28,8 +28,8 @@ SCHEME_NAMES = ("uniform", "focused", "tapered")
 
 # Windows per forward pass when encoding a corpus: enough rows to amortise the
 # per-call cost, few enough that a block's activations stay a few MB.  The
-# seq2seq step caches take about 24 kB per row at d'=256, so 1024-row blocks
-# already raise the peak memory of a run.
+# size is part of the output: float32 products of another row count may round
+# differently, so changing it changes the bits ``embed`` writes.
 ENCODE_BLOCK = 256
 
 
@@ -221,43 +221,41 @@ class Seq2SeqEncoder(WindowEncoder):
         self.dec_cell = LstmCell(dim, token_dim, rng, dtype)
         self.proj = Dense(token_dim, dim, "linear", rng, dtype)
 
-    def _encode_seq(self, E):
-        B = E.shape[0]
-        h, c = self.enc_cell.zero_state(B)
-        caches = []
+    def _encode_seq(self, E, caches=None):
+        """Codes of a (B, 2w'+1, d) array; each step's cache is appended to
+        ``caches`` when a list is given."""
+        _, c = self.enc_cell.zero_state(len(E))
+        h = None  # the zero initial state: the first step multiplies x alone
         for t in range(E.shape[1]):
             h, c, cache = self.enc_cell.step(E[:, t, :], h, c)
-            caches.append(cache)
-        return h, caches
+            if caches is not None:
+                caches.append(cache)
+        return h
 
-    def _decode_seq(self, codes):
-        B = len(codes)
-        h = codes
-        c = np.zeros_like(codes)
-        zero_in = np.zeros((B, self.dim), dtype=codes.dtype)
-        rec = np.empty((B, self.window_len, self.dim), dtype=codes.dtype)
-        dec_caches, proj_caches = [], []
+    def _decode_seq(self, codes, caches=None):
+        """Reconstructions from codes; each step's (cell, projection) caches
+        are appended to ``caches`` when a list is given."""
+        h, c = codes, np.zeros_like(codes)
+        rec = np.empty((len(codes), self.window_len, self.dim), dtype=codes.dtype)
         for t in range(self.window_len):
-            h, c, cache = self.dec_cell.step(zero_in, h, c)
-            r, pcache = self.proj.forward(h)
-            rec[:, t, :] = r
-            dec_caches.append(cache)
-            proj_caches.append(pcache)
-        return rec, dec_caches, proj_caches
+            h, c, cache = self.dec_cell.step(None, h, c)
+            rec[:, t, :], pcache = self.proj.forward(h)
+            if caches is not None:
+                caches.append((cache, pcache))
+        return rec
 
     def _codes(self, E):
-        return self._encode_seq(E)[0]
+        return self._encode_seq(E)
 
     def decode(self, codes):
-        codes = np.atleast_2d(np.asarray(codes, dtype=self.dtype))
-        rec, _, _ = self._decode_seq(codes)
-        return rec
+        return self._decode_seq(np.atleast_2d(np.asarray(codes, dtype=self.dtype)))
 
     def loss_and_grads(self, table, windows, weights):
         targets, weights = self._targets(table, windows, weights)
         B = len(targets)
-        codes, enc_caches = self._encode_seq(targets)
-        rec, dec_caches, proj_caches = self._decode_seq(codes)
+        enc_caches, dec_caches = [], []
+        codes = self._encode_seq(targets, enc_caches)
+        rec = self._decode_seq(codes, dec_caches)
         loss = wre_value(rec, targets, weights)
         diff = rec - targets
         dRec = ((2.0 / B) * weights[None, :, None] * diff).astype(self.dtype)
@@ -275,15 +273,17 @@ class Seq2SeqEncoder(WindowEncoder):
         dh = np.zeros_like(codes)
         dc = np.zeros_like(codes)
         for t in reversed(range(self.window_len)):
-            dh_proj, pgrads = self.proj.backward(dRec[:, t, :], proj_caches[t])
+            cache, pcache = dec_caches[t]
+            dh_proj, pgrads = self.proj.backward(dRec[:, t, :], pcache)
             add("proj", pgrads)
-            _, dh, dc, g = self.dec_cell.step_backward(dh + dh_proj, dc, dec_caches[t])
+            _, dh, dc, g = self.dec_cell.step_backward(dh + dh_proj, dc, cache)
             add("dec", g)
         # dh now carries the gradient w.r.t. the decoder's initial hidden state,
         # which is the encoder output; the zero initial cell state absorbs dc.
+        # The first step's gradient w.r.t. the zero initial state is not used.
         dc = np.zeros_like(codes)
         for t in reversed(range(self.window_len)):
-            _, dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t])
+            _, dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t], need_prev=t > 0)
             add("enc", g)
         return loss, grads
 

@@ -24,11 +24,18 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, so exp never
     # overflows.  min(z, -z) rather than -|z| keeps the sign of a nan input.
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, z.dtype.type(1), e) / (1 + e)
+    # The numerator is max(e, z >= 0): 1 where z >= 0 since e <= 1, e (or its
+    # nan) elsewhere; unlike a select on the sign it does not branch.  z is
+    # read before ``out`` is written, so ``out`` may be z itself.
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, z >= 0, dtype=z.dtype)
+    e += 1
+    return np.divide(num, e, out=out)
 
 
 def glorot_uniform(rng, n_in, n_out, shape, dtype):
@@ -153,9 +160,18 @@ class LstmCell:
     """Standard LSTM cell: sigmoid input/forget/output gates, tanh candidate,
     tanh on the cell state for the hidden output, no peepholes.
 
-    Gate matrices have shape (n_hidden, n_in + n_hidden) and act on the
-    concatenation [x; h_prev].  With ``rng`` given, the forget-gate bias
-    starts at ``forget_bias``; with ``rng=None`` every parameter is zero.
+    The gates are stacked in one matrix ``W`` of shape (4*n_hidden,
+    n_in + n_hidden) and one bias ``b`` of length 4*n_hidden, in the row
+    blocks i, f, o, g, so a step takes one product with the concatenation
+    [x; h_prev].  ``Wi``..``Wg`` and ``bi``..``bg`` are views of those
+    blocks; ``params()`` names them, so the optimizer and the model file
+    see four gates.  With ``rng`` given, each gate block is drawn in that
+    order and the forget-gate bias starts at ``forget_bias``; with
+    ``rng=None`` every parameter is zero.
+
+    ``step`` takes ``x=None`` as a zero input and ``h_prev=None`` as a zero
+    hidden state, and then multiplies only by the columns of ``W`` that
+    meet the other half of [x; h_prev].
     """
 
     GATES = ("i", "f", "o", "g")
@@ -163,62 +179,101 @@ class LstmCell:
     def __init__(self, n_in, n_hidden, rng=None, dtype=np.float32, forget_bias=1.0):
         self.n_in = int(n_in)
         self.n_hidden = int(n_hidden)
-        joint = self.n_in + self.n_hidden
-        for gate in self.GATES:
-            if rng is None:
-                W = np.zeros((n_hidden, joint), dtype=dtype)
-            else:
-                W = glorot_uniform(rng, joint, n_hidden, (n_hidden, joint), dtype)
-            setattr(self, f"W{gate}", W)
-            setattr(self, f"b{gate}", np.zeros(n_hidden, dtype=dtype))
+        h, joint = self.n_hidden, self.n_in + self.n_hidden
+        self.W = np.zeros((4 * h, joint), dtype=dtype)
+        self.b = np.zeros(4 * h, dtype=dtype)
+        for k, gate in enumerate(self.GATES):
+            rows = slice(k * h, (k + 1) * h)
+            if rng is not None:
+                self.W[rows] = glorot_uniform(rng, joint, h, (h, joint), dtype)
+            setattr(self, f"W{gate}", self.W[rows])
+            setattr(self, f"b{gate}", self.b[rows])
         if rng is not None:
             self.bf[:] = forget_bias
 
     def zero_state(self, batch, dtype=None):
-        dtype = dtype or self.Wi.dtype
+        dtype = dtype or self.W.dtype
         return (
             np.zeros((batch, self.n_hidden), dtype=dtype),
             np.zeros((batch, self.n_hidden), dtype=dtype),
         )
 
     def step(self, x, h_prev, c_prev):
-        x = np.asarray(x, dtype=self.Wi.dtype)
-        if x.ndim != 2 or x.shape[1] != self.n_in:
-            raise ValueError(f"lstm expects input width {self.n_in}, got {x.shape}")
-        if h_prev.shape != (x.shape[0], self.n_hidden) or c_prev.shape != h_prev.shape:
+        """One step from input ``x`` and state (``h_prev``, ``c_prev``);
+        returns (h, c, cache for ``step_backward``)."""
+        n = self.n_in
+        if x is not None:
+            x = np.asarray(x, dtype=self.W.dtype)
+            if x.ndim != 2 or x.shape[1] != n:
+                raise ValueError(f"lstm expects input width {n}, got {x.shape}")
+        if x is None and h_prev is None:
+            raise ValueError("lstm step needs an input or a hidden state")
+        batch = len(h_prev) if x is None else len(x)
+        state = (batch, self.n_hidden)
+        if c_prev.shape != state or (h_prev is not None and h_prev.shape != state):
             raise ValueError("state shape mismatch")
-        z = np.concatenate([x, h_prev], axis=1)
-        i = sigmoid(z @ self.Wi.T + self.bi)
-        f = sigmoid(z @ self.Wf.T + self.bf)
-        o = sigmoid(z @ self.Wo.T + self.bo)
-        g = np.tanh(z @ self.Wg.T + self.bg)
-        c = f * c_prev + i * g
+        if x is None:
+            z = h_prev
+        elif h_prev is None:
+            z = x
+        else:
+            z = np.concatenate([x, h_prev], axis=1)
+        cols = slice(n if x is None else 0, n if h_prev is None else n + self.n_hidden)
+        A = z @ self.W[:, cols].T
+        A += self.b
+        # A now holds the gate activations: sigmoid on i, f, o and tanh on g
+        h3 = 3 * self.n_hidden
+        sigmoid(A[:, :h3], out=A[:, :h3])
+        np.tanh(A[:, h3:], out=A[:, h3:])
+        i, f, o, g = self._gates(A)
+        c = f * c_prev
+        c += i * g
         tc = np.tanh(c)
-        h = o * tc
-        return h, c, (z, i, f, o, g, c_prev, tc)
+        return o * tc, c, (cols, z, A, c_prev, tc)
 
-    def step_backward(self, dh, dc, cache):
-        z, i, f, o, g, c_prev, tc = cache
+    def step_backward(self, dh, dc, cache, need_prev=True):
+        """Gradients of one step: (dx, dh_prev, dc_prev, grads).  The
+        columns of each ``W`` gradient that met a zero input or a zero
+        hidden state are zero, and after a zero-input step ``dx`` is
+        ``None``.  With ``need_prev=False`` only ``grads`` is computed and
+        the other three are ``None``."""
+        cols, z, A, c_prev, tc = cache
+        i, f, o, g = self._gates(A)
         do = dh * tc
         dct = dc + dh * o * (1.0 - tc * tc)
-        df = dct * c_prev
-        di = dct * g
-        dg = dct * i
-        dai = di * i * (1.0 - i)
-        daf = df * f * (1.0 - f)
-        dao = do * o * (1.0 - o)
-        dag = dg * (1.0 - g * g)
-        dz = dai @ self.Wi + daf @ self.Wf + dao @ self.Wo + dag @ self.Wg
-        grads = {
-            "Wi": dai.T @ z, "bi": dai.sum(axis=0),
-            "Wf": daf.T @ z, "bf": daf.sum(axis=0),
-            "Wo": dao.T @ z, "bo": dao.sum(axis=0),
-            "Wg": dag.T @ z, "bg": dag.sum(axis=0),
-        }
-        dx = dz[:, : self.n_in]
-        dh_prev = dz[:, self.n_in:]
-        dc_prev = dct * f
-        return dx, dh_prev, dc_prev, grads
+        # gradients of the gate pre-activations, written into one (B, 4h) array
+        dA = np.empty_like(A)
+        dai, daf, dao, dag = self._gates(dA)
+        np.multiply(dct * g * i, 1.0 - i, out=dai)
+        np.multiply(dct * c_prev * f, 1.0 - f, out=daf)
+        np.multiply(do * o, 1.0 - o, out=dao)
+        np.multiply(dct * i, 1.0 - g * g, out=dag)
+        dW = np.empty_like(self.W)
+        dW[:, : cols.start] = 0
+        dW[:, cols.stop:] = 0
+        np.matmul(dA.T, z, out=dW[:, cols])
+        db = dA.sum(axis=0)
+        h = self.n_hidden
+        grads = {}
+        for k, gate in enumerate(self.GATES):
+            grads[f"W{gate}"] = dW[k * h:(k + 1) * h]
+            grads[f"b{gate}"] = db[k * h:(k + 1) * h]
+        if not need_prev:
+            return None, None, None, grads
+        # four per-gate products summed in gate order, as the bits require;
+        # accumulating in place spares three temporaries
+        dz = dai @ self.Wi
+        dz += daf @ self.Wf
+        dz += dao @ self.Wo
+        dz += dag @ self.Wg
+        dx = dz[:, : self.n_in] if cols.start == 0 else None
+        dct *= f
+        return dx, dz[:, self.n_in:], dct, grads
+
+    def _gates(self, M):
+        """The i, f, o, g column blocks of a (B, 4*n_hidden) array."""
+        h = self.n_hidden
+        return [M[:, k * h:(k + 1) * h] for k in range(4)]
 
     def params(self):
         out = {}

@@ -29,3 +29,14 @@ def abc_table():
     vectors = np.zeros((len(vocab), 1), dtype=np.float32)
     vectors[0, 0], vectors[1, 0], vectors[2, 0] = 1.0, 2.0, 3.0
     return EmbeddingTable(vocab, vectors)
+
+
+@pytest.fixture
+def no_large_arrays(monkeypatch):
+    """Make numpy's array constructors refuse more than a million elements."""
+    for name in ("zeros", "empty", "ones", "full"):
+        def guarded(shape, *args, _make=getattr(np, name), **kwargs):
+            if np.prod(shape, dtype=np.float64) > 1e6:
+                raise AssertionError(f"allocated an array of shape {shape}")
+            return _make(shape, *args, **kwargs)
+        monkeypatch.setattr(np, name, guarded)

@@ -251,6 +251,26 @@ def test_reload_rejects_bytes_that_are_not_utf8(setup, tmp_path):
         load_embeddings_tsv(str(path))
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (0, "x", ":3: field 'sentence_id' is not an integer: 'x'"),
+    (1, "1.5", ":3: field 'position' is not an integer: '1.5'"),
+    (8, "", ":3: field 'e2' is not a number: ''"),
+    (7, "0,5", ":3: field 'e1' is not a number: '0,5'"),
+])
+def test_reload_names_the_malformed_field(setup, tmp_path, column, value, message):
+    table, model = setup
+    path = tmp_path / "emb.tsv"
+    export_embeddings_tsv(index_corpus(model, table, [["w0", "w1"]]), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    parts = lines[2].split("\t")
+    parts[column] = value
+    lines[2] = "\t".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as e:
+        load_embeddings_tsv(str(path))
+    assert str(e.value) == str(path) + message
+
+
 def test_export_empty_index_header_only(tmp_path):
     path = tmp_path / "emb.tsv"
     export_embeddings_tsv([], path)

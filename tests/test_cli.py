@@ -135,6 +135,16 @@ def test_parse_rejects_nan_embeddings(data, capsys, tmp_path):
     assert f"{emb}:3: non-finite value for word {word!r}" in err
 
 
+def test_knn_rejects_huge_header_dim_in_one_line(data, capsys, tmp_path, no_large_arrays):
+    emb = tmp_path / "huge.txt"
+    emb.write_text("0 100000000000\n", encoding="utf-8")
+    code, summary, err = run(capsys, "knn", "--embeddings", emb,
+                             "--model", tmp_path / "unused.bin", "--corpus", data["val"],
+                             "--sentence", 0, "--position", 0)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {emb}:1: header declares no entries"]
+
+
 @pytest.mark.parametrize("rewrite, field", [
     (lambda header: b"not json", "header is not JSON"),
     (lambda header: json.dumps({k: v for k, v in json.loads(header).items()

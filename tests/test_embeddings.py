@@ -59,6 +59,19 @@ def test_count_mismatch(tmp_path):
         load_word2vec_text(f)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 100000000000\n", ":1: header declares no entries"),
+    ("0 100000000000\na 1 2\n", ":1: header declares no entries"),
+    ("2 100000000000\na 1 2\nb 3 4\n", ":2: word 'a' has 2 values, expected 100000000000"),
+    ("2 100000000000\n", ": header declares 2 entries, file has 0"),
+])
+def test_huge_header_dim_sizes_nothing(tmp_path, no_large_arrays, text, message):
+    f = write(tmp_path / "e.txt", text)
+    with pytest.raises(ValueError) as e:
+        load_word2vec_text(f)
+    assert str(e.value) == f + message
+
+
 def test_reserved_symbol_in_file_rejected(tmp_path):
     f = write(tmp_path / "e.txt", f"1 1\n{UNK} 1\n")
     with pytest.raises(ValueError, match="reserved"):
@@ -154,6 +167,8 @@ def reference_outcome(path):
         return f"{path}:1: malformed header {lines[0]!r}, expected two integers"
     if count < 0 or dim <= 0:
         return f"{path}:1: nonsensical header values {count} {dim}"
+    if count == 0:
+        return f"{path}:1: header declares no entries"
     words, first_line, rows = [], {}, []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()

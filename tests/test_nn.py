@@ -9,7 +9,7 @@ from hypothesis import given
 from tokembed import rng as rng_mod
 from tokembed.nn import (Dense, LstmCell, MLP, RowGrad, SgdMomentum,
                          TrainingDiverged, anchored_l2, dropout_mask, fit,
-                         gradient_check, relu, sigmoid, softmax_logloss,
+                         glorot_uniform, gradient_check, relu, sigmoid, softmax_logloss,
                          softmax_logloss_batch)
 
 
@@ -89,6 +89,23 @@ def test_sigmoid_bitwise_equals_split_by_sign(dtype, bits, xs):
     assert np.array_equal(got.view(bits), want.view(bits))
 
 
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_bitwise_on_the_gate_columns_of_a_step(dtype, bits):
+    # the i/f/o columns of a (B, 4h) pre-activation: strided rows, mixed signs
+    r = np.random.default_rng(11)
+    A = (8 * r.normal(size=(64, 4 * 32))).astype(dtype)
+    A[0, :len(SPECIAL)] = SPECIAL
+    z = A[:, :3 * 32]
+    assert not z.flags.c_contiguous and (z < 0).any() and (z > 0).any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = split_by_sign_sigmoid(z)
+        got = sigmoid(z)
+        in_place = A.copy()
+        sigmoid(in_place[:, :3 * 32], out=in_place[:, :3 * 32])
+    for out in (got, in_place[:, :3 * 32]):
+        assert np.array_equal(np.ascontiguousarray(out).view(bits), want.view(bits))
+
+
 # -- LSTM -----------------------------------------------------------------
 
 
@@ -131,6 +148,87 @@ def test_lstm_sum_h_gradient_matches_finite_differences():
 
     report = gradient_check(loss_and_grads, cell.params(), eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
+
+
+def test_lstm_gates_are_views_of_the_stacked_parameters():
+    draws = rng_mod.stream(0, "init")
+    blocks = [glorot_uniform(draws, 7, 4, (4, 7), np.float32) for _ in LstmCell.GATES]
+    cell = LstmCell(3, 4, rng=rng_mod.stream(0, "init"))
+    assert cell.W.shape == (16, 7) and cell.b.shape == (16,)
+    assert np.array_equal(cell.W, np.concatenate(blocks))
+    params = cell.params()
+    for k, gate in enumerate(LstmCell.GATES):
+        assert np.shares_memory(params[f"W{gate}"], cell.W)
+        assert np.shares_memory(params[f"b{gate}"], cell.b)
+        assert np.array_equal(params[f"W{gate}"], cell.W[4 * k:4 * k + 4])
+    assert np.array_equal(cell.b, [0] * 4 + [1] * 4 + [0] * 8)
+    W, b = cell.W.copy(), cell.b.copy()
+    SgdMomentum(params, learning_rate=0.5, momentum=0.0).step(
+        {name: np.ones_like(p) for name, p in params.items()})
+    assert np.array_equal(cell.W, W - 0.5) and np.array_equal(cell.b, b - 0.5)
+
+
+@pytest.mark.parametrize("zero", ["input", "hidden"])
+def test_lstm_step_with_a_zero_half_equals_explicit_zeros_bitwise(zero):
+    # the encoder's training shape: d=100, d'=256, 64 windows
+    cell = LstmCell(100, 256, rng=rng_mod.stream(2, "init"))
+    r = np.random.default_rng(5)
+    x = r.normal(size=(64, 100)).astype(np.float32)
+    h, c, dh, dc = (r.normal(size=(64, 256)).astype(np.float32) for _ in range(4))
+    if zero == "input":
+        implicit, explicit, zero_cols = (None, h), (np.zeros_like(x), h), slice(None, 100)
+    else:
+        implicit, explicit, zero_cols = (x, None), (x, np.zeros_like(h)), slice(100, None)
+    h0, c0, cache0 = cell.step(*implicit, c)
+    h1, c1, cache1 = cell.step(*explicit, c)
+    assert h0.tobytes() == h1.tobytes() and c0.tobytes() == c1.tobytes()
+    dx0, dh0, dc0, g0 = cell.step_backward(dh, dc, cache0)
+    dx1, dh1, dc1, g1 = cell.step_backward(dh, dc, cache1)
+    assert dx0 is None if zero == "input" else dx0.tobytes() == dx1.tobytes()
+    assert dh0.tobytes() == dh1.tobytes() and dc0.tobytes() == dc1.tobytes()
+    for gate in LstmCell.GATES:
+        assert not g0[f"W{gate}"][:, zero_cols].any()
+    assert g0.keys() == g1.keys()
+    assert all(g0[k].tobytes() == g1[k].tobytes() for k in g0)
+
+
+def test_lstm_zero_state_and_zero_input_gradients_match_finite_differences():
+    # an encoder's first step (zero hidden state), then a decoder's step
+    # (zero input)
+    rng = rng_mod.stream(4, "init")
+    cell = LstmCell(3, 4, rng=rng, dtype=np.float64)
+    x = rng.normal(size=(2, 3))
+
+    def loss_and_grads():
+        h1, c1, cache1 = cell.step(x, None, np.zeros((2, 4)))
+        h2, _, cache2 = cell.step(None, h1, c1)
+        dx, dh, dc, grads = cell.step_backward(np.ones_like(h2), np.zeros_like(h2), cache2)
+        assert dx is None
+        _, _, _, g = cell.step_backward(dh + 1.0, dc, cache1, need_prev=False)
+        return float(h1.sum() + h2.sum()), {k: grads[k] + g[k] for k in g}
+
+    report = gradient_check(loss_and_grads, cell.params(), eps=1e-5, tol=1e-4)
+    assert report.ok, report.failures[:3]
+
+
+def test_lstm_backward_without_previous_state_gives_the_same_grads():
+    cell = LstmCell(3, 4, rng=rng_mod.stream(6, "init"))
+    r = np.random.default_rng(6)
+    x = r.normal(size=(5, 3)).astype(np.float32)
+    h, c, dh, dc = (r.normal(size=(5, 4)).astype(np.float32) for _ in range(4))
+    _, _, cache = cell.step(x, h, c)
+    full = cell.step_backward(dh, dc, cache)
+    lean = cell.step_backward(dh, dc, cache, need_prev=False)
+    assert lean[:3] == (None, None, None)
+    assert all(full[3][k].tobytes() == lean[3][k].tobytes() for k in full[3])
+
+
+def test_lstm_step_needs_an_input_or_a_hidden_state():
+    cell = LstmCell(2, 3)
+    with pytest.raises(ValueError, match="needs an input or a hidden state"):
+        cell.step(None, None, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="state shape mismatch"):
+        cell.step(np.zeros((2, 2)), None, np.zeros((1, 3)))
 
 
 def test_lstm_shape_validation():
