@@ -10,11 +10,11 @@ them.  Prints overall and pivot-only accuracies for both configurations.
 import argparse
 
 from tokembed import rng as rng_mod
-from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, WeightScheme,
-                              train_encoder)
+from tokembed.encoder import FfnEncoder, WeightScheme, train_encoder
+from tokembed.nn import FitConfig
 from tokembed.synthetic import TAG_PIVOT, pivot_tag_corpus, toy_embedding_table
-from tokembed.tagger import (Tagger, TaggerConfig, TaggerTrainConfig,
-                             corpus_tag_ids, tagging_accuracy, train_tagger)
+from tokembed.tagger import (Tagger, TaggerConfig, corpus_tag_ids,
+                             tagging_accuracy, train_tagger)
 
 
 def evaluate(model, corpus):
@@ -45,13 +45,13 @@ def main():
 
     enc = FfnEncoder(8, 1, token_dim=8, hidden=32,
                      rng=rng_mod.stream(args.seed, "init"))
-    ecfg = EncoderTrainConfig(epochs=10, batch_size=16, learning_rate=0.02,
-                              momentum=0.9, val_every=10 ** 9, seed=args.seed)
+    ecfg = FitConfig(epochs=10, batch_size=16, learning_rate=0.02, momentum=0.9,
+                     seed=args.seed)
     train_encoder(enc, table, [t for t, _ in train], [t for t, _ in val],
                   WeightScheme("focused", 3.0), ecfg)
 
-    tcfg = TaggerTrainConfig(epochs=40, batch_size=32, learning_rate=0.05,
-                             momentum=0.9, patience=10, seed=args.seed)
+    tcfg = FitConfig(epochs=40, batch_size=32, learning_rate=0.05, momentum=0.9,
+                     seed=args.seed, patience=10)
     configs = [
         ("baseline w=0", Tagger(TaggerConfig(window=0, hidden=32), tagset,
                                 table, rng=rng_mod.stream(args.seed + 1, "init"))),

@@ -12,8 +12,8 @@ import argparse
 import tempfile
 
 from tokembed import rng as rng_mod
-from tokembed.parser import (DepSentence, Parser, ParserConfig,
-                             ParserTrainConfig, attachment_f1,
+from tokembed.nn import FitConfig
+from tokembed.parser import (DepSentence, Parser, ParserConfig, attachment_f1,
                              export_arc_scores, train_parser)
 from tokembed.synthetic import chain_dep_corpus, toy_embedding_table
 
@@ -31,13 +31,12 @@ def main():
 
     model = Parser(ParserConfig(window=0, hidden=32), table,
                    rng=rng_mod.stream(args.seed, "init"))
-    cfg = ParserTrainConfig(epochs=args.epochs, batch_size=8,
-                            learning_rate=0.05, momentum=0.9,
-                            patience=args.epochs, seed=args.seed)
+    cfg = FitConfig(epochs=args.epochs, batch_size=8, learning_rate=0.05, momentum=0.9,
+                    seed=args.seed, patience=args.epochs)
     res = train_parser(model, train, val, cfg)
-    for epoch, f1 in res.history[:: max(1, len(res.history) // 10)]:
+    for epoch, _, f1 in res.history[:: max(1, len(res.history) // 10)]:
         print(f"epoch {epoch:>3}  val F1 {f1:6.2f}")
-    print(f"best val F1 {res.best_val_f1:.2f}")
+    print(f"best val F1 {res.best:.2f}")
 
     pred = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
             for s in train]

@@ -11,8 +11,8 @@ import argparse
 
 from tokembed import rng as rng_mod
 from tokembed.analysis import index_corpus, nearest_neighbors
-from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, WeightScheme,
-                              train_encoder)
+from tokembed.encoder import FfnEncoder, WeightScheme, train_encoder
+from tokembed.nn import FitConfig
 from tokembed.synthetic import SENSE_PIVOT, toy_embedding_table, two_sense_corpus
 
 
@@ -30,14 +30,13 @@ def main():
 
     model = FfnEncoder(8, 1, token_dim=8, hidden=32,
                        rng=rng_mod.stream(args.seed, "init"))
-    cfg = EncoderTrainConfig(epochs=args.epochs, batch_size=16,
-                             learning_rate=0.02, momentum=0.9,
-                             val_every=10 ** 9, seed=args.seed)
+    cfg = FitConfig(epochs=args.epochs, batch_size=16, learning_rate=0.02, momentum=0.9,
+                    seed=args.seed)
     train_sents = [toks for toks, _, _ in train_ex]
     res = train_encoder(model, table, train_sents,
                         [toks for toks, _, _ in held_ex],
                         WeightScheme("focused", 2.0), cfg)
-    print(f"validation WRE {res.initial_val_wre:.4f} -> {res.best_val_wre:.4f}\n")
+    print(f"validation WRE {res.history[0][2]:.4f} -> {res.best:.4f}\n")
 
     index = index_corpus(model, table, train_sents, type_filter={SENSE_PIVOT})
     sense_of = {k: s for k, (_, s, _) in enumerate(train_ex)}

@@ -9,30 +9,32 @@ Options may come from a ``--config`` file of ``key = value`` lines (values
 parsed as JSON where possible, then converted and checked like the option's
 flag); explicitly passed flags win over file values.
 Echoing the printed config back through ``--config`` reproduces the run
-because a single ``--seed`` drives every random choice.
+because a single ``--seed``, an option of the ``train-*`` commands only,
+drives every random choice.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
 from . import rng as rng_mod
 from .analysis import export_embeddings_tsv, index_corpus, nearest_neighbors
 from .embeddings import load_corpus, load_word2vec_text
-from .encoder import (EncoderTrainConfig, WeightScheme, build_encoder,
-                      load_encoder, train_encoder)
+from .encoder import WeightScheme, build_encoder, load_encoder, train_encoder
 from .features import (ResourceBundle, build_char_ngram_index,
                        load_brown_clusters, load_char_ngram_index,
                        load_name_list, load_tag_dictionary,
                        save_char_ngram_index)
-from .nn import TrainingDiverged
-from .parser import (DepSentence, Parser, ParserConfig, ParserTrainConfig,
-                     attachment_f1, export_arc_scores, load_dep_corpus,
-                     save_dep_corpus, train_parser)
+from .nn import FitConfig, TrainingDiverged
+from .parser import (DepSentence, Parser, ParserConfig, attachment_f1,
+                     export_arc_scores, load_dep_corpus, save_dep_corpus,
+                     train_parser)
 from .serialize import open_text
-from .tagger import (Tagger, TaggerConfig, TaggerTrainConfig, corpus_tag_ids,
-                     load_tagged_corpus, load_tagset, save_tagged_corpus,
-                     tagging_accuracy, train_tagger)
+from .tagger import (Tagger, TaggerConfig, corpus_tag_ids, load_tagged_corpus,
+                     load_tagset, save_tagged_corpus, tagging_accuracy,
+                     train_tagger)
 
 SCHEMA_VERSION = 1
 
@@ -149,11 +151,17 @@ def _load_resources(args):
     return ResourceBundle(brown, tagdict, names, ngrams)
 
 
+def _config(cls, args, **renamed):
+    """The config dataclass ``cls`` built from the parsed arguments of the
+    same names as its fields; ``renamed`` gives those of other names."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+              if hasattr(args, f.name)}
+    return cls(**{**values, **renamed})
+
+
 def _subsample(sentences, fraction, seed):
-    if fraction >= 1.0:
+    if fraction == 1.0:
         return sentences
-    if not 0.0 < fraction <= 1.0:
-        raise CliError("train fraction must be in (0, 1]")
     rng = rng_mod.stream(seed, "subsample")
     n = max(1, int(round(fraction * len(sentences))))
     keep = sorted(rng.choice(len(sentences), size=n, replace=False))
@@ -165,6 +173,8 @@ def _subsample(sentences, fraction, seed):
 
 def cmd_train_encoder(args):
     _require(args, "embeddings", "train", "val", "out")
+    cfg = _config(FitConfig, args, learning_rate=args.lr, eval_every=args.val_every)
+    scheme = _config(WeightScheme, args, name=args.scheme)
     table = load_word2vec_text(args.embeddings)
     train = load_corpus(args.train)
     val = load_corpus(args.val)
@@ -173,23 +183,20 @@ def cmd_train_encoder(args):
         if corpus and all(vocab.id_of(t) >= vocab.bos_id for toks in corpus for t in toks):
             raise CliError(f"{path}: no token is in the embeddings vocabulary, "
                            "so every window is all zero rows")
-    scheme = WeightScheme(args.scheme, args.center_weight)
-    init_rng = rng_mod.stream(args.seed, "init")
     model = build_encoder(args.arch, table.dim, args.w_prime, args.token_dim,
-                          args.hidden, init_rng)
-    cfg = EncoderTrainConfig(args.epochs, args.batch_size, args.lr,
-                             args.momentum, args.val_every, args.seed)
+                          args.hidden, rng_mod.stream(cfg.seed, "init"))
     log(f"training {args.arch} encoder: d={table.dim} d'={args.token_dim} "
         f"w'={args.w_prime} on {len(train)} sentences")
-    result = train_encoder(model, table, train, val, scheme, cfg)
+    res = train_encoder(model, table, train, val, scheme, cfg)
     model.save(args.out, scheme)
-    log(f"best validation WRE {result.best_val_wre:.6f} "
-        f"(initial {result.initial_val_wre:.6f}); saved {args.out}")
+    initial = res.history[0][2]
+    log(f"best validation WRE {res.best:.6f} (initial {initial:.6f}); saved {args.out}")
+    # fit restores the best snapshot, so the final model scores res.best
     _emit(args, {"model": args.out, "metrics": {
-        "initial_val_wre": result.initial_val_wre,
-        "best_val_wre": result.best_val_wre,
-        "final_val_wre": result.final_val_wre,
-        "n_minibatches": result.n_minibatches,
+        "initial_val_wre": initial,
+        "best_val_wre": res.best,
+        "final_val_wre": res.best,
+        "n_minibatches": res.steps,
     }})
     return 0
 
@@ -257,42 +264,30 @@ def cmd_knn(args):
     return 0
 
 
-def _tagger_config(args):
-    return TaggerConfig(
-        window=args.window,
-        omit_center=args.omit_center,
-        hidden=args.hidden,
-        word_features=args.word_features,
-        extended=args.extended,
-        update_embeddings=args.update_embeddings,
-        anchor_weight=args.anchor_weight,
-        dropout_input=args.dropout_input,
-        dropout_hidden=args.dropout_hidden,
-    )
-
-
 def cmd_train_tagger(args):
     _require(args, "embeddings", "train", "val", "tagset", "out")
+    cfg = _config(FitConfig, args, learning_rate=args.lr)
+    config = _config(TaggerConfig, args)
+    if not 0.0 < args.train_fraction <= 1.0:
+        raise CliError("train fraction must be in (0, 1]")
     table = load_word2vec_text(args.embeddings)
     tagset = load_tagset(args.tagset)
     encoders = _load_encoders(args.encoder)
     resources = _load_resources(args)
-    train = corpus_tag_ids(load_tagged_corpus(args.train), tagset)
-    train = _subsample(train, args.train_fraction, args.seed)
-    val = corpus_tag_ids(load_tagged_corpus(args.val), tagset)
-    model = Tagger(_tagger_config(args), tagset, table, encoders, resources,
-                   rng_mod.stream(args.seed, "init"))
-    cfg = TaggerTrainConfig(args.epochs, args.batch_size, args.lr,
-                            args.momentum, args.patience, args.seed)
+    train = corpus_tag_ids(load_tagged_corpus(args.train), tagset, args.train)
+    train = _subsample(train, args.train_fraction, cfg.seed)
+    val = corpus_tag_ids(load_tagged_corpus(args.val), tagset, args.val)
+    model = Tagger(config, tagset, table, encoders, resources,
+                   rng_mod.stream(cfg.seed, "init"))
     log(f"training tagger: input={model.input_dim} hidden={args.hidden} "
         f"tags={len(tagset)} on {len(train)} sentences")
-    result = train_tagger(model, train, val, cfg)
+    res = train_tagger(model, train, val, cfg)
     model.save(args.out)
-    log(f"best validation accuracy {result.best_val_accuracy:.2f}% "
-        f"after {result.epochs_run} epochs; saved {args.out}")
+    log(f"best validation accuracy {res.best:.2f}% "
+        f"after {res.epochs_run} epochs; saved {args.out}")
     _emit(args, {"model": args.out, "metrics": {
-        "best_val_accuracy": result.best_val_accuracy,
-        "epochs_run": result.epochs_run,
+        "best_val_accuracy": res.best,
+        "epochs_run": res.epochs_run,
         "n_train_sentences": len(train),
     }})
     return 0
@@ -333,35 +328,24 @@ def cmd_eval_tags(args):
     return 0
 
 
-def _parser_config(args):
-    return ParserConfig(
-        window=args.window,
-        hidden=args.hidden,
-        word_features=args.word_features,
-        update_embeddings=args.update_embeddings,
-        anchor_weight=args.anchor_weight,
-    )
-
-
 def cmd_train_parser(args):
     _require(args, "embeddings", "train", "val", "out")
+    cfg = _config(FitConfig, args, learning_rate=args.lr)
+    config = _config(ParserConfig, args)
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder)
     train = load_dep_corpus(args.train)
     val = load_dep_corpus(args.val)
-    model = Parser(_parser_config(args), table, encoders,
-                   rng_mod.stream(args.seed, "init"))
-    cfg = ParserTrainConfig(args.epochs, args.batch_size, args.lr,
-                            args.momentum, args.patience, args.seed)
+    model = Parser(config, table, encoders, rng_mod.stream(cfg.seed, "init"))
     log(f"training parser: input={model.input_dim} hidden={args.hidden} "
         f"on {len(train)} sentences")
-    result = train_parser(model, train, val, cfg)
+    res = train_parser(model, train, val, cfg)
     model.save(args.out)
-    log(f"best validation F1 {result.best_val_f1:.2f} "
-        f"after {result.epochs_run} epochs; saved {args.out}")
+    log(f"best validation F1 {res.best:.2f} "
+        f"after {res.epochs_run} epochs; saved {args.out}")
     _emit(args, {"model": args.out, "metrics": {
-        "best_val_f1": result.best_val_f1,
-        "epochs_run": result.epochs_run,
+        "best_val_f1": res.best,
+        "epochs_run": res.epochs_run,
     }})
     return 0
 
@@ -417,11 +401,11 @@ def cmd_build_ngrams(args):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="key = value file; explicit flags override")
 
 
 def _add_train_common(p):
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch-size", type=int, default=64)
@@ -437,6 +421,7 @@ def _add_resources(p):
     p.add_argument("--ngrams", help="character n-gram index file")
 
 
+@functools.cache
 def build_arg_parser():
     ap = argparse.ArgumentParser(prog="tokembed")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -588,9 +573,6 @@ def main(argv=None):
     commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     try:
         _apply_config_file(args, argv, commands.choices[args.command])
-        for field, least in (("seed", 0), ("epochs", 1), ("batch_size", 1)):
-            if getattr(args, field, least) < least:
-                raise CliError(f"{field} must be at least {least}, got {getattr(args, field)}")
         return args.func(args)
     except TrainingDiverged as e:
         log(f"numerical failure: {e}")

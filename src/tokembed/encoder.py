@@ -345,31 +345,13 @@ def load_encoder(path):
     return model, scheme
 
 
-@dataclass
-class EncoderTrainConfig:
-    epochs: int = 5
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    val_every: int = 1000
-    seed: int = 0
-
-
-@dataclass
-class EncoderTrainResult:
-    initial_val_wre: float
-    best_val_wre: float
-    final_val_wre: float
-    history: list  # (minibatch index, validation WRE) checkpoints
-    n_minibatches: int
-
-
 def train_encoder(model, table, train_sentences, val_sentences, scheme, cfg):
-    """Minibatch SGD over every token window of the shuffled corpus.
+    """Minibatch SGD over every token window of the shuffled corpus, run by
+    ``fit`` with the ``FitConfig`` ``cfg``; returns its ``FitResult``.
 
     Validation WRE (under the training scheme's weights) is measured before
-    training, every ``val_every`` minibatches, and at each epoch end unless
-    the epoch's last minibatch was just measured; the best-scoring
+    training, every ``cfg.eval_every`` minibatches, and at each epoch end
+    unless the epoch's last minibatch was just measured; the best-scoring
     parameters are kept and restored before returning.
     """
     if not train_sentences:
@@ -388,7 +370,4 @@ def train_encoder(model, table, train_sentences, val_sentences, scheme, cfg):
     def evaluate():
         return model.mean_wre(table, val_wins, weights)
 
-    res = fit(model.params(), len(train_wins), batch_loss, evaluate, cfg,
-              maximize=False, eval_every=cfg.val_every)
-    history = [(step, val) for _, step, val in res.history]
-    return EncoderTrainResult(history[0][1], res.best, evaluate(), history, res.steps)
+    return fit(model.params(), len(train_wins), batch_loss, evaluate, cfg, maximize=False)

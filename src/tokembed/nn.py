@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng as rng_mod
 
-ACTIVATIONS = ("linear", "relu", "tanh")
+ACTIVATIONS = ("linear", "relu")
 
 
 class TrainingDiverged(RuntimeError):
@@ -69,22 +69,12 @@ class Dense:
                 f"dense layer expects input of width {self.n_in}, got shape {X.shape}"
             )
         A = X @ self.W.T + self.b
-        if self.activation == "relu":
-            Y = relu(A)
-        elif self.activation == "tanh":
-            Y = np.tanh(A)
-        else:
-            Y = A
-        return Y, (X, A, Y)
+        Y = relu(A) if self.activation == "relu" else A
+        return Y, (X, A)
 
     def backward(self, dY, cache):
-        X, A, Y = cache
-        if self.activation == "relu":
-            dA = dY * (A > 0)
-        elif self.activation == "tanh":
-            dA = dY * (1.0 - Y * Y)
-        else:
-            dA = dY
+        X, A = cache
+        dA = dY * (A > 0) if self.activation == "relu" else dY
         grads = {"W": dA.T @ X, "b": dA.sum(axis=0)}
         dX = dA @ self.W
         return dX, grads
@@ -370,6 +360,31 @@ class SgdMomentum:
 
 
 @dataclass
+class FitConfig:
+    """How ``fit`` trains: ``epochs`` passes over the training items,
+    ``batch_size`` items per minibatch, the SGD ``learning_rate`` and
+    ``momentum``, and the ``seed`` of the run's random streams (``fit``
+    draws the minibatch order from its ``"shuffle"`` stream).  Training stops
+    after ``patience`` epochs in a row without a better score (``None``:
+    never), and the parameters are scored after every ``eval_every``-th
+    minibatch (none unless it is positive) as well as at each epoch end."""
+
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    seed: int
+    patience: int | None = None
+    eval_every: int = 0
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+@dataclass
 class FitResult:
     """What ``fit`` did: the best score, every evaluation as (epoch,
     minibatches taken, score), the epochs started and the minibatches taken."""
@@ -380,31 +395,25 @@ class FitResult:
     steps: int
 
 
-def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None,
-        eval_every=0, patience=None):
-    """Train the live ``params`` arrays by minibatch SGD with momentum and
-    keep the best-scoring snapshot.
+def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None):
+    """Train the live ``params`` arrays as the ``FitConfig`` ``cfg`` says
+    and keep the best-scoring snapshot.
 
-    ``cfg`` supplies ``epochs``, ``batch_size``, ``learning_rate``,
-    ``momentum`` and ``seed``.  Each epoch visits the ``n_items`` training
-    items in an order drawn from the ``"shuffle"`` stream of the seed,
-    ``batch_size`` at a time; ``batch_loss(indices)`` returns the minibatch's
-    (loss, grads), and a non-finite loss raises ``TrainingDiverged`` before
-    any step is taken with it.  ``evaluate()`` scores the parameters after
-    every ``eval_every``-th minibatch (none unless it is positive) and at
-    each epoch end, at most once per minibatch.  A score strictly better than
-    the best so far, higher when ``maximize`` and lower otherwise, snapshots
-    the parameters.
+    Each epoch visits the ``n_items`` training items in an order drawn from
+    the ``"shuffle"`` stream of ``cfg.seed``; ``batch_loss(indices)``
+    returns a minibatch's (loss, grads), and a non-finite loss raises
+    ``TrainingDiverged`` before any step is taken with it.  ``evaluate()``
+    scores the parameters at the checkpoints ``cfg`` names, at most once per
+    minibatch.  A score strictly better than the best so far, higher when
+    ``maximize`` and lower otherwise, snapshots the parameters.
     The first score to beat is ``baseline``; with ``None`` it is the score of
     the starting parameters, recorded as an evaluation after 0 minibatches.
-    Training stops after ``patience`` epochs in a row without a better score
-    (``None``: never), and the best snapshot is copied back into ``params``.
+    Once training stops, the best snapshot is copied back into ``params``:
+    unless no score beat a given ``baseline``, ``best`` scores the
+    parameters left.
     Overflow and invalid-value warnings are silenced inside the loop: the
     loss check reports a diverged run in one line.
     """
-    for name in ("epochs", "batch_size"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     if n_items <= 0:
         raise ValueError("no training items")
     opt = SgdMomentum(params, cfg.learning_rate, cfg.momentum)
@@ -436,12 +445,12 @@ def fit(params, n_items, batch_loss, evaluate, cfg, *, maximize, baseline=None,
                         f"non-finite training loss in minibatch {step + 1} (epoch {epoch})")
                 opt.step(grads)
                 step += 1
-                if eval_every > 0 and step % eval_every == 0:
+                if cfg.eval_every > 0 and step % cfg.eval_every == 0:
                     checkpoint()
             if not history or history[-1][1] != step:
                 checkpoint()
             stale = epoch - best_epoch  # epochs since the last better score
-            if patience is not None and stale and stale >= patience:
+            if cfg.patience is not None and stale and stale >= cfg.patience:
                 break
 
     for k, v in params.items():

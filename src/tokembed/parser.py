@@ -429,26 +429,11 @@ def batch_loss_and_grads(model, caches):
     return total, grads
 
 
-@dataclass
-class ParserTrainConfig:
-    epochs: int = 30
-    batch_size: int = 8          # sentences per minibatch
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    patience: int = 10
-    seed: int = 0
-
-
-@dataclass
-class ParserTrainResult:
-    best_val_f1: float
-    epochs_run: int
-    history: list  # (epoch, validation F1)
-
-
 def train_parser(model, train_sents, val_sents, cfg):
     """Minibatch training of the mean per-arc loss with early stopping on
-    validation attachment F1.  Gold heads and gold selection drive both."""
+    validation attachment F1, run by ``fit`` with the ``FitConfig`` ``cfg``
+    (``batch_size`` counts sentences); returns its ``FitResult``.  Gold
+    heads and gold selection drive both."""
     if not train_sents or not val_sents:
         raise ValueError("empty corpus")
     caches = [model._cache_sentence(s) for s in train_sents]
@@ -470,7 +455,5 @@ def train_parser(model, train_sents, val_sents, cfg):
         return attachment_f1(pred, val_sents)[2]
 
     # -1 is below any F1, so the first epoch always takes a snapshot
-    res = fit(model.params(), len(usable), batch_loss, validation_f1, cfg,
-              maximize=True, baseline=-1.0, patience=cfg.patience)
-    return ParserTrainResult(res.best, res.epochs_run,
-                             [(epoch, f1) for epoch, _, f1 in res.history])
+    return fit(model.params(), len(usable), batch_loss, validation_f1, cfg,
+               maximize=True, baseline=-1.0)

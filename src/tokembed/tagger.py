@@ -53,12 +53,18 @@ class TaggerConfig:
 
 
 def load_tagset(path):
-    """One tag per line; line number is the tag id."""
+    """One tag per line, blank lines skipped; tags are numbered from 0 in
+    file order."""
+    first_line = {}
     with open_text(path) as fh:
-        tags = [line.strip() for line in fh if line.strip()]
-    if len(set(tags)) != len(tags):
-        raise ValueError(f"{path}: duplicate tags")
-    return tags
+        for lineno, line in enumerate(fh, start=1):
+            tag = line.strip()
+            if tag in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate tag {tag!r} "
+                                 f"(first at line {first_line[tag]})")
+            if tag:
+                first_line[tag] = lineno
+    return list(first_line)
 
 
 def load_tagged_corpus(path):
@@ -75,15 +81,17 @@ def save_tagged_corpus(sentences, path):
             fh.write("\n")
 
 
-def corpus_tag_ids(sentences, tagset):
-    """Map tag strings to ids, rejecting tags outside the tagset."""
+def corpus_tag_ids(sentences, tagset, source="corpus"):
+    """Map tag strings to ids, rejecting tags outside the tagset with an
+    error that names ``source`` and the 1-based sentence."""
     index = {t: k for k, t in enumerate(tagset)}
     out = []
-    for tokens, tags in sentences:
+    for k, (tokens, tags) in enumerate(sentences, start=1):
         try:
             ids = np.array([index[t] for t in tags], dtype=np.int64)
         except KeyError as e:
-            raise ValueError(f"tag {e.args[0]!r} not in the tagset") from None
+            raise ValueError(f"{source}: sentence {k}: tag {e.args[0]!r} "
+                             "not in the tagset") from None
         out.append((tokens, ids))
     return out
 
@@ -186,23 +194,6 @@ class Tagger(Predictor):
         return cls(config, header["tagset"], table, encoders, resources)
 
 
-@dataclass
-class TaggerTrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    patience: int = 10
-    seed: int = 0
-
-
-@dataclass
-class TaggerTrainResult:
-    best_val_accuracy: float
-    epochs_run: int
-    history: list  # (epoch, validation accuracy)
-
-
 def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     """Mean log loss of one minibatch plus, when embedding updates are on,
     the anchored penalty; gradients cover the network and (scattered
@@ -229,11 +220,12 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
 
 
 def train_tagger(model, train_corpus, val_corpus, cfg):
-    """Minibatch log-loss training with early stopping on validation accuracy.
+    """Minibatch log-loss training with early stopping on validation accuracy,
+    run by ``fit`` with the ``FitConfig`` ``cfg``; returns its ``FitResult``.
 
     Corpora are lists of (tokens, gold tag id array).  The snapshot with the
     best validation accuracy is restored before returning; training stops
-    early after ``patience`` epochs without improvement.
+    early after ``cfg.patience`` epochs without improvement.
     """
     if not train_corpus or not val_corpus:
         raise ValueError("empty corpus")
@@ -258,10 +250,8 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
         return 100.0 * float(np.mean(model.predict(v_wins, v_consts) == v_golds))
 
     # -1 is below any accuracy, so the first epoch always takes a snapshot
-    res = fit(model.params(), len(t_golds), batch_loss, evaluate, cfg,
-              maximize=True, baseline=-1.0, patience=cfg.patience)
-    return TaggerTrainResult(res.best, res.epochs_run,
-                             [(epoch, acc) for epoch, _, acc in res.history])
+    return fit(model.params(), len(t_golds), batch_loss, evaluate, cfg,
+               maximize=True, baseline=-1.0)
 
 
 def tagging_accuracy(predicted, gold):

@@ -18,19 +18,19 @@ from tokembed.analysis import (export_embeddings_tsv, index_corpus,
 from tokembed.cli import main as cli_main
 from tokembed.embeddings import (load_word2vec_text, save_corpus,
                                  save_word2vec_text)
-from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, WeightScheme,
-                              build_encoder, load_encoder, train_encoder,
-                              window_weights, wre_loss, wre_value)
+from tokembed.encoder import (FfnEncoder, WeightScheme, build_encoder,
+                              load_encoder, train_encoder, window_weights,
+                              wre_loss, wre_value)
 from tokembed.features import pair_features, word_features
-from tokembed.nn import MLP, gradient_check, softmax_logloss
-from tokembed.parser import (DepSentence, Parser, ParserConfig,
-                             ParserTrainConfig, arc_loss, attachment_f1,
-                             candidate_heads, save_dep_corpus, train_parser)
+from tokembed.nn import MLP, FitConfig, gradient_check, softmax_logloss
+from tokembed.parser import (DepSentence, Parser, ParserConfig, arc_loss,
+                             attachment_f1, candidate_heads, save_dep_corpus,
+                             train_parser)
 from tokembed.synthetic import (SENSE_PIVOT, TAG_PIVOT, chain_dep_corpus,
                                 pivot_tag_corpus, template_corpus,
                                 toy_embedding_table, two_sense_corpus)
-from tokembed.tagger import (Tagger, TaggerConfig, TaggerTrainConfig,
-                             corpus_tag_ids, save_tagged_corpus, train_tagger)
+from tokembed.tagger import (Tagger, TaggerConfig, corpus_tag_ids,
+                             save_tagged_corpus, train_tagger)
 
 from test_features import CANONICAL, reference_pair_features
 
@@ -211,11 +211,10 @@ def test_criterion_4_encoder_learning():
     train, val = sentences[:100], sentences[100:]
     table = toy_embedding_table(words, 8, data_rng)
     model = FfnEncoder(8, 1, token_dim=4, hidden=64, rng=rng_mod.stream(seed, "init"))
-    cfg = EncoderTrainConfig(epochs=50, batch_size=16, learning_rate=0.02,
-                             momentum=0.9, val_every=10 ** 9, seed=seed)
+    cfg = FitConfig(epochs=50, batch_size=16, learning_rate=0.02, momentum=0.9, seed=seed)
     res = train_encoder(model, table, train, val, WeightScheme("focused", 2.0), cfg)
-    assert res.best_val_wre <= 0.10 * res.initial_val_wre, (
-        res.initial_val_wre, res.best_val_wre)
+    initial = res.history[0][2]
+    assert res.best <= 0.10 * initial, (initial, res.best)
     assert time.time() - start < 300.0
 
 
@@ -234,8 +233,7 @@ def test_criterion_5_sense_separation():
     train_ex, held_ex = examples[:240], examples[240:]
     table = toy_embedding_table(words, 8, data_rng)
     model = FfnEncoder(8, 1, token_dim=8, hidden=32, rng=rng_mod.stream(seed, "init"))
-    cfg = EncoderTrainConfig(epochs=20, batch_size=16, learning_rate=0.02,
-                             momentum=0.9, val_every=10 ** 9, seed=seed)
+    cfg = FitConfig(epochs=20, batch_size=16, learning_rate=0.02, momentum=0.9, seed=seed)
     train_sents = [toks for toks, _, _ in train_ex]
     train_encoder(model, table, train_sents, [toks for toks, _, _ in held_ex],
                   WeightScheme("focused", 2.0), cfg)
@@ -277,8 +275,8 @@ def test_criterion_6_tagging_gains():
     train, val = corpus[:300], corpus[300:]
 
     enc = FfnEncoder(8, 1, token_dim=8, hidden=32, rng=rng_mod.stream(seed, "init"))
-    ecfg = EncoderTrainConfig(epochs=10, batch_size=16, learning_rate=0.02,
-                              momentum=0.9, val_every=10 ** 9, seed=seed)
+    ecfg = FitConfig(epochs=10, batch_size=16, learning_rate=0.02, momentum=0.9,
+                     seed=seed)
     train_encoder(enc, table, [t for t, _ in train], [t for t, _ in val],
                   WeightScheme("focused", 3.0), ecfg)
 
@@ -292,8 +290,8 @@ def test_criterion_6_tagging_gains():
                     hits += pred[j] == gold[j]
         return 100.0 * hits / total
 
-    tcfg = TaggerTrainConfig(epochs=40, batch_size=32, learning_rate=0.05,
-                             momentum=0.9, patience=10, seed=seed)
+    tcfg = FitConfig(epochs=40, batch_size=32, learning_rate=0.05, momentum=0.9,
+                     seed=seed, patience=10)
     baseline = Tagger(TaggerConfig(window=0, hidden=32), tagset, table,
                       rng=rng_mod.stream(seed + 1, "init"))
     train_tagger(baseline, train, val, tcfg)
@@ -388,8 +386,8 @@ def test_criterion_7_parser_oracles():
     dep_table = toy_embedding_table(words, 8, data_rng)
     model = Parser(ParserConfig(window=0, hidden=32), dep_table,
                    rng=rng_mod.stream(seed, "init"))
-    cfg = ParserTrainConfig(epochs=100, batch_size=8, learning_rate=0.05,
-                            momentum=0.9, patience=100, seed=seed)
+    cfg = FitConfig(epochs=100, batch_size=8, learning_rate=0.05, momentum=0.9, seed=seed,
+                    patience=100)
     train_parser(model, train, val, cfg)
     pred = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
             for s in train]

@@ -410,6 +410,68 @@ def test_train_rejects_bad_anchor_weight(data, capsys, tmp_path, command, weight
         f"error: anchor weight {float(weight)} is not a finite non-negative number"]
 
 
+CONFIG_ERRORS = [
+    ("train-tagger", "--window", "-1", "tagger window must be non-negative"),
+    ("train-tagger", "--hidden", "0", "tagger hidden size must be positive"),
+    ("train-tagger", "--dropout-input", "1.5", "dropout rate 1.5 outside [0, 1)"),
+    ("train-tagger", "--anchor-weight", "-1",
+     "anchor weight -1.0 is not a finite non-negative number"),
+    ("train-tagger", "--train-fraction", "2", "train fraction must be in (0, 1]"),
+    ("train-tagger", "--train-fraction", "inf", "train fraction must be in (0, 1]"),
+    ("train-tagger", "--train-fraction", "nan", "train fraction must be in (0, 1]"),
+    ("train-tagger", "--train-fraction", "0", "train fraction must be in (0, 1]"),
+    ("train-tagger", "--train-fraction", "-0.5", "train fraction must be in (0, 1]"),
+    ("train-tagger", "--epochs", "0", "epochs must be at least 1, got 0"),
+    ("train-tagger", "--batch-size", "0", "batch_size must be at least 1, got 0"),
+    ("train-tagger", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("train-parser", "--window", "-2", "parser window must be >= -1"),
+    ("train-parser", "--hidden", "0", "parser hidden size must be positive"),
+    ("train-parser", "--anchor-weight", "nan",
+     "anchor weight nan is not a finite non-negative number"),
+    ("train-encoder", "--center-weight", "0", "center weight must be positive"),
+    ("train-encoder", "--epochs", "0", "epochs must be at least 1, got 0"),
+    ("train-encoder", "--seed", "-1", "seed must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", CONFIG_ERRORS)
+def test_train_config_error_exits_1_before_any_input_is_read(capsys, tmp_path, command,
+                                                             flag, value, message):
+    # every input is missing, so only a check made before reading one can
+    # produce this message
+    missing = tmp_path / "missing"
+    inputs = ["--embeddings", missing, "--train", missing, "--val", missing]
+    if command == "train-tagger":
+        inputs += ["--tagset", missing]
+    code, summary, err = run(capsys, command, *inputs, "--out", tmp_path / "m.bin",
+                             flag, value)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_train_tagger_names_both_lines_of_a_duplicate_tag(data, capsys, tmp_path):
+    tagset = tmp_path / "tagset.txt"
+    tagset.write_text("NN\nVB\nNN\n", encoding="utf-8")
+    code, summary, err = run(capsys, "train-tagger", "--embeddings", data["emb"],
+                             *TRAIN_INPUTS["train-tagger"](data), "--tagset", tagset,
+                             "--out", tmp_path / "t.bin")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {tagset}:3: duplicate tag 'NN' (first at line 1)"]
+
+
+def test_train_tagger_names_file_and_sentence_of_an_unknown_tag(data, capsys, tmp_path):
+    tag = data["tagset"].read_text(encoding="utf-8").split()[0]
+    train = tmp_path / "train.tags"
+    train.write_text(f"a\t{tag}\n\nb\t{tag}\nc\tZZZ\n", encoding="utf-8")
+    code, summary, err = run(capsys, "train-tagger", "--embeddings", data["emb"],
+                             *TRAIN_INPUTS["train-tagger"](data), "--train", train,
+                             "--out", tmp_path / "t.bin")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {train}: sentence 2: tag 'ZZZ' not in the tagset"]
+
+
 def test_same_seed_same_bytes(data, capsys, tmp_path):
     out1, out2 = tmp_path / "a.bin", tmp_path / "b.bin"
     s1 = train_encoder_file(data, capsys, out1)

@@ -5,11 +5,10 @@ from hypothesis import given
 
 from tokembed import rng as rng_mod
 from tokembed.embeddings import windows
-from tokembed.encoder import (EncoderTrainConfig, FfnEncoder, Seq2SeqEncoder,
-                              WeightScheme, build_encoder, corpus_windows,
-                              load_encoder, train_encoder, window_weights,
-                              wre_loss, wre_value)
-from tokembed.nn import TrainingDiverged, gradient_check
+from tokembed.encoder import (FfnEncoder, Seq2SeqEncoder, WeightScheme,
+                              build_encoder, corpus_windows, load_encoder,
+                              train_encoder, window_weights, wre_loss, wre_value)
+from tokembed.nn import FitConfig, TrainingDiverged, gradient_check
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import template_corpus, toy_embedding_table
 
@@ -262,16 +261,16 @@ def corpus_fixture(seed=7, n=40):
 def test_train_encoder_empty_validation_rejected():
     table, train, _ = corpus_fixture()
     model = FfnEncoder(4, 1, token_dim=3, hidden=8)
+    cfg = FitConfig(epochs=1, batch_size=64, learning_rate=0.1, momentum=0.9, seed=0)
     with pytest.raises(ValueError):
-        train_encoder(model, table, train, [], WeightScheme("focused", 2.0),
-                      EncoderTrainConfig(epochs=1))
+        train_encoder(model, table, train, [], WeightScheme("focused", 2.0), cfg)
 
 
 def test_train_encoder_zero_learning_rate_is_identity():
     table, train, val = corpus_fixture()
     model = FfnEncoder(4, 1, token_dim=3, hidden=8, rng=rng_mod.stream(8, "init"))
     before = {k: v.copy() for k, v in model.params().items()}
-    cfg = EncoderTrainConfig(epochs=1, batch_size=8, learning_rate=0.0, seed=8)
+    cfg = FitConfig(epochs=1, batch_size=8, learning_rate=0.0, momentum=0.9, seed=8)
     train_encoder(model, table, train, val, WeightScheme("focused", 2.0), cfg)
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
@@ -280,19 +279,23 @@ def test_train_encoder_zero_learning_rate_is_identity():
 def test_train_encoder_improves_and_selects_best():
     table, train, val = corpus_fixture()
     model = FfnEncoder(4, 1, token_dim=3, hidden=16, rng=rng_mod.stream(9, "init"))
-    cfg = EncoderTrainConfig(epochs=10, batch_size=8, learning_rate=0.02,
-                             momentum=0.9, val_every=5, seed=9)
-    res = train_encoder(model, table, train, val, WeightScheme("focused", 2.0), cfg)
-    assert res.best_val_wre < res.initial_val_wre
+    cfg = FitConfig(epochs=10, batch_size=8, learning_rate=0.02, momentum=0.9, seed=9,
+                    eval_every=5)
+    scheme = WeightScheme("focused", 2.0)
+    res = train_encoder(model, table, train, val, scheme, cfg)
+    assert res.best < res.history[0][2]
     # monotone selection: the returned best is <= every checkpoint
-    assert all(res.best_val_wre <= wre + 1e-12 for _, wre in res.history)
-    assert res.final_val_wre == pytest.approx(res.best_val_wre, rel=1e-6)
+    assert all(res.best <= wre + 1e-12 for _, _, wre in res.history)
+    # the best snapshot is restored, so the trained model scores exactly best
+    val_wins = corpus_windows(table, val, model.w_prime)
+    weights = window_weights(scheme, model.w_prime)
+    assert model.mean_wre(table, val_wins, weights) == res.best
 
 
 def test_train_encoder_divergence_raises():
     table, train, val = corpus_fixture()
     model = FfnEncoder(4, 1, token_dim=3, hidden=8, rng=rng_mod.stream(10, "init"))
-    cfg = EncoderTrainConfig(epochs=3, batch_size=4, learning_rate=1e14, seed=10)
+    cfg = FitConfig(epochs=3, batch_size=4, learning_rate=1e14, momentum=0.9, seed=10)
     with pytest.raises(TrainingDiverged):
         train_encoder(model, table, train, val, WeightScheme("focused", 2.0), cfg)
 

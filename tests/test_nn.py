@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from tokembed import rng as rng_mod
-from tokembed.nn import (Dense, LstmCell, MLP, RowGrad, SgdMomentum,
+from tokembed.nn import (Dense, FitConfig, LstmCell, MLP, RowGrad, SgdMomentum,
                          TrainingDiverged, anchored_l2, dropout_mask, fit,
                          glorot_uniform, gradient_check, relu, sigmoid, softmax_logloss,
                          softmax_logloss_batch)
@@ -32,14 +31,6 @@ def test_dense_relu_clips():
     layer = Dense(2, 1, "relu")
     layer.W[:] = [[1.0, 1.0]]
     assert np.allclose(dense_row(layer, [2.0, -5.0]), [0.0])
-
-
-def test_dense_tanh():
-    layer = Dense(2, 1, "tanh")
-    layer.W[:] = [[1.0, 1.0]]
-    layer.b[:] = [1.0]
-    out = dense_row(layer, [0.0, 0.0])
-    assert np.allclose(out, math.tanh(1.0), atol=1e-6)
 
 
 def test_dense_dimension_mismatch():
@@ -346,14 +337,14 @@ class ScriptedRun:
 
 
 def fit_cfg(**kw):
-    return SimpleNamespace(**{"epochs": 10, "batch_size": 4, "learning_rate": 1.0,
-                              "momentum": 0.0, "seed": 3, **kw})
+    return FitConfig(**{"epochs": 10, "batch_size": 4, "learning_rate": 1.0,
+                        "momentum": 0.0, "seed": 3, **kw})
 
 
 def test_fit_stops_after_patience_and_restores_earlier_of_tied_best():
     run = ScriptedRun([50.0, 70.0, 70.0, 60.0, 90.0])
-    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(),
-              maximize=True, baseline=-1.0, patience=2)
+    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(patience=2),
+              maximize=True, baseline=-1.0)
     # epoch 3 ties epoch 2, epoch 4 is worse: two stale epochs end training
     assert res.epochs_run == 4 and res.steps == 4
     assert res.best == 70.0
@@ -367,14 +358,14 @@ def test_fit_minimizes_from_the_starting_score_and_evaluates_once_per_minibatch(
     # 4 items in batches of 2 take 2 minibatches an epoch; evaluating every
     # 2nd one coincides with each epoch end, every 3rd one does not
     run = ScriptedRun([5.0, 4.0, 6.0, 6.0])
-    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(epochs=3, batch_size=2),
-              maximize=False, eval_every=2)
+    res = fit(run.params, 4, run.batch_loss, run.evaluate,
+              fit_cfg(epochs=3, batch_size=2, eval_every=2), maximize=False)
     assert [(e, s) for e, s, _ in res.history] == [(0, 0), (1, 2), (2, 4), (3, 6)]
     assert res.best == 4.0 and res.epochs_run == 3 and res.steps == 6
     assert np.array_equal(run.params["w"], [2.0, 2.0])
     run = ScriptedRun([5.0, 6.0, 7.0, 8.0, 9.0])
-    res = fit(run.params, 4, run.batch_loss, run.evaluate, fit_cfg(epochs=2, batch_size=2),
-              maximize=False, eval_every=3)
+    res = fit(run.params, 4, run.batch_loss, run.evaluate,
+              fit_cfg(epochs=2, batch_size=2, eval_every=3), maximize=False)
     assert [(e, s) for e, s, _ in res.history] == [(0, 0), (1, 2), (2, 3), (2, 4)]
     assert res.best == 5.0
     assert np.array_equal(run.params["w"], [0.0, 0.0])

@@ -9,10 +9,9 @@ from hypothesis import given
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder
 from tokembed.features import PAIR_FEATURE_COUNT, word_features
-from tokembed.nn import TrainingDiverged, gradient_check
-from tokembed.parser import (DepSentence, Parser, ParserConfig,
-                             ParserTrainConfig, arc_loss, attachment_f1,
-                             batch_loss_and_grads, candidate_heads,
+from tokembed.nn import FitConfig, TrainingDiverged, gradient_check
+from tokembed.parser import (DepSentence, Parser, ParserConfig, arc_loss,
+                             attachment_f1, batch_loss_and_grads, candidate_heads,
                              export_arc_scores, load_dep_corpus,
                              save_dep_corpus, train_parser)
 from tokembed.synthetic import chain_dep_corpus, toy_embedding_table
@@ -476,7 +475,7 @@ def test_train_zero_learning_rate_fixed_point():
     model = Parser(ParserConfig(window=0, hidden=6), table,
                    rng=rng_mod.stream(51, "init"))
     before = {k: v.copy() for k, v in model.params().items()}
-    cfg = ParserTrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=51)
+    cfg = FitConfig(epochs=2, batch_size=4, learning_rate=0.0, momentum=0.9, seed=51)
     train_parser(model, sents[:10], sents[10:], cfg)
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
@@ -488,7 +487,7 @@ def test_train_divergence_raises():
     table = toy_embedding_table(words, 4, rng)
     model = Parser(ParserConfig(window=0, hidden=6), table,
                    rng=rng_mod.stream(51, "init"))
-    cfg = ParserTrainConfig(epochs=3, batch_size=2, learning_rate=1e30, seed=51)
+    cfg = FitConfig(epochs=3, batch_size=2, learning_rate=1e30, momentum=0.9, seed=51)
     with pytest.raises(TrainingDiverged):
         train_parser(model, sents[:10], sents[10:], cfg)
 
@@ -499,21 +498,22 @@ def test_train_learns_positional_rule_quickly():
     table = toy_embedding_table(words, 4, rng)
     model = Parser(ParserConfig(window=0, hidden=16), table,
                    rng=rng_mod.stream(52, "init"))
-    cfg = ParserTrainConfig(epochs=40, batch_size=8, learning_rate=0.05,
-                            momentum=0.9, patience=40, seed=52)
+    cfg = FitConfig(epochs=40, batch_size=8, learning_rate=0.05, momentum=0.9, seed=52,
+                    patience=40)
     res = train_parser(model, sents[:50], sents[50:], cfg)
-    assert res.best_val_f1 >= 90.0
+    assert res.best >= 90.0
     # monotone selection: the restored snapshot is at least as good as every
     # checkpoint in the history
-    assert res.best_val_f1 >= max(f1 for _, f1 in res.history) - 1e-9
+    assert res.best >= max(f1 for _, _, f1 in res.history) - 1e-9
 
 
 def test_train_requires_gold_heads():
     table = small_table()
     model = Parser(ParserConfig(window=0, hidden=6), table)
     sents = [DepSentence(["t0"], [-1], [True])]
+    cfg = FitConfig(epochs=1, batch_size=8, learning_rate=0.1, momentum=0.9, seed=0)
     with pytest.raises(ValueError):
-        train_parser(model, sents, sents, ParserTrainConfig(epochs=1))
+        train_parser(model, sents, sents, cfg)
 
 
 def test_update_embeddings_gradients_match_finite_differences():
@@ -591,7 +591,7 @@ def test_updating_embeddings_moves_copy_only():
     before = table.vectors.copy()
     model = Parser(ParserConfig(window=0, hidden=6, update_embeddings=True),
                    table, rng=rng_mod.stream(53, "init"))
-    cfg = ParserTrainConfig(epochs=3, batch_size=4, learning_rate=0.05, seed=53)
+    cfg = FitConfig(epochs=3, batch_size=4, learning_rate=0.05, momentum=0.9, seed=53)
     train_parser(model, sents[:12], sents[12:], cfg)
     assert np.array_equal(table.vectors, before)
     assert not np.array_equal(model.embeddings, before)
@@ -607,7 +607,7 @@ def test_save_load_round_trip(tmp_path):
     enc = FfnEncoder(4, 1, token_dim=3, hidden=6, rng=rng_mod.stream(54, "init"))
     model = Parser(ParserConfig(window=1, hidden=6), table, encoders=[enc],
                    rng=rng_mod.stream(55, "init"))
-    cfg = ParserTrainConfig(epochs=2, batch_size=4, learning_rate=0.05, seed=54)
+    cfg = FitConfig(epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9, seed=54)
     train_parser(model, sents[:10], sents[10:], cfg)
     path = tmp_path / "parser.bin"
     model.save(path)

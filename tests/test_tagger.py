@@ -5,10 +5,10 @@ from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder, Seq2SeqEncoder
 from tokembed.features import (ResourceBundle, extended_feature_width,
                                extended_features, word_features)
-from tokembed.nn import TrainingDiverged
+from tokembed.nn import FitConfig, TrainingDiverged
 from tokembed.synthetic import toy_embedding_table
-from tokembed.tagger import (Tagger, TaggerConfig, TaggerTrainConfig,
-                             corpus_tag_ids, load_tagged_corpus, load_tagset,
+from tokembed.tagger import (Tagger, TaggerConfig, corpus_tag_ids,
+                             load_tagged_corpus, load_tagset,
                              save_tagged_corpus, tagging_accuracy,
                              train_tagger)
 
@@ -135,8 +135,8 @@ def test_rule_corpus_training_and_heldout():
     table, train, val = rule_corpus()
     model = Tagger(TaggerConfig(window=0, hidden=32), TAGSET, table,
                    rng=rng_mod.stream(21, "init"))
-    cfg = TaggerTrainConfig(epochs=50, batch_size=32, learning_rate=0.05,
-                            momentum=0.9, patience=50, seed=21)
+    cfg = FitConfig(epochs=50, batch_size=32, learning_rate=0.05, momentum=0.9, seed=21,
+                    patience=50)
     train_tagger(model, train, val, cfg)
     train_acc = tagging_accuracy([model.tag_ids(t) for t, _ in train],
                                  [g for _, g in train])
@@ -151,7 +151,7 @@ def test_zero_learning_rate_fixed_point():
     model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table,
                    rng=rng_mod.stream(22, "init"))
     before = {k: v.copy() for k, v in model.params().items()}
-    cfg = TaggerTrainConfig(epochs=2, batch_size=8, learning_rate=0.0, seed=22)
+    cfg = FitConfig(epochs=2, batch_size=8, learning_rate=0.0, momentum=0.9, seed=22)
     train_tagger(model, train, val, cfg)
     for k, v in model.params().items():
         assert np.array_equal(v, before[k]), k
@@ -160,18 +160,20 @@ def test_zero_learning_rate_fixed_point():
 def test_empty_corpus_rejected():
     table, train, _ = rule_corpus(n_sentences=5, n_val=1)
     model = Tagger(TaggerConfig(window=0, hidden=8), TAGSET, table)
+    cfg = FitConfig(epochs=1, batch_size=64, learning_rate=0.1, momentum=0.9, seed=0)
     with pytest.raises(ValueError):
-        train_tagger(model, train, [], TaggerTrainConfig(epochs=1))
+        train_tagger(model, train, [], cfg)
     with pytest.raises(ValueError):
-        train_tagger(model, [], train, TaggerTrainConfig(epochs=1))
+        train_tagger(model, [], train, cfg)
 
 
 def test_gold_tag_out_of_range_rejected():
     table, _, _ = rule_corpus(n_sentences=5, n_val=1)
     model = Tagger(TaggerConfig(window=0, hidden=8), TAGSET, table)
     bad = [(["v0"], np.array([99]))]
+    cfg = FitConfig(epochs=1, batch_size=64, learning_rate=0.1, momentum=0.9, seed=0)
     with pytest.raises(ValueError):
-        train_tagger(model, bad, bad, TaggerTrainConfig(epochs=1))
+        train_tagger(model, bad, bad, cfg)
 
 
 # -- structural invariants ----------------------------------------------------
@@ -211,7 +213,7 @@ def test_frozen_encoder_parameters_untouched_by_training():
     frozen = {k: v.copy() for k, v in enc.params().items()}
     model = Tagger(TaggerConfig(window=0, hidden=8), TAGSET, table,
                    encoders=[enc], rng=rng_mod.stream(27, "init"))
-    cfg = TaggerTrainConfig(epochs=3, batch_size=8, learning_rate=0.05, seed=26)
+    cfg = FitConfig(epochs=3, batch_size=8, learning_rate=0.05, momentum=0.9, seed=26)
     train_tagger(model, train, val, cfg)
     for k, v in enc.params().items():
         assert np.array_equal(v, frozen[k]), k
@@ -222,7 +224,7 @@ def test_table_untouched_when_not_updating():
     before = table.vectors.copy()
     model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table,
                    rng=rng_mod.stream(28, "init"))
-    cfg = TaggerTrainConfig(epochs=3, batch_size=8, learning_rate=0.05, seed=28)
+    cfg = FitConfig(epochs=3, batch_size=8, learning_rate=0.05, momentum=0.9, seed=28)
     train_tagger(model, train, val, cfg)
     assert np.array_equal(table.vectors, before)
 
@@ -234,7 +236,7 @@ def test_updating_moves_embeddings_but_not_reserved_rows():
     model = Tagger(TaggerConfig(window=1, hidden=8, update_embeddings=True,
                                 anchor_weight=0.01), TAGSET, table,
                    rng=rng_mod.stream(29, "init"))
-    cfg = TaggerTrainConfig(epochs=5, batch_size=8, learning_rate=0.05, seed=29)
+    cfg = FitConfig(epochs=5, batch_size=8, learning_rate=0.05, momentum=0.9, seed=29)
     train_tagger(model, train, val, cfg)
     assert np.array_equal(table.vectors, before)  # the source table is untouched
     assert not np.array_equal(model.embeddings, before)  # the copy trained
@@ -282,9 +284,10 @@ def test_seq2seq_encoder_features_train():
     enc = Seq2SeqEncoder(8, 1, token_dim=4, rng=rng_mod.stream(37, "init"))
     model = Tagger(TaggerConfig(window=0, hidden=16), TAGSET, table,
                    encoders=[enc], rng=rng_mod.stream(38, "init"))
-    cfg = TaggerTrainConfig(epochs=15, batch_size=16, learning_rate=0.05, seed=37)
+    cfg = FitConfig(epochs=15, batch_size=16, learning_rate=0.05, momentum=0.9, seed=37,
+                    patience=10)
     res = train_tagger(model, train, val, cfg)
-    assert res.best_val_accuracy >= 80.0
+    assert res.best >= 80.0
 
 
 def test_dropout_training_still_learns():
@@ -292,16 +295,17 @@ def test_dropout_training_still_learns():
     model = Tagger(TaggerConfig(window=0, hidden=32, dropout_input=0.2,
                                 dropout_hidden=0.4), TAGSET, table,
                    rng=rng_mod.stream(30, "init"))
-    cfg = TaggerTrainConfig(epochs=30, batch_size=32, learning_rate=0.05, seed=30)
+    cfg = FitConfig(epochs=30, batch_size=32, learning_rate=0.05, momentum=0.9, seed=30,
+                    patience=10)
     res = train_tagger(model, train, val, cfg)
-    assert res.best_val_accuracy >= 80.0
+    assert res.best >= 80.0
 
 
 def test_divergence_raises():
     table, train, val = rule_corpus(n_sentences=20, n_val=5)
     model = Tagger(TaggerConfig(window=1, hidden=8), TAGSET, table,
                    rng=rng_mod.stream(39, "init"))
-    cfg = TaggerTrainConfig(epochs=3, batch_size=8, learning_rate=1e30, seed=39)
+    cfg = FitConfig(epochs=3, batch_size=8, learning_rate=1e30, momentum=0.9, seed=39)
     with pytest.raises(TrainingDiverged):
         train_tagger(model, train, val, cfg)
 
@@ -361,7 +365,7 @@ def test_save_load_round_trip(tmp_path):
     enc = FfnEncoder(8, 1, token_dim=4, hidden=8, rng=rng_mod.stream(33, "init"))
     model = Tagger(TaggerConfig(window=1, hidden=8, word_features=True),
                    TAGSET, table, encoders=[enc], rng=rng_mod.stream(34, "init"))
-    cfg = TaggerTrainConfig(epochs=2, batch_size=8, learning_rate=0.05, seed=33)
+    cfg = FitConfig(epochs=2, batch_size=8, learning_rate=0.05, momentum=0.9, seed=33)
     train_tagger(model, train, val, cfg)
     path = tmp_path / "tagger.bin"
     model.save(path)
