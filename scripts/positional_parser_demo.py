@@ -38,12 +38,12 @@ def main():
         print(f"epoch {epoch:>3}  val F1 {f1:6.2f}")
     print(f"best val F1 {res.best:.2f}")
 
-    pred = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
-            for s in train]
+    pred = [DepSentence(s.tokens, heads, list(s.selected))
+            for s, heads in zip(train, model.predict_heads(train))]
     print(f"train F1 {attachment_f1(pred, train)[2]:.2f}")
 
     sample = val[0]
-    heads = model.predict_heads(sample)
+    heads, = model.predict_heads([sample])
     print("\nsample parse (token <- predicted head, * marks gold):")
     for k, tok in enumerate(sample.tokens):
         mark = "*" if heads[k] == sample.heads[k] else " "

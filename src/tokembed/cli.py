@@ -270,6 +270,9 @@ def cmd_train_tagger(args):
     config = _config(TaggerConfig, args)
     if not 0.0 < args.train_fraction <= 1.0:
         raise CliError("train fraction must be in (0, 1]")
+    # with every block one wide, the input is empty only if no block is on
+    if Tagger.input_width(config, 1, len(args.encoder or ()), {"extended_width": 1}) == 0:
+        raise CliError("tagger input is empty: no embeddings, encoders, or features")
     table = load_word2vec_text(args.embeddings)
     tagset = load_tagset(args.tagset)
     encoders = _load_encoders(args.encoder)
@@ -356,8 +359,8 @@ def cmd_parse(args):
     encoders = _load_encoders(args.encoder)
     model = Parser.load(args.model, table, encoders)
     sentences = load_dep_corpus(args.corpus)
-    parsed = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
-              for s in sentences]
+    parsed = [DepSentence(s.tokens, heads, list(s.selected))
+              for s, heads in zip(sentences, model.predict_heads(sentences))]
     save_dep_corpus(parsed, args.out)
     n_arcs = sum(sum(1 for h in s.heads if h >= 0) for s in parsed)
     log(f"parsed {len(parsed)} sentences ({n_arcs} arcs) into {args.out}")

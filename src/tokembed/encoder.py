@@ -50,6 +50,8 @@ class WeightScheme:
             raise ValueError(f"unknown weighting scheme {self.name!r}")
         if self.center_weight <= 0:
             raise ValueError("center weight must be positive")
+        if not self.center_weight < np.inf:
+            raise ValueError(f"center weight {self.center_weight} is not finite")
 
 
 def window_weights(scheme, w_prime):

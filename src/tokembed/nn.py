@@ -382,6 +382,13 @@ class FitConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and at least 0, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
 
 
 @dataclass

@@ -15,6 +15,9 @@ Wall candidates zero every parent-side block, and the pair features reduce to
 candidate parents; unselected tokens never appear as children or candidates.
 Head prediction picks the argmax candidate independently per token, ties
 going to the wall and then to lower positions; no tree constraint is applied.
+Inference (``predict_heads``, ``export_arc_scores``) scores blocks of whole
+sentences of about ``SCORE_BLOCK`` arc rows in one pass each; training runs
+one pass per sentence.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,14 @@ from .embeddings import Predictor, windows
 from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
 from .nn import MLP, fit, relu, softmax_logloss, softmax_logloss_rows
 from .serialize import read_tsv, tsv_int
+
+# Arc rows per scoring pass at inference: a block of whole sentences closes
+# once it reaches this many, enough rows that the hidden-layer products run
+# at full speed, few enough that a block's activations stay a few MB.  The
+# size is part of the output: float32 products of another row count may round
+# differently, so changing it can change the bits ``parse`` and
+# ``export-arc-scores`` write.
+SCORE_BLOCK = 512
 
 
 @dataclass
@@ -151,6 +162,12 @@ class Parser(Predictor):
     pre-activation is its child's projection plus its parent's plus that of
     its pair features (Chen & Manning, 2014).  Only the hidden layers see one
     row per arc.
+
+    Inference goes through ``_forward`` a block of sentences at a time: one
+    first-layer product over the positions of every sentence in the block and
+    one product per hidden layer over all their arcs.  ``score_sentence`` and
+    ``arc_score`` are the one-sentence block; ``predict_heads`` takes a whole
+    corpus.
     """
 
     kind = "parser"
@@ -242,23 +259,36 @@ class Parser(Predictor):
             Z[k:, 2 * lo + width:2 * lo + 2 * width] = X[:, lo:lo + width]
         return Z
 
-    def _forward(self, cache):
-        """Scores of a sentence's k*k arcs (child spans in order) and the
-        activations ``batch_loss_and_grads`` propagates back through."""
-        first = self.net.layers[0]
-        k = cache.n_children
-        Z = self._side_rows(cache)
+    def _forward(self, caches):
+        """Scores of the k*k arcs of every sentence in ``caches``, one flat
+        array holding each sentence's child spans in order, and the
+        activations ``batch_loss_and_grads`` propagates back through.
+
+        One product with ``net.0.W`` projects the positions of all the
+        sentences, one takes their pair features, and one per hidden layer
+        covers all their arcs.  The scalar output layer runs per sentence,
+        because the rounding of an (M, hidden) x (hidden, 1) product changes
+        with M: a sentence keeps the scores it gets alone wherever the wider
+        hidden-layer products round alike (README, "Parser cost")."""
+        first, last = self.net.layers[0], self.net.layers[-1]
+        ks = [c.n_children for c in caches]
+        rows = np.cumsum([0] + [k * k for k in ks])        # each sentence's first arc
+        slots = np.cumsum([0] + [2 * k + 1 for k in ks])   # and first side row
+        Z = np.concatenate([self._side_rows(c) for c in caches])
         proj = Z @ first.W.T
-        A = (cache.pair @ first.W[:, -PAIR_FEATURE_COUNT:].T).reshape(k, k, first.n_out)
-        A += (proj[:k] + first.b)[:, None, :]
-        A += proj[k:][cache.parent.reshape(k, k)]
-        A = A.reshape(k * k, first.n_out)
+        A = np.concatenate([c.pair for c in caches]) @ first.W[:, -PAIR_FEATURE_COUNT:].T
+        for cache, k, lo, s in zip(caches, ks, rows, slots):
+            spans = A[lo:lo + k * k].reshape(k, k, first.n_out)
+            spans += (proj[s:s + k] + first.b)[:, None, :]
+            spans += proj[s + k:s + 2 * k + 1][cache.parent.reshape(k, k)]
         H = relu(A)
         tail = []
-        for layer in self.net.layers[1:]:
+        for layer in self.net.layers[1:-1]:
             H, layer_cache = layer.forward(H)
             tail.append(layer_cache)
-        return H[:, 0], (Z, A, tail)
+        out = np.concatenate([last.forward(H[lo:hi])[0] for lo, hi in zip(rows, rows[1:])])
+        tail.append((H, out))  # the (input, pre-activation) cache of the linear output
+        return out[:, 0], (Z, A, tail)
 
     # -- scoring and prediction ----------------------------------------------
 
@@ -273,7 +303,7 @@ class Parser(Predictor):
 
     def arc_score(self, sent, i, j):
         """Score of the arc attaching child ``i`` to parent candidate ``j``,
-        taken from the same whole-sentence pass ``predict_heads`` uses."""
+        taken from the whole-sentence pass ``predict_heads([sent])`` uses."""
         self._check_arc(sent, i, j)
         rows = {child: (cands, scores) for child, cands, scores in self.score_sentence(sent)}
         cands, scores = rows[i]
@@ -290,26 +320,57 @@ class Parser(Predictor):
         row[-PAIR_FEATURE_COUNT:] = pair_feature_matrix([i], [j], len(sent))[0]
         return row
 
+    def _sentence_blocks(self, sentences):
+        """Lists of (sentence, cache) holding whole sentences in order, each
+        closed once its sentences have ``SCORE_BLOCK`` arc rows between them,
+        so a block has fewer than ``SCORE_BLOCK`` rows plus those of its last
+        sentence.  A cache lives only as long as its block."""
+        block, rows = [], 0
+        for sent in sentences:
+            cache = self._cache_sentence(sent)
+            block.append((sent, cache))
+            rows += cache.n_children ** 2
+            if rows >= SCORE_BLOCK:
+                yield block
+                block, rows = [], 0
+        if block:
+            yield block
+
+    def _block_scores(self, sentences):
+        """(sentence, cache, (k, k) arc scores) per sentence, in order, with
+        one ``_forward`` per block of sentences."""
+        for block in self._sentence_blocks(sentences):
+            caches = [cache for _, cache in block if cache.n_children]
+            flat = self._forward(caches)[0] if caches else np.zeros(0)
+            end = 0
+            for sent, cache in block:
+                k = cache.n_children
+                yield sent, cache, flat[end:end + k * k].reshape(k, k)
+                end += k * k
+
     def score_sentence(self, sent):
         """Scores for every (child, candidate) pair: list of (i, cands, scores)."""
-        cache = self._cache_sentence(sent)
+        (_, cache, scores), = self._block_scores([sent])
         k = cache.n_children
-        if k == 0:
-            return []
-        scores, _ = self._forward(cache)
         cands = cache.positions[cache.parent].reshape(k, k).tolist()
-        return list(zip(cache.positions[1:].tolist(), cands, scores.reshape(k, k)))
+        return list(zip(cache.positions[1:].tolist(), cands, scores))
 
-    def predict_heads(self, sent):
-        """Independent argmax head per selected token; -1 for unselected.
+    def predict_heads(self, sentences):
+        """One head list per sentence of ``sentences``: the independent argmax
+        head of each selected token, -1 for unselected tokens.
 
         Candidates are ordered wall-first then ascending, so ties resolve to
         the wall and then to the lowest position.
         """
-        heads = [-1] * len(sent)
-        for i, cands, scores in self.score_sentence(sent):
-            heads[i - 1] = cands[int(np.argmax(scores))]
-        return heads
+        out = []
+        for sent, cache, scores in self._block_scores(sentences):
+            k = cache.n_children
+            heads = np.full(len(sent), -1, dtype=np.int64)
+            if k:
+                best = cache.parent.reshape(k, k)[np.arange(k), scores.argmax(axis=1)]
+                heads[cache.positions[1:] - 1] = cache.positions[best]
+            out.append(heads.tolist())
+        return out
 
 
 def arc_loss(scores, gold_offset):
@@ -352,11 +413,13 @@ def export_arc_scores(model, sentences, path):
     candidate arc, scores in 6-decimal fixed point.  Returns the line count."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for si, sent in enumerate(sentences):
-            for i, cands, scores in model.score_sentence(sent):
-                for j, s in zip(cands, scores):
-                    fh.write(f"{si}\t{i}\t{j}\t{s:.6f}\n")
-                    count += 1
+        for si, (_, cache, scores) in enumerate(model._block_scores(sentences)):
+            k = cache.n_children
+            children = np.repeat(cache.positions[1:], k).tolist()
+            cands = cache.positions[cache.parent].tolist()
+            fh.writelines(f"{si}\t{i}\t{j}\t{s:.6f}\n"
+                          for i, j, s in zip(children, cands, scores.ravel().tolist()))
+            count += k * k
     return count
 
 
@@ -395,7 +458,7 @@ def batch_loss_and_grads(model, caches):
         k = cache.n_children
         if k == 0:
             continue
-        flat, (Z, A, tail) = model._forward(cache)
+        flat, (Z, A, tail) = model._forward([cache])
         losses, dscores = _child_losses(flat.reshape(k, k), cache.gold)
         total += losses.sum()
         d = (dscores.astype(flat.dtype) / n_children).reshape(k * k, 1)
@@ -450,8 +513,8 @@ def train_parser(model, train_sents, val_sents, cfg):
         return batch_loss_and_grads(model, [caches[usable[q]] for q in sel])
 
     def validation_f1():
-        pred = [DepSentence(s.tokens, model.predict_heads(s), list(s.selected))
-                for s in val_sents]
+        pred = [DepSentence(s.tokens, heads, list(s.selected))
+                for s, heads in zip(val_sents, model.predict_heads(val_sents))]
         return attachment_f1(pred, val_sents)[2]
 
     # -1 is below any F1, so the first epoch always takes a snapshot

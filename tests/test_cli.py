@@ -121,6 +121,20 @@ def test_parse_rejects_mismatched_model_tensors(data, capsys, tmp_path, corrupt,
     assert str(bad) in err and repr(tensor) in err
 
 
+def test_parse_predicts_every_sentence_in_one_call(data, capsys, tmp_path, monkeypatch):
+    # the benchmark times parse's work from its first predict_heads call
+    model = tmp_path / "parser.bin"
+    save_untrained("parse", data, model)
+    calls = []
+    predict = Parser.predict_heads
+    monkeypatch.setattr(Parser, "predict_heads",
+                        lambda self, sents: calls.append(len(sents)) or predict(self, sents))
+    code, summary, _ = run(capsys, "parse", "--embeddings", data["emb"], "--model", model,
+                           "--corpus", data["dep_val"], "--out", tmp_path / "pred.dep")
+    assert code == 0
+    assert calls == [summary["metrics"]["n_sentences"]] and calls[0] > 1
+
+
 def test_parse_rejects_nan_embeddings(data, capsys, tmp_path):
     lines = data["emb"].read_text(encoding="utf-8").splitlines()
     word, *values = lines[2].split()
@@ -424,11 +438,22 @@ CONFIG_ERRORS = [
     ("train-tagger", "--epochs", "0", "epochs must be at least 1, got 0"),
     ("train-tagger", "--batch-size", "0", "batch_size must be at least 1, got 0"),
     ("train-tagger", "--seed", "-1", "seed must be at least 0, got -1"),
+    ("train-tagger", "--lr", "-0.1", "learning_rate must be finite and at least 0, got -0.1"),
+    ("train-tagger", "--lr", "nan", "learning_rate must be finite and at least 0, got nan"),
+    ("train-tagger", "--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+    ("train-tagger", "--momentum", "nan", "momentum must be in [0, 1), got nan"),
+    ("train-tagger", "--patience", "-3", "patience must be at least 1, got -3"),
+    ("train-tagger", "--patience", "0", "patience must be at least 1, got 0"),
+    # window 0 without its center, no encoder and no features
+    ("train-tagger", "--omit-center", "--window=0",
+     "tagger input is empty: no embeddings, encoders, or features"),
     ("train-parser", "--window", "-2", "parser window must be >= -1"),
     ("train-parser", "--hidden", "0", "parser hidden size must be positive"),
     ("train-parser", "--anchor-weight", "nan",
      "anchor weight nan is not a finite non-negative number"),
     ("train-encoder", "--center-weight", "0", "center weight must be positive"),
+    ("train-encoder", "--center-weight", "nan", "center weight nan is not finite"),
+    ("train-encoder", "--center-weight", "inf", "center weight inf is not finite"),
     ("train-encoder", "--epochs", "0", "epochs must be at least 1, got 0"),
     ("train-encoder", "--seed", "-1", "seed must be at least 0, got -1"),
 ]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from tokembed import parser as parser_mod
 from tokembed import rng as rng_mod
 from tokembed.encoder import FfnEncoder
 from tokembed.features import PAIR_FEATURE_COUNT, word_features
-from tokembed.nn import FitConfig, TrainingDiverged, gradient_check
+from tokembed.nn import Dense, FitConfig, TrainingDiverged, gradient_check
 from tokembed.parser import (DepSentence, Parser, ParserConfig, arc_loss,
                              attachment_f1, batch_loss_and_grads, candidate_heads,
                              export_arc_scores, load_dep_corpus,
@@ -300,7 +301,7 @@ def test_all_equal_scores_attach_to_wall():
     table = small_table()
     model = Parser(ParserConfig(window=0, hidden=6), table)  # zero net: all 0
     sent = full_sentence(4)
-    assert model.predict_heads(sent) == [0, 0, 0, 0]
+    assert model.predict_heads([sent]) == [[0, 0, 0, 0]]
 
 
 def test_predict_matches_exhaustive_scan():
@@ -321,7 +322,7 @@ def test_predict_matches_exhaustive_scan():
                 if s > best_score:
                     best, best_score = j, s
             expected.append(best)
-        assert model.predict_heads(sent) == expected, seed
+        assert model.predict_heads([sent]) == [expected], seed
 
 
 def test_predict_deterministic():
@@ -329,7 +330,7 @@ def test_predict_deterministic():
     model = Parser(ParserConfig(window=1, hidden=6), table,
                    rng=rng_mod.stream(48, "init"))
     sent = full_sentence(5)
-    assert model.predict_heads(sent) == model.predict_heads(sent)
+    assert model.predict_heads([sent]) == model.predict_heads([sent])
 
 
 def test_unselected_tokens_get_no_head():
@@ -337,9 +338,75 @@ def test_unselected_tokens_get_no_head():
     model = Parser(ParserConfig(window=0, hidden=6), table,
                    rng=rng_mod.stream(49, "init"))
     sent = DepSentence(["t0", "t1", "t2"], [0, -1, 1], [True, False, True])
-    heads = model.predict_heads(sent)
+    heads, = model.predict_heads([sent])
     assert heads[1] == -1
     assert heads[0] in (0, 3) and heads[2] in (0, 1)
+
+
+# -- block scoring ---------------------------------------------------------------
+
+
+def block_corpus():
+    """A parser and sentences with k = 0, 1, 2, ... selected tokens, one of
+    them (k = 7, 49 arc rows) larger than the 8-row blocks the tests set."""
+    rng = rng_mod.stream(60, "data")
+    sents = []
+    for n, k in [(3, 0), (2, 1), (1, 1), (4, 2), (5, 3), (6, 4), (9, 7), (3, 2),
+                 (4, 0), (4, 3), (2, 2), (3, 1), (6, 5)]:
+        selected = [bool(x) for x in rng.permutation([1] * k + [0] * (n - k))]
+        heads = [0 if sel else -1 for sel in selected]
+        sents.append(DepSentence([f"t{x}" for x in rng.integers(10, size=n)], heads,
+                                 selected))
+    model = Parser(ParserConfig(window=1, hidden=16), small_table(),
+                   rng=rng_mod.stream(61, "init"))
+    return model, sents
+
+
+def test_block_scoring_matches_one_sentence_scoring(monkeypatch, tmp_path):
+    model, corpus = block_corpus()
+    monkeypatch.setattr(parser_mod, "SCORE_BLOCK", 8)
+    block_sizes = []
+    forward = Parser._forward
+    monkeypatch.setattr(Parser, "_forward",
+                        lambda self, caches: block_sizes.append(len(caches))
+                        or forward(self, caches))
+    heads = model.predict_heads(corpus)
+    # several blocks, some of several sentences
+    assert 1 < len(block_sizes) < len(corpus) and max(block_sizes) > 1
+    assert heads == [model.predict_heads([s])[0] for s in corpus]
+
+    path = tmp_path / "arcs.tsv"
+    assert export_arc_scores(model, corpus, path) == sum(sum(s.selected) ** 2 for s in corpus)
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    expected = [(si, i, j, score) for si, sent in enumerate(corpus)
+                for i, cands, scores in model.score_sentence(sent)
+                for j, score in zip(cands, scores)]
+    assert [tuple(map(int, r[:3])) for r in rows] == [e[:3] for e in expected]
+    # Block and one-sentence scores are not always equal bit for bit.  In
+    # float32 a product over a block's rows may round differently from one
+    # over a sentence's own: at small hidden sizes for any k, and at every
+    # size for a one-child sentence, whose single arc row takes BLAS's
+    # matrix-vector path.  They agree to a few ulps, so an exported
+    # six-decimal score may move by one unit in its last place.
+    for r, e in zip(rows, expected):
+        assert abs(float(r[3]) - float(e[3])) <= 1.5e-6
+
+
+def test_scoring_blocks_stay_within_their_bound(monkeypatch, tmp_path):
+    model, corpus = block_corpus()
+    block = 8
+    monkeypatch.setattr(parser_mod, "SCORE_BLOCK", block)
+    seen = []
+    forward = Dense.forward
+    monkeypatch.setattr(Dense, "forward", lambda self, X: seen.append(len(X))
+                        or forward(self, X))
+    model.predict_heads(corpus)
+    export_arc_scores(model, corpus, tmp_path / "arcs.tsv")
+    # a block closes once it reaches SCORE_BLOCK rows, so it holds fewer rows
+    # than that plus those of its largest sentence
+    sizes = {sum(s.selected) ** 2 for s in corpus}
+    assert seen and max(seen) <= block - 1 + max(sizes)
+    assert set(seen) - sizes  # some product spans several sentences
 
 
 # -- attachment F1 ----------------------------------------------------------------
@@ -612,5 +679,4 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "parser.bin"
     model.save(path)
     loaded = Parser.load(str(path), table, encoders=[enc])
-    for s in sents:
-        assert loaded.predict_heads(s) == model.predict_heads(s)
+    assert loaded.predict_heads(sents) == model.predict_heads(sents)
