@@ -18,11 +18,14 @@ import dataclasses
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import rng as rng_mod
-from .analysis import export_embeddings_tsv, index_corpus, nearest_neighbors
+from .analysis import METRICS, export_embeddings_tsv, index_corpus, nearest_neighbors
 from .embeddings import load_corpus, load_word2vec_text
-from .encoder import WeightScheme, build_encoder, load_encoder, train_encoder
+from .encoder import (ARCHS, SCHEME_NAMES, WeightScheme, build_encoder,
+                      check_encoder_sizes, load_encoder, train_encoder,
+                      window_weights)
 from .features import (ResourceBundle, build_char_ngram_index,
                        load_brown_clusters, load_char_ngram_index,
                        load_name_list, load_tag_dictionary,
@@ -114,15 +117,9 @@ def _apply_config_file(args, argv, command_parser):
             raise CliError(f"{args.config}:{lineno}: {key}: {e}") from None
 
 
-def _require(args, *keys):
-    for key in keys:
-        if getattr(args, key) in (None, []):
-            raise CliError(f"missing required option --{key.replace('_', '-')}")
-
-
 def _echo_config(args):
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("command", "config", "func")}
+           if k not in ("command", "config")}
     return cfg
 
 
@@ -172,9 +169,10 @@ def _subsample(sentences, fraction, seed):
 
 
 def cmd_train_encoder(args):
-    _require(args, "embeddings", "train", "val", "out")
     cfg = _config(FitConfig, args, learning_rate=args.lr, eval_every=args.val_every)
     scheme = _config(WeightScheme, args, name=args.scheme)
+    window_weights(scheme, args.w_prime)  # training needs w' >= 1, inference does not
+    check_encoder_sizes(args.arch, token_dim=args.token_dim, hidden=args.hidden)
     table = load_word2vec_text(args.embeddings)
     train = load_corpus(args.train)
     val = load_corpus(args.val)
@@ -211,7 +209,6 @@ def _aligned_tags(args, sentences):
 
 
 def cmd_embed(args):
-    _require(args, "embeddings", "model", "corpus", "out")
     table = load_word2vec_text(args.embeddings)
     model, _ = load_encoder(args.model)
     sentences = load_corpus(args.corpus)
@@ -224,7 +221,6 @@ def cmd_embed(args):
 
 
 def cmd_knn(args):
-    _require(args, "embeddings", "model", "corpus")
     if args.k < 1:
         raise CliError(f"-k must be at least 1, got {args.k}")
     table = load_word2vec_text(args.embeddings)
@@ -265,7 +261,6 @@ def cmd_knn(args):
 
 
 def cmd_train_tagger(args):
-    _require(args, "embeddings", "train", "val", "tagset", "out")
     cfg = _config(FitConfig, args, learning_rate=args.lr)
     config = _config(TaggerConfig, args)
     if not 0.0 < args.train_fraction <= 1.0:
@@ -296,12 +291,18 @@ def cmd_train_tagger(args):
     return 0
 
 
-def cmd_tag(args):
-    _require(args, "embeddings", "model", "corpus", "out")
+def _load_model(args, cls):
+    """The ``cls`` model saved at ``--model``, over the embedding table, the
+    ``--encoder`` files and, for a command with ``--extended``, the resource
+    bundle it was trained with."""
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder)
-    resources = _load_resources(args)
-    model = Tagger.load(args.model, table, encoders, resources=resources)
+    context = {"resources": _load_resources(args)} if "extended" in args else {}
+    return cls.load(args.model, table, encoders, **context)
+
+
+def cmd_tag(args):
+    model = _load_model(args, Tagger)
     sentences = load_corpus(args.corpus)
     tagged = [(toks, model.tag_sentence(toks)) for toks in sentences]
     save_tagged_corpus(tagged, args.out)
@@ -315,7 +316,6 @@ def cmd_tag(args):
 
 def _load_pred_and_gold(args, load, tokens):
     """Both corpora, rejected at the first sentence whose tokens differ."""
-    _require(args, "pred", "gold")
     pred, gold = load(args.pred), load(args.gold)
     for k, (p, g) in enumerate(zip(pred, gold), start=1):
         if tokens(p) != tokens(g):
@@ -332,7 +332,6 @@ def cmd_eval_tags(args):
 
 
 def cmd_train_parser(args):
-    _require(args, "embeddings", "train", "val", "out")
     cfg = _config(FitConfig, args, learning_rate=args.lr)
     config = _config(ParserConfig, args)
     table = load_word2vec_text(args.embeddings)
@@ -354,10 +353,7 @@ def cmd_train_parser(args):
 
 
 def cmd_parse(args):
-    _require(args, "embeddings", "model", "corpus", "out")
-    table = load_word2vec_text(args.embeddings)
-    encoders = _load_encoders(args.encoder)
-    model = Parser.load(args.model, table, encoders)
+    model = _load_model(args, Parser)
     sentences = load_dep_corpus(args.corpus)
     parsed = [DepSentence(s.tokens, heads, list(s.selected))
               for s, heads in zip(sentences, model.predict_heads(sentences))]
@@ -379,10 +375,7 @@ def cmd_eval_parse(args):
 
 
 def cmd_export_arc_scores(args):
-    _require(args, "embeddings", "model", "corpus", "out")
-    table = load_word2vec_text(args.embeddings)
-    encoders = _load_encoders(args.encoder)
-    model = Parser.load(args.model, table, encoders)
+    model = _load_model(args, Parser)
     sentences = load_dep_corpus(args.corpus)
     n_lines = export_arc_scores(model, sentences, args.out)
     log(f"exported {n_lines} arc scores to {args.out}")
@@ -391,7 +384,6 @@ def cmd_export_arc_scores(args):
 
 
 def cmd_build_ngrams(args):
-    _require(args, "train", "out")
     tagged = load_tagged_corpus(args.train)
     index = build_char_ngram_index((toks for toks, _ in tagged), args.min_count)
     save_char_ngram_index(index, args.out)
@@ -400,23 +392,77 @@ def cmd_build_ngrams(args):
     return 0
 
 
-# -- argument plumbing ---------------------------------------------------------
+# -- option groups ---------------------------------------------------------------
+# Each group adds options to a subcommand's parser.  Defaults and choices that
+# a model module owns are read from it: the config dataclasses' fields,
+# ``WeightScheme``, ``SCHEME_NAMES``, ``encoder.ARCHS`` and ``analysis.METRICS``.
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value file; explicit flags override")
+def _fields(cls, *names, **helps):
+    """A group of one option per field of the config dataclass ``cls`` (only
+    ``names``, if given), of the field's type and default.  A bool is a
+    switch, with a ``--no-`` form when it defaults to true.  ``helps`` maps
+    field names to help texts."""
+    def add(p):
+        for f in dataclasses.fields(cls):
+            if names and f.name not in names:
+                continue
+            if f.type is bool:
+                kind = {"action": argparse.BooleanOptionalAction if f.default
+                        else "store_true"}
+            else:
+                kind = {"type": f.type}
+            p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                           help=helps.get(f.name), **kind)
+    return add
 
 
-def _add_train_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=64)
+def _fit(epochs, patience=None):
+    """A group of the ``FitConfig`` options, with the command's default
+    ``--epochs`` and, unless None, ``--patience``."""
+    def add(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--lr", type=float, default=0.1)
+        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--batch-size", type=int, default=64)
+        p.add_argument("--epochs", type=int, default=epochs)
+        if patience is not None:
+            p.add_argument("--patience", type=int, default=patience)
+    return add
 
 
-def _add_resources(p):
-    p.add_argument("--extended", action="store_true",
-                   help="enable the resource-based feature stack")
+def _encoder_options(p):
+    scheme = WeightScheme()
+    p.add_argument("--arch", choices=ARCHS, default=ARCHS[0])
+    p.add_argument("--w-prime", type=int, default=1)
+    p.add_argument("--token-dim", type=int, default=256)
+    p.add_argument("--hidden", type=int, default=512)
+    p.add_argument("--scheme", choices=SCHEME_NAMES, default=scheme.name)
+    p.add_argument("--center-weight", type=float, default=scheme.center_weight)
+    p.add_argument("--val-every", type=int, default=1000,
+                   help="validate every N minibatches (plus each epoch end)")
+
+
+def _index_filters(p):
+    p.add_argument("--tags", help="aligned tagged corpus supplying gold tags")
+    p.add_argument("--types", help="comma-separated type filter")
+
+
+def _knn_options(p):
+    p.add_argument("--sentence", type=int, default=0)
+    p.add_argument("--position", type=int, default=0)
+    p.add_argument("-k", type=int, default=4)
+    p.add_argument("--metric", choices=METRICS, default=METRICS[0])
+    p.add_argument("--same-type", action="store_true",
+                   help="only consider tokens of the query's type")
+
+
+def _encoders(p):
+    p.add_argument("--encoder", action="append",
+                   help="token-encoder model file (repeatable)")
+
+
+def _resources(p):
     p.add_argument("--brown", help="Brown cluster file (bits<TAB>word<TAB>count)")
     p.add_argument("--tag-dict", help="tag dictionary file (word<TAB>tag<TAB>count)")
     p.add_argument("--name-list", action="append",
@@ -424,148 +470,74 @@ def _add_resources(p):
     p.add_argument("--ngrams", help="character n-gram index file")
 
 
+def _train_fraction(p):
+    p.add_argument("--train-fraction", type=float, default=1.0,
+                   help="seeded subsample of the training sentences")
+
+
+def _min_count(p):
+    p.add_argument("--min-count", type=int, default=3)
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, its help, the file options it requires (a
+    missing one is reported in this order, once ``--config`` is applied) and
+    its option groups."""
+    func: Callable
+    help: str
+    inputs: tuple
+    groups: tuple = ()
+
+
+_EXTENDED_HELP = {"extended": "enable the resource-based feature stack"}
+_MODEL_RUN = ("embeddings", "model", "corpus", "out")
+
+COMMANDS = {
+    "train-encoder": Command(cmd_train_encoder, "train a token-embedding encoder",
+                             ("embeddings", "train", "val", "out"),
+                             (_fit(epochs=5), _encoder_options)),
+    "embed": Command(cmd_embed, "export token embeddings as TSV", _MODEL_RUN,
+                     (_index_filters,)),
+    "knn": Command(cmd_knn, "nearest-neighbor token query",
+                   ("embeddings", "model", "corpus"), (_knn_options, _index_filters)),
+    "train-tagger": Command(cmd_train_tagger, "train the local POS tagger",
+                            ("embeddings", "train", "val", "tagset", "out"),
+                            (_fit(epochs=30, patience=10),
+                             _fields(TaggerConfig, **_EXTENDED_HELP), _resources,
+                             _encoders, _train_fraction)),
+    "tag": Command(cmd_tag, "tag a plain-text corpus", _MODEL_RUN,
+                   (_fields(TaggerConfig, "extended", **_EXTENDED_HELP), _resources,
+                    _encoders)),
+    "eval-tags": Command(cmd_eval_tags, "tagging accuracy of pred vs gold",
+                         ("pred", "gold")),
+    "train-parser": Command(cmd_train_parser, "train the head predictor",
+                            ("embeddings", "train", "val", "out"),
+                            (_fit(epochs=30, patience=10),
+                             _fields(ParserConfig, window="-1 drops type embeddings entirely"),
+                             _encoders)),
+    "parse": Command(cmd_parse, "predict heads for a dependency corpus", _MODEL_RUN,
+                     (_encoders,)),
+    "eval-parse": Command(cmd_eval_parse, "attachment F1 of pred vs gold", ("pred", "gold")),
+    "export-arc-scores": Command(cmd_export_arc_scores,
+                                 "dump arc scores for downstream parser features",
+                                 _MODEL_RUN, (_encoders,)),
+    "build-ngrams": Command(cmd_build_ngrams,
+                            "build the character n-gram index from tagged data",
+                            ("train", "out"), (_min_count,)),
+}
+
+
 @functools.cache
 def build_arg_parser():
     ap = argparse.ArgumentParser(prog="tokembed")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-encoder", help="train a token-embedding encoder")
-    _add_common(p)
-    _add_train_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--train")
-    p.add_argument("--val")
-    p.add_argument("--out")
-    p.add_argument("--arch", choices=["ffn", "seq2seq"], default="ffn")
-    p.add_argument("--w-prime", type=int, default=1)
-    p.add_argument("--token-dim", type=int, default=256)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--scheme", choices=["uniform", "focused", "tapered"],
-                   default="focused")
-    p.add_argument("--center-weight", type=float, default=2.0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--val-every", type=int, default=1000,
-                   help="validate every N minibatches (plus each epoch end)")
-    p.set_defaults(func=cmd_train_encoder)
-
-    p = sub.add_parser("embed", help="export token embeddings as TSV")
-    _add_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--tags", help="aligned tagged corpus supplying gold tags")
-    p.add_argument("--types", help="comma-separated type filter")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("knn", help="nearest-neighbor token query")
-    _add_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--sentence", type=int, default=0)
-    p.add_argument("--position", type=int, default=0)
-    p.add_argument("-k", type=int, default=4)
-    p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    p.add_argument("--same-type", action="store_true",
-                   help="only consider tokens of the query's type")
-    p.add_argument("--types", help="comma-separated type filter")
-    p.add_argument("--tags", help="aligned tagged corpus supplying gold tags")
-    p.set_defaults(func=cmd_knn)
-
-    p = sub.add_parser("train-tagger", help="train the local POS tagger")
-    _add_common(p)
-    _add_train_common(p)
-    _add_resources(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--train")
-    p.add_argument("--val")
-    p.add_argument("--tagset")
-    p.add_argument("--out")
-    p.add_argument("--window", type=int, default=1)
-    p.add_argument("--omit-center", action="store_true")
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--encoder", action="append",
-                   help="token-encoder model file (repeatable)")
-    p.add_argument("--word-features", action="store_true")
-    p.add_argument("--update-embeddings", action="store_true")
-    p.add_argument("--anchor-weight", type=float, default=0.01)
-    p.add_argument("--dropout-input", type=float, default=0.0)
-    p.add_argument("--dropout-hidden", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--train-fraction", type=float, default=1.0,
-                   help="seeded subsample of the training sentences")
-    p.set_defaults(func=cmd_train_tagger)
-
-    p = sub.add_parser("tag", help="tag a plain-text corpus")
-    _add_common(p)
-    _add_resources(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--encoder", action="append")
-    p.set_defaults(func=cmd_tag)
-
-    p = sub.add_parser("eval-tags", help="tagging accuracy of pred vs gold")
-    _add_common(p)
-    p.add_argument("--pred")
-    p.add_argument("--gold")
-    p.set_defaults(func=cmd_eval_tags)
-
-    p = sub.add_parser("train-parser", help="train the head predictor")
-    _add_common(p)
-    _add_train_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--train")
-    p.add_argument("--val")
-    p.add_argument("--out")
-    p.add_argument("--window", type=int, default=0,
-                   help="-1 drops type embeddings entirely")
-    p.add_argument("--hidden", type=int, default=1024)
-    p.add_argument("--encoder", action="append")
-    p.add_argument("--word-features", action="store_true", default=True)
-    p.add_argument("--no-word-features", dest="word_features", action="store_false")
-    p.add_argument("--update-embeddings", action="store_true")
-    p.add_argument("--anchor-weight", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--patience", type=int, default=10)
-    p.set_defaults(func=cmd_train_parser)
-
-    p = sub.add_parser("parse", help="predict heads for a dependency corpus")
-    _add_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--encoder", action="append")
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("eval-parse", help="attachment F1 of pred vs gold")
-    _add_common(p)
-    p.add_argument("--pred")
-    p.add_argument("--gold")
-    p.set_defaults(func=cmd_eval_parse)
-
-    p = sub.add_parser("export-arc-scores",
-                       help="dump arc scores for downstream parser features")
-    _add_common(p)
-    p.add_argument("--embeddings")
-    p.add_argument("--model")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--encoder", action="append")
-    p.set_defaults(func=cmd_export_arc_scores)
-
-    p = sub.add_parser("build-ngrams",
-                       help="build the character n-gram index from tagged data")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--out")
-    p.add_argument("--min-count", type=int, default=3)
-    p.set_defaults(func=cmd_build_ngrams)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="key = value file; explicit flags override")
+        for key in command.inputs:
+            p.add_argument("--" + key)
+        for add in command.groups:
+            add(p)
     return ap
 
 
@@ -573,10 +545,14 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_arg_parser()
     args = ap.parse_args(argv)
-    commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    command = COMMANDS[args.command]
+    parsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        _apply_config_file(args, argv, commands.choices[args.command])
-        return args.func(args)
+        _apply_config_file(args, argv, parsers.choices[args.command])
+        for key in command.inputs:
+            if getattr(args, key) is None:
+                raise CliError(f"missing required option --{key}")
+        return command.func(args)
     except TrainingDiverged as e:
         log(f"numerical failure: {e}")
         return 2

@@ -32,6 +32,9 @@ SCHEME_NAMES = ("uniform", "focused", "tapered")
 # differently, so changing it changes the bits ``embed`` writes.
 ENCODE_BLOCK = 256
 
+# Windows per forward pass of ``mean_wre``, the validation error.
+WRE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -132,11 +135,11 @@ class WindowEncoder:
         offsets = np.arange(-self.w_prime, self.w_prime + 1)
         return self.encode(table, windows(ids, offsets, vocab.bos_id, vocab.eos_id))
 
-    def mean_wre(self, table, windows, weights, batch=4096):
+    def mean_wre(self, table, windows, weights):
         """Forward-only mean reconstruction error over many windows."""
         total = 0.0
-        for k in range(0, len(windows), batch):
-            targets = self._embed(table, windows[k:k + batch])
+        for k in range(0, len(windows), WRE_BLOCK):
+            targets = self._embed(table, windows[k:k + WRE_BLOCK])
             rec = self.decode(self._codes(targets))
             total += wre_value(rec, targets, weights) * len(targets)
         return total / len(windows)
@@ -301,19 +304,24 @@ def wre_loss(model, table, windows, weights):
     return model.loss_and_grads(table, windows, weights)
 
 
+ARCHS = (FfnEncoder.arch, Seq2SeqEncoder.arch)
+
+
+def check_encoder_sizes(arch, **sizes):
+    """Raise ValueError for a size below 1; ``hidden`` counts for ffn only."""
+    for name, size in sizes.items():
+        if size < 1 and (name != "hidden" or arch == "ffn"):
+            raise ValueError(f"{name} must be positive, got {size}")
+
+
 def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
                   dtype=np.float32):
-    sizes = {"dim": dim, "token_dim": token_dim}
-    if arch == "ffn":
-        sizes["hidden"] = hidden
-    for name, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"{name} must be positive, got {size}")
+    if arch not in ARCHS:
+        raise ValueError(f"unknown encoder architecture {arch!r}")
+    check_encoder_sizes(arch, dim=dim, token_dim=token_dim, hidden=hidden)
     if arch == "ffn":
         return FfnEncoder(dim, w_prime, token_dim, hidden, rng, dtype)
-    if arch == "seq2seq":
-        return Seq2SeqEncoder(dim, w_prime, token_dim, rng, dtype)
-    raise ValueError(f"unknown encoder architecture {arch!r}")
+    return Seq2SeqEncoder(dim, w_prime, token_dim, rng, dtype)
 
 
 # Header config of an encoder file; only ffn files hold "hidden", and only
@@ -325,7 +333,7 @@ _CONFIG_FIELDS = {"arch": str, "dim": int, "w_prime": int, "token_dim": int,
 def load_encoder(path):
     """Load an encoder model file; returns (model, scheme or None)."""
     kind, cfg, tensors = load_model(path)
-    if kind not in ("ffn", "seq2seq"):
+    if kind not in ARCHS:
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
     check_config(path, cfg, _CONFIG_FIELDS, optional=("hidden", "scheme"))
     if kind == "ffn":

@@ -251,12 +251,17 @@ def build_char_ngram_index(sentences, min_count=3):
 
 
 def load_brown_clusters(path):
-    """Lines of "bitstring<TAB>word<TAB>count"."""
-    out = {}
+    """Lines of "bitstring<TAB>word<TAB>count", one line per word."""
+    out, first_line = {}, {}
     for block in read_tsv(path, 3):
         for row in block:
             tsv_int(path, row, 3)  # unused, but the format says it is an integer
-            out[row[1][1]] = row[1][0]
+            lineno, (bits, word, _) = row
+            if word in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate word {word!r} "
+                                 f"(first at line {first_line[word]})")
+            first_line[word] = lineno
+            out[word] = bits
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import rng as rng_mod
 
 ACTIVATIONS = ("linear", "relu")
+FORGET_BIAS = 1.0  # initial forget-gate bias of an LstmCell drawn from an rng
 
 
 class TrainingDiverged(RuntimeError):
@@ -156,7 +157,7 @@ class LstmCell:
     [x; h_prev].  ``Wi``..``Wg`` and ``bi``..``bg`` are views of those
     blocks; ``params()`` names them, so the optimizer and the model file
     see four gates.  With ``rng`` given, each gate block is drawn in that
-    order and the forget-gate bias starts at ``forget_bias``; with
+    order and the forget-gate bias starts at ``FORGET_BIAS``; with
     ``rng=None`` every parameter is zero.
 
     ``step`` takes ``x=None`` as a zero input and ``h_prev=None`` as a zero
@@ -166,7 +167,7 @@ class LstmCell:
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, n_in, n_hidden, rng=None, dtype=np.float32, forget_bias=1.0):
+    def __init__(self, n_in, n_hidden, rng=None, dtype=np.float32):
         self.n_in = int(n_in)
         self.n_hidden = int(n_hidden)
         h, joint = self.n_hidden, self.n_in + self.n_hidden
@@ -179,7 +180,7 @@ class LstmCell:
             setattr(self, f"W{gate}", self.W[rows])
             setattr(self, f"b{gate}", self.b[rows])
         if rng is not None:
-            self.bf[:] = forget_bias
+            self.bf[:] = FORGET_BIAS
 
     def zero_state(self, batch, dtype=None):
         dtype = dtype or self.W.dtype

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .embeddings import Predictor, windows
-from .features import extended_feature_width, extended_features
+from .features import WORD_FEATURE_COUNT, extended_feature_width, extended_features
 from .nn import MLP, fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
 
@@ -182,7 +182,8 @@ class Tagger(Predictor):
         """The type window, then the token embeddings, the word features and
         the extended features, each when enabled."""
         n_offsets = 2 * config.window + 1 - config.omit_center
-        return (n_offsets * dim + token_dim + (10 if config.word_features else 0)
+        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
+        return (n_offsets * dim + token_dim + shape_width
                 + (header["extended_width"] if config.extended else 0))
 
     @classmethod

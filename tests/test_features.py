@@ -352,6 +352,14 @@ def test_brown_bad_line(tmp_path):
         load_brown_clusters(str(brown))
 
 
+def test_brown_duplicate_word_names_both_lines(tmp_path):
+    brown = tmp_path / "brown.tsv"
+    brown.write_text("0101\tword\t3\n\n0110\tword\t5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{brown}:3: duplicate word 'word' "
+                                         r"\(first at line 1\)$"):
+        load_brown_clusters(str(brown))
+
+
 def test_ngram_slots_must_be_dense():
     with pytest.raises(ValueError):
         ResourceBundle(char_ngrams={"th": 0, "he": 2})
