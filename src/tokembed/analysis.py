@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import ENCODE_BLOCK, corpus_windows
+from .encoder import corpus_windows
 from .serialize import open_text
 
 METRICS = ("euclidean", "cosine")
@@ -50,8 +50,8 @@ def index_corpus(model, table, sentences, type_filter=None, tags=None):
     """One TokenRecord per token whose type passes ``type_filter`` (or all).
 
     ``tags`` optionally supplies a gold tag sequence per sentence, aligned
-    with ``sentences``.  The admitted tokens' windows are encoded in one pass
-    over the corpus, ``ENCODE_BLOCK`` rows per ``model.encode`` call.
+    with ``sentences``.  The admitted tokens' windows are encoded in one
+    ``model.encode`` call.
     """
     if type_filter is not None:
         type_filter = set(type_filter)
@@ -63,22 +63,20 @@ def index_corpus(model, table, sentences, type_filter=None, tags=None):
                 places.append((si, j))
                 rows.append(row + j)
         row += len(tokens)
-    wins = corpus_windows(table, sentences, model.w_prime)[rows]
+    codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[rows])
     records = []
     w = model.w_prime
-    for start in range(0, len(wins), ENCODE_BLOCK):
-        codes = model.encode(table, wins[start:start + ENCODE_BLOCK])
-        for (si, j), emb in zip(places[start:start + ENCODE_BLOCK], codes):
-            tokens = sentences[si]
-            records.append(TokenRecord(
-                sentence_id=si,
-                position=j,
-                token=tokens[j],
-                embedding=emb,
-                left=" ".join(tokens[max(0, j - w):j]),
-                right=" ".join(tokens[j + 1:j + 1 + w]),
-                tag=tags[si][j] if tags is not None else None,
-            ))
+    for (si, j), emb in zip(places, codes):
+        tokens = sentences[si]
+        records.append(TokenRecord(
+            sentence_id=si,
+            position=j,
+            token=tokens[j],
+            embedding=emb,
+            left=" ".join(tokens[max(0, j - w):j]),
+            right=" ".join(tokens[j + 1:j + 1 + w]),
+            tag=tags[si][j] if tags is not None else None,
+        ))
     return records
 
 

@@ -7,7 +7,8 @@ errors, 2 for numerical failures (non-finite losses).
 
 Options may come from a ``--config`` file of ``key = value`` lines (values
 parsed as JSON where possible, then converted and checked like the option's
-flag); explicitly passed flags win over file values.
+flag; a repeated key is an error).  Flags on the command line win over the
+file in any spelling argparse accepts (``--hid 8``, ``--no-word``, ``-k5``).
 Echoing the printed config back through ``--config`` reproduces the run
 because a single ``--seed``, an option of the ``train-*`` commands only,
 drives every random choice.
@@ -23,9 +24,9 @@ from typing import Callable, NamedTuple
 from . import rng as rng_mod
 from .analysis import METRICS, export_embeddings_tsv, index_corpus, nearest_neighbors
 from .embeddings import load_corpus, load_word2vec_text
-from .encoder import (ARCHS, SCHEME_NAMES, WeightScheme, build_encoder,
-                      check_encoder_sizes, load_encoder, train_encoder,
-                      window_weights)
+from .encoder import (ARCHS, SCHEME_NAMES, EncoderSizes, WeightScheme,
+                      build_encoder, check_encoder_sizes, load_encoder,
+                      train_encoder, window_weights)
 from .features import (ResourceBundle, build_char_ngram_index,
                        load_brown_clusters, load_char_ngram_index,
                        load_name_list, load_tag_dictionary,
@@ -62,16 +63,15 @@ def _parse_config_file(path):
                 raise CliError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
+            if key in values:
+                raise CliError(f"{path}:{lineno}: duplicate key {key!r} "
+                               f"(first at line {values[key][1]})")
             raw = raw.strip()
             try:
                 values[key] = json.loads(raw), lineno
             except json.JSONDecodeError:
                 values[key] = raw, lineno
     return values
-
-
-def _flag_present(argv, flag):
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
 def _convert(action, val):
@@ -101,15 +101,11 @@ def _apply_config_file(args, argv, command_parser):
     if not getattr(args, "config", None):
         return
     actions = {a.dest: a for a in command_parser._actions}
-    values = _parse_config_file(args.config)
-    for key, (val, lineno) in values.items():
+    given = vars(build_arg_parser(given_only=True).parse_args(argv))
+    for key, (val, lineno) in _parse_config_file(args.config).items():
         if key not in actions or not hasattr(args, key) or key == "config":
             raise CliError(f"unknown config key {key!r}")
-        spellings = ["--" + key.replace("_", "-"),
-                     "--no-" + key.replace("_", "-")]
-        if len(key) == 1:
-            spellings.append("-" + key)
-        if any(_flag_present(argv, f) for f in spellings):
+        if key in given:
             continue  # explicit flags override the file
         try:
             setattr(args, key, _convert(actions[key], val))
@@ -117,24 +113,19 @@ def _apply_config_file(args, argv, command_parser):
             raise CliError(f"{args.config}:{lineno}: {key}: {e}") from None
 
 
-def _echo_config(args):
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("command", "config")}
-    return cfg
-
-
 def _emit(args, payload):
-    summary = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "config": _echo_config(args)}
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "config")}
+    summary = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": config}
     summary.update(payload)
     print(json.dumps(summary, sort_keys=True))
 
 
-def _load_encoders(paths):
-    models = []
-    for p in paths or []:
-        model, _ = load_encoder(p)
-        models.append(model)
+def _load_encoders(paths, table):
+    models = [load_encoder(p)[0] for p in paths or ()]
+    for p, model in zip(paths or (), models):
+        if model.dim != table.dim:
+            raise CliError(f"{p}: config.dim {model.dim} does not match "
+                           f"the embedding table's dim {table.dim}")
     return models
 
 
@@ -210,7 +201,7 @@ def _aligned_tags(args, sentences):
 
 def cmd_embed(args):
     table = load_word2vec_text(args.embeddings)
-    model, _ = load_encoder(args.model)
+    model, = _load_encoders([args.model], table)
     sentences = load_corpus(args.corpus)
     types = set(args.types.split(",")) if args.types else None
     index = index_corpus(model, table, sentences, types, _aligned_tags(args, sentences))
@@ -224,7 +215,7 @@ def cmd_knn(args):
     if args.k < 1:
         raise CliError(f"-k must be at least 1, got {args.k}")
     table = load_word2vec_text(args.embeddings)
-    model, _ = load_encoder(args.model)
+    model, = _load_encoders([args.model], table)
     sentences = load_corpus(args.corpus)
     if not 0 <= args.sentence < len(sentences):
         raise CliError(f"sentence index {args.sentence} out of range")
@@ -270,7 +261,7 @@ def cmd_train_tagger(args):
         raise CliError("tagger input is empty: no embeddings, encoders, or features")
     table = load_word2vec_text(args.embeddings)
     tagset = load_tagset(args.tagset)
-    encoders = _load_encoders(args.encoder)
+    encoders = _load_encoders(args.encoder, table)
     resources = _load_resources(args)
     train = corpus_tag_ids(load_tagged_corpus(args.train), tagset, args.train)
     train = _subsample(train, args.train_fraction, cfg.seed)
@@ -296,7 +287,7 @@ def _load_model(args, cls):
     ``--encoder`` files and, for a command with ``--extended``, the resource
     bundle it was trained with."""
     table = load_word2vec_text(args.embeddings)
-    encoders = _load_encoders(args.encoder)
+    encoders = _load_encoders(args.encoder, table)
     context = {"resources": _load_resources(args)} if "extended" in args else {}
     return cls.load(args.model, table, encoders, **context)
 
@@ -335,7 +326,7 @@ def cmd_train_parser(args):
     cfg = _config(FitConfig, args, learning_rate=args.lr)
     config = _config(ParserConfig, args)
     table = load_word2vec_text(args.embeddings)
-    encoders = _load_encoders(args.encoder)
+    encoders = _load_encoders(args.encoder, table)
     train = load_dep_corpus(args.train)
     val = load_dep_corpus(args.val)
     model = Parser(config, table, encoders, rng_mod.stream(cfg.seed, "init"))
@@ -395,7 +386,8 @@ def cmd_build_ngrams(args):
 # -- option groups ---------------------------------------------------------------
 # Each group adds options to a subcommand's parser.  Defaults and choices that
 # a model module owns are read from it: the config dataclasses' fields,
-# ``WeightScheme``, ``SCHEME_NAMES``, ``encoder.ARCHS`` and ``analysis.METRICS``.
+# ``EncoderSizes``, ``WeightScheme``, ``SCHEME_NAMES``, ``encoder.ARCHS`` and
+# ``analysis.METRICS``.
 
 
 def _fields(cls, *names, **helps):
@@ -434,9 +426,7 @@ def _fit(epochs, patience=None):
 def _encoder_options(p):
     scheme = WeightScheme()
     p.add_argument("--arch", choices=ARCHS, default=ARCHS[0])
-    p.add_argument("--w-prime", type=int, default=1)
-    p.add_argument("--token-dim", type=int, default=256)
-    p.add_argument("--hidden", type=int, default=512)
+    _fields(EncoderSizes)(p)
     p.add_argument("--scheme", choices=SCHEME_NAMES, default=scheme.name)
     p.add_argument("--center-weight", type=float, default=scheme.center_weight)
     p.add_argument("--val-every", type=int, default=1000,
@@ -528,7 +518,9 @@ COMMANDS = {
 
 
 @functools.cache
-def build_arg_parser():
+def build_arg_parser(given_only=False):
+    """The ``tokembed`` parser; with ``given_only`` every option defaults to
+    ``argparse.SUPPRESS``, so a parse holds only the options the argv gives."""
     ap = argparse.ArgumentParser(prog="tokembed")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
@@ -538,6 +530,8 @@ def build_arg_parser():
             p.add_argument("--" + key)
         for add in command.groups:
             add(p)
+        for action in p._actions if given_only else ():
+            action.default = argparse.SUPPRESS
     return ap
 
 

@@ -170,8 +170,7 @@ class Predictor:
     def __init__(self, config, table, encoders, dtype):
         for enc in encoders:
             if enc.dim != table.dim:
-                raise ValueError(
-                    f"encoder dim {enc.dim} does not match table dim {table.dim}")
+                raise ValueError(f"encoder dim {enc.dim} does not match table dim {table.dim}")
         self.config = config
         self.table = table
         self.encoders = tuple(encoders)

@@ -26,14 +26,22 @@ from .serialize import (check_config, check_sizes, load_model, restore_params,
 
 SCHEME_NAMES = ("uniform", "focused", "tapered")
 
-# Windows per forward pass when encoding a corpus: enough rows to amortise the
-# per-call cost, few enough that a block's activations stay a few MB.  The
-# size is part of the output: float32 products of another row count may round
-# differently, so changing it changes the bits ``embed`` writes.
+# Windows per forward pass of ``encode``: enough to amortise the per-call cost,
+# few enough that a block's activations stay a few MB.  Float32 products of
+# another row count may round differently, so the size is part of the output.
 ENCODE_BLOCK = 256
 
 # Windows per forward pass of ``mean_wre``, the validation error.
 WRE_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class EncoderSizes:
+    """Default sizes of a new encoder; seq2seq has no ``hidden`` layer."""
+
+    w_prime: int = 1
+    token_dim: int = 256
+    hidden: int = 512
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,13 @@ class WindowEncoder:
         return self._embed(table, np.atleast_2d(np.asarray(windows))), weights
 
     def encode(self, table, windows):
-        """Token embeddings for an (B, 2w'+1) id matrix (or a single window)."""
-        windows = np.asarray(windows)
-        codes = self._codes(self._embed(table, np.atleast_2d(windows)))
-        return codes[0] if windows.ndim == 1 else codes
+        """Token embeddings for an (B, 2w'+1) id matrix (or a single window),
+        ``ENCODE_BLOCK`` windows per forward pass."""
+        rows = np.atleast_2d(windows)
+        codes = np.empty((len(rows), self.token_dim), dtype=self.dtype)
+        for k in range(0, len(rows), ENCODE_BLOCK):
+            codes[k:k + ENCODE_BLOCK] = self._codes(self._embed(table, rows[k:k + ENCODE_BLOCK]))
+        return codes[0] if np.ndim(windows) == 1 else codes
 
     def encode_sentence(self, table, ids):
         """Token embeddings of every position of a sentence of ids."""
@@ -164,8 +175,7 @@ class FfnEncoder(WindowEncoder):
 
     arch = "ffn"
 
-    def __init__(self, dim, w_prime, token_dim=256, hidden=512, rng=None,
-                 dtype=np.float32):
+    def __init__(self, dim, w_prime, token_dim, hidden, rng=None, dtype=np.float32):
         super().__init__(dim, w_prime, token_dim, dtype)
         self.hidden = int(hidden)
         width = self.dim * self.window_len
@@ -219,9 +229,8 @@ class Seq2SeqEncoder(WindowEncoder):
 
     arch = "seq2seq"
 
-    def __init__(self, dim, w_prime, token_dim=256, rng=None, dtype=np.float32):
+    def __init__(self, dim, w_prime, token_dim, rng=None, dtype=np.float32):
         super().__init__(dim, w_prime, token_dim, dtype)
-        self.hidden = self.token_dim
         self.enc_cell = LstmCell(dim, token_dim, rng, dtype)
         self.dec_cell = LstmCell(dim, token_dim, rng, dtype)
         self.proj = Dense(token_dim, dim, "linear", rng, dtype)
@@ -310,12 +319,12 @@ ARCHS = (FfnEncoder.arch, Seq2SeqEncoder.arch)
 def check_encoder_sizes(arch, **sizes):
     """Raise ValueError for a size below 1; ``hidden`` counts for ffn only."""
     for name, size in sizes.items():
-        if size < 1 and (name != "hidden" or arch == "ffn"):
+        if (name != "hidden" or arch == "ffn") and size < 1:
             raise ValueError(f"{name} must be positive, got {size}")
 
 
-def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
-                  dtype=np.float32):
+def build_encoder(arch, dim, w_prime, token_dim=EncoderSizes.token_dim,
+                  hidden=EncoderSizes.hidden, rng=None, dtype=np.float32):
     if arch not in ARCHS:
         raise ValueError(f"unknown encoder architecture {arch!r}")
     check_encoder_sizes(arch, dim=dim, token_dim=token_dim, hidden=hidden)
@@ -324,8 +333,7 @@ def build_encoder(arch, dim, w_prime, token_dim=256, hidden=512, rng=None,
     return Seq2SeqEncoder(dim, w_prime, token_dim, rng, dtype)
 
 
-# Header config of an encoder file; only ffn files hold "hidden", and only
-# files saved with their training scheme hold "scheme".
+# Header config of an encoder file; seq2seq files may omit "hidden", any may omit "scheme".
 _CONFIG_FIELDS = {"arch": str, "dim": int, "w_prime": int, "token_dim": int,
                  "hidden": int, "scheme": {"name": str, "center_weight": float}}
 
@@ -335,10 +343,11 @@ def load_encoder(path):
     kind, cfg, tensors = load_model(path)
     if kind not in ARCHS:
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
-    check_config(path, cfg, _CONFIG_FIELDS, optional=("hidden", "scheme"))
+    check_config(path, cfg, _CONFIG_FIELDS,
+                 optional=("scheme",) if kind == "ffn" else ("hidden", "scheme"))
     if kind == "ffn":
         width = cfg["dim"] * (2 * cfg["w_prime"] + 1)
-        sizes = {"config.hidden": ("enc.0.b", (cfg.get("hidden", 512),)),
+        sizes = {"config.hidden": ("enc.0.b", (cfg["hidden"],)),
                  "config.token_dim": ("enc.1.b", (cfg["token_dim"],)),
                  "config.dim, config.w_prime": ("dec.1.b", (width,))}
     else:
@@ -347,7 +356,7 @@ def load_encoder(path):
     check_sizes(path, tensors, sizes)
     try:
         model = build_encoder(kind, cfg["dim"], cfg["w_prime"], cfg["token_dim"],
-                              cfg.get("hidden", 512))
+                              cfg["hidden"] if kind == "ffn" else None)
         scheme = WeightScheme(**cfg["scheme"]) if "scheme" in cfg else None
     except ValueError as e:
         raise ValueError(f"{path}: config: {e}") from None

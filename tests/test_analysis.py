@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from tokembed import analysis
+from tokembed import encoder
 from tokembed import rng as rng_mod
 from tokembed.analysis import (DISTANCE_BLOCK, TokenRecord, distances,
                                export_embeddings_tsv, index_corpus,
@@ -85,13 +85,13 @@ def per_sentence_index(model, table, sentences, type_filter, tags):
 
 def check_index_against_reference(model, sentences, type_filter, tags):
     rows = []
-    encode = model.encode
+    codes = model._codes
 
-    def counting_encode(table, windows):
-        rows.append(len(windows))
-        return encode(table, windows)
+    def counting_codes(E):
+        rows.append(len(E))
+        return codes(E)
 
-    with mock.patch.object(model, "encode", counting_encode):
+    with mock.patch.object(model, "_codes", counting_codes):
         index = index_corpus(model, TABLE, sentences, type_filter, tags)
     want = per_sentence_index(model, TABLE, sentences, type_filter, tags)
     assert [(r.identity, r.token, r.left, r.right, r.tag) for r in index] == \
@@ -100,7 +100,7 @@ def check_index_against_reference(model, sentences, type_filter, tags):
         assert rec.embedding.dtype == w[5].dtype
         np.testing.assert_allclose(rec.embedding, w[5], rtol=1e-5, atol=1e-6)
     assert sum(rows) == len(index)
-    assert all(0 < n <= analysis.ENCODE_BLOCK for n in rows)
+    assert all(0 < n <= encoder.ENCODE_BLOCK for n in rows)
     return index
 
 
@@ -112,7 +112,7 @@ def check_index_against_reference(model, sentences, type_filter, tags):
 def test_index_matches_per_sentence_encoding(arch, sentences, type_filter, tagged,
                                              block):
     tags = [[f"T{len(t)}{j}" for j in range(len(t))] for t in sentences] if tagged else None
-    with mock.patch.object(analysis, "ENCODE_BLOCK", block):
+    with mock.patch.object(encoder, "ENCODE_BLOCK", block):
         check_index_against_reference(ENCODERS[arch], sentences, type_filter, tags)
 
 

@@ -218,6 +218,7 @@ def save_untrained(command, data, path, hidden=4):
     ("embed", lambda c: c["scheme"].pop("center_weight"),
      ".scheme.center_weight is missing"),
     ("embed", lambda c: c["scheme"].update(name="flat"), ": unknown weighting scheme"),
+    ("embed", lambda c: c.pop("hidden"), ".hidden is missing"),
 ])
 def test_model_with_bad_config_field_exits_1(data, capsys, tmp_path, command, corrupt,
                                              field):
@@ -334,6 +335,25 @@ def test_knn_rejects_k_below_1(data, capsys, tmp_path, monkeypatch, k):
                              "--model", enc, "--corpus", data["val"], "-k", k)
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [f"error: -k must be at least 1, got {k}"]
+
+
+@pytest.mark.parametrize("command", ["embed", "knn", "train-tagger"])
+def test_encoder_of_another_dim_exits_1(data, capsys, tmp_path, command):
+    enc, emb = tmp_path / "enc.bin", tmp_path / "emb5.txt"
+    save_untrained("embed", data, enc)  # over the d=6 table
+    head, *entries = data["emb"].read_text(encoding="utf-8").splitlines()
+    emb.write_text("".join(f"{line}\n" for line in
+                           [f"{head.split()[0]} 5"] + [" ".join(e.split()[:6]) for e in entries]),
+                   encoding="utf-8")
+    argv = {"embed": ["--model", enc, "--corpus", data["val"], "--out", tmp_path / "e.tsv"],
+            "knn": ["--model", enc, "--corpus", data["val"]],
+            "train-tagger": ["--train", data["train_tags"], "--val", data["val_tags"],
+                             "--tagset", data["tagset"], "--encoder", enc,
+                             "--out", tmp_path / "t.bin"]}[command]
+    code, summary, err = run(capsys, command, "--embeddings", emb, *argv)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {enc}: config.dim 6 does not match the embedding table's dim 5"]
 
 
 @pytest.mark.parametrize("flag", ["--train", "--val"])
@@ -508,24 +528,54 @@ def test_same_seed_same_bytes(data, capsys, tmp_path):
     assert s1["metrics"] == s2["metrics"]
 
 
-def test_config_file_and_flag_override(data, capsys, tmp_path):
+def override_run(data, tmp_path, command):
+    """The ``key = value`` lines and flags of a small ``command`` run."""
+    if command == "train-encoder":
+        return (f'embeddings = "{data["emb"]}"\ntrain = "{data["train"]}"\n'
+                f'val = "{data["val"]}"\nw_prime = 1\ntoken_dim = 4\nhidden = 8\nlr = 0.02\n',
+                ["--out", tmp_path / "enc.bin"])
+    if command == "knn":
+        save_untrained("embed", data, tmp_path / "enc.bin")
+        return (f'embeddings = "{data["emb"]}"\nmodel = "{tmp_path / "enc.bin"}"\n',
+                ["--corpus", data["val"]])
+    return (f'embeddings = "{data["emb"]}"\ntrain = "{data["dep_train"]}"\n'
+            f'val = "{data["dep_val"]}"\nepochs = 1\n',
+            ["--out", tmp_path / "parser.bin"])
+
+
+@pytest.mark.parametrize("command, line, flags, key, value", [
+    ("train-encoder", "epochs = 1", ["--epochs", 2], "epochs", 2),
+    ("train-encoder", "epochs = 1", ["--epochs=2"], "epochs", 2),
+    ("train-encoder", "epochs = 1", ["--epo", 2], "epochs", 2),
+    ("knn", "k = 2", ["-k5"], "k", 5),
+    ("knn", "k = 2", ["-k", 5], "k", 5),
+    ("train-parser", "word_features = true", ["--no-word"], "word_features", False),
+    ("train-parser", "hidden = 16", ["--hid", 8], "hidden", 8),
+], ids=["--epochs 2", "--epochs=2", "--epo 2", "-k5", "-k 5", "--no-word", "--hid 8"])
+def test_config_file_and_flag_override(data, capsys, tmp_path, command, line, flags,
+                                       key, value):
+    lines, extra = override_run(data, tmp_path, command)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f'embeddings = "{data["emb"]}"\n'
-        f'train = "{data["train"]}"\n'
-        f'val = "{data["val"]}"\n'
-        "epochs = 1\n"
-        "w_prime = 1\n"
-        "token_dim = 4\n"
-        "hidden = 8\n"
-        "lr = 0.02\n",
-        encoding="utf-8")
-    out = tmp_path / "enc.bin"
-    code, summary, _ = run(capsys, "train-encoder", "--config", cfg,
-                           "--out", out, "--epochs", 2)
+    cfg.write_text(f"{lines}{line}\n", encoding="utf-8")
+    code, summary, _ = run(capsys, command, "--config", cfg, *extra, *flags)
     assert code == 0
-    assert summary["config"]["epochs"] == 2  # flag beats file
-    assert summary["config"]["token_dim"] == 4  # file beats default
+    assert summary["config"][key] == value  # a flag in any spelling beats the file
+    if command == "train-encoder":
+        assert summary["config"]["token_dim"] == 4  # file beats default
+    elif command == "knn":
+        assert len(summary["neighbors"]) == value
+    else:
+        _, header, _ = load_model(tmp_path / "parser.bin")
+        assert header["parser"][key] == value
+
+
+def test_repeated_config_key_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 1\nepochs = 2\n", encoding="utf-8")
+    code, summary, err = run(capsys, "train-encoder", "--config", cfg)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {cfg}:2: duplicate key 'epochs' (first at line 1)"]
 
 
 def test_unknown_config_key_rejected(data, capsys, tmp_path):

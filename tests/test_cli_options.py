@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from tokembed.cli import build_arg_parser
-from tokembed.encoder import WeightScheme
+from tokembed.encoder import EncoderSizes, WeightScheme
 from tokembed.parser import ParserConfig
 from tokembed.tagger import TaggerConfig
 
@@ -66,6 +66,7 @@ def test_every_subcommand_keeps_its_options():
     ("train-tagger", TaggerConfig, {}),
     ("train-parser", ParserConfig, {}),
     ("train-encoder", WeightScheme, {"name": "scheme"}),
+    ("train-encoder", EncoderSizes, {}),
 ])
 def test_cli_defaults_are_the_config_defaults(command, cls, renamed):
     defaults = vars(build_arg_parser().parse_args([command]))

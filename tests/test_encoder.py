@@ -1,3 +1,5 @@
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given
 
 from tokembed import rng as rng_mod
 from tokembed.embeddings import windows
-from tokembed.encoder import (FfnEncoder, Seq2SeqEncoder, WeightScheme,
-                              build_encoder, corpus_windows, load_encoder,
+from tokembed.encoder import (ENCODE_BLOCK, FfnEncoder, Seq2SeqEncoder,
+                              WeightScheme, build_encoder, corpus_windows, load_encoder,
                               train_encoder, window_weights, wre_loss, wre_value)
 from tokembed.nn import FitConfig, TrainingDiverged, gradient_check
 from tokembed.serialize import load_model, save_model
@@ -148,6 +150,28 @@ def test_encode_is_pure_function_of_window_ids(arch, toy_table):
                           model.encode(toy_table, win))
     assert np.array_equal(model.encode(toy_table, win),
                           model.encode(toy_table, win.copy()))
+
+
+@pytest.mark.parametrize("arch", ["ffn", "seq2seq"])
+def test_long_sentence_is_encoded_in_blocks(arch, toy_table):
+    model = build_encoder(arch, 3, 1, token_dim=4, hidden=5,
+                          rng=rng_mod.stream(3, "init"))
+    ids = np.arange(2 * ENCODE_BLOCK + 1) % 6
+    rows = []
+    codes = model._codes
+
+    def counting_codes(E):
+        rows.append(len(E))
+        return codes(E)
+
+    with mock.patch.object(model, "_codes", counting_codes):
+        embs = model.encode_sentence(toy_table, ids)
+    assert rows == [ENCODE_BLOCK, ENCODE_BLOCK, 1]
+    assert embs.shape == (len(ids), 4) and embs.dtype == np.float32
+    for j in (0, ENCODE_BLOCK - 1, ENCODE_BLOCK, len(ids) - 1):
+        win = window_at(ids, j, 1, toy_table.vocab.bos_id, toy_table.vocab.eos_id)
+        np.testing.assert_allclose(embs[j], model.encode(toy_table, win),
+                                   rtol=1e-5, atol=1e-6)
 
 
 def test_seq2seq_order_sensitivity(toy_table):
