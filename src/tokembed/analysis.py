@@ -55,15 +55,11 @@ def index_corpus(model, table, sentences, type_filter=None, tags=None):
     """
     if type_filter is not None:
         type_filter = set(type_filter)
-    places, rows = [], []
-    row = 0
-    for si, tokens in enumerate(sentences):
-        for j, tok in enumerate(tokens):
-            if type_filter is None or tok in type_filter:
-                places.append((si, j))
-                rows.append(row + j)
-        row += len(tokens)
-    codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[rows])
+    keep = [type_filter is None or tok in type_filter for tokens in sentences for tok in tokens]
+    places = [(si, j) for si, tokens in enumerate(sentences) for j in range(len(tokens))]
+    places = [place for place, kept in zip(places, keep) if kept]
+    codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[
+        np.array(keep, dtype=bool)])
     records = []
     w = model.w_prime
     for (si, j), emb in zip(places, codes):

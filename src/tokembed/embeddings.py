@@ -177,18 +177,23 @@ class Predictor:
         self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
                         if config.update_embeddings else None)
         self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
+        # the type window and every encoder read their columns of one window
+        # per token of this radius
+        self.radius = max(config.window, 0, *(e.w_prime for e in self.encoders))
 
-    def token_features(self, tokens, ids):
-        """(n, width) frozen block of a sentence of ``n`` tokens and their
-        vocabulary ``ids``: each encoder's token embeddings, then the
-        word-shape bits when ``config.word_features`` is on."""
-        blocks = [enc.encode_sentence(self.table, ids) for enc in self.encoders]
+    def token_features(self, sentences, wins):
+        """(N, width) frozen block of the N tokens of ``sentences``, in corpus
+        order, whose ``encoder.corpus_windows`` of radius ``self.radius`` are
+        ``wins``: one ``encode`` per encoder of its 2w'+1 center columns, then
+        the word-shape bits when ``config.word_features`` is on."""
+        r = self.radius
+        blocks = [np.zeros((len(wins), 0), dtype=np.float32)] + [
+            enc.encode(self.table, wins[:, r - enc.w_prime:r + enc.w_prime + 1])
+            for enc in self.encoders]
         if self.config.word_features:
-            # np.array rather than np.stack, which refuses a 0-token sentence
-            blocks.append(np.array([word_features(t) for t in tokens], dtype=np.float32)
-                          .reshape(len(tokens), WORD_FEATURE_COUNT))
-        if not blocks:
-            return np.zeros((len(tokens), 0), dtype=np.float32)
+            # np.array rather than np.stack, which refuses an empty corpus
+            blocks.append(np.array([word_features(t) for toks in sentences for t in toks],
+                                   dtype=np.float32).reshape(len(wins), WORD_FEATURE_COUNT))
         return np.concatenate(blocks, axis=1)
 
     def params(self):

@@ -82,13 +82,12 @@ def window_weights(scheme, w_prime):
 
 
 def corpus_windows(table, sentences, w_prime):
+    """(N, 2w'+1) window ids around the N tokens of ``sentences``, in corpus
+    order, each sentence's ids looked up once."""
     vocab = table.vocab
     offsets = np.arange(-w_prime, w_prime + 1)
-    mats = [windows(vocab.to_ids(toks), offsets, vocab.bos_id, vocab.eos_id)
-            for toks in sentences if toks]
-    if not mats:
-        return np.zeros((0, 2 * w_prime + 1), dtype=np.int64)
-    return np.concatenate(mats, axis=0)
+    return np.concatenate([np.zeros((0, len(offsets)), dtype=np.int64)] + [
+        windows(vocab.to_ids(toks), offsets, vocab.bos_id, vocab.eos_id) for toks in sentences])
 
 
 def wre_value(reconstructions, targets, weights):
@@ -209,9 +208,8 @@ class FfnEncoder(WindowEncoder):
         return loss, grads
 
     def params(self):
-        out = {f"enc.{k}": v for k, v in self.encoder.params().items()}
-        out.update({f"dec.{k}": v for k, v in self.decoder.params().items()})
-        return out
+        return {f"{part}.{k}": v for part, net in (("enc", self.encoder), ("dec", self.decoder))
+                for k, v in net.params().items()}
 
     def config(self):
         return {**super().config(), "hidden": self.hidden}
@@ -302,10 +300,8 @@ class Seq2SeqEncoder(WindowEncoder):
         return loss, grads
 
     def params(self):
-        out = {f"enc.{k}": v for k, v in self.enc_cell.params().items()}
-        out.update({f"dec.{k}": v for k, v in self.dec_cell.params().items()})
-        out.update({f"proj.{k}": v for k, v in self.proj.params().items()})
-        return out
+        parts = {"enc": self.enc_cell, "dec": self.dec_cell, "proj": self.proj}
+        return {f"{part}.{k}": v for part, net in parts.items() for k, v in net.params().items()}
 
 
 def wre_loss(model, table, windows, weights):

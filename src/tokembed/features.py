@@ -266,13 +266,16 @@ def load_brown_clusters(path):
 
 
 def load_tag_dictionary(path):
-    """Lines of "word<TAB>tag<TAB>count"."""
+    """Lines of "word<TAB>tag<TAB>count", the count non-negative."""
     out = {}
     for block in read_tsv(path, 3):
         for row in block:
             word, tag, _ = row[1]
+            count = tsv_int(path, row, 3)
+            if count < 0:
+                raise ValueError(f"{path}:{row[0]}: field 3 is a negative count: {count}")
             entry = out.setdefault(word, {})
-            entry[tag] = entry.get(tag, 0) + tsv_int(path, row, 3)
+            entry[tag] = entry.get(tag, 0) + count
     return out
 
 
@@ -289,6 +292,17 @@ def save_char_ngram_index(index, path):
 
 
 def load_char_ngram_index(path):
-    """Lines of "ngram<TAB>slot"."""
-    return {row[1][0]: tsv_int(path, row, 2)
-            for block in read_tsv(path, 2) for row in block}
+    """Lines of "ngram<TAB>slot": G distinct n-grams on the G slots 0..G-1."""
+    rows = [row for block in read_tsv(path, 2) for row in block]
+    first_line = {}
+    for row in rows:
+        lineno, slot = row[0], tsv_int(path, row, 2)
+        for key in (f"n-gram {row[1][0]!r}", f"slot {slot}"):
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate {key} "
+                                 f"(first at line {first_line[key]})")
+            first_line[key] = lineno
+        if not 0 <= slot < len(rows):
+            raise ValueError(f"{path}:{lineno}: slot {slot} outside 0..{len(rows) - 1}: "
+                             "char n-gram slots must be dense")
+    return {fields[0]: int(fields[1]) for _, fields in rows}

@@ -100,14 +100,6 @@ class MLP:
             for k in range(len(activations))
         ]
 
-    @property
-    def n_in(self):
-        return self.layers[0].n_in
-
-    @property
-    def n_out(self):
-        return self.layers[-1].n_out
-
     def forward(self, X, *, rng=None, input_rate=0.0, hidden_rate=0.0):
         dtype = self.layers[0].W.dtype
         X = np.asarray(X, dtype=dtype)
@@ -133,18 +125,14 @@ class MLP:
             if masks[k + 1] is not None:
                 d = d * masks[k + 1]
             d, layer_grads = self.layers[k].backward(d, caches[k])
-            for name, g in layer_grads.items():
-                grads[f"{k}.{name}"] = g
+            grads.update({f"{k}.{name}": g for name, g in layer_grads.items()})
         if masks[0] is not None:
             d = d * masks[0]
         return d, grads
 
     def params(self):
-        out = {}
-        for k, layer in enumerate(self.layers):
-            out[f"{k}.W"] = layer.W
-            out[f"{k}.b"] = layer.b
-        return out
+        return {f"{k}.{name}": v for k, layer in enumerate(self.layers)
+                for name, v in layer.params().items()}
 
 
 class LstmCell:
@@ -245,10 +233,8 @@ class LstmCell:
         np.matmul(dA.T, z, out=dW[:, cols])
         db = dA.sum(axis=0)
         h = self.n_hidden
-        grads = {}
-        for k, gate in enumerate(self.GATES):
-            grads[f"W{gate}"] = dW[k * h:(k + 1) * h]
-            grads[f"b{gate}"] = db[k * h:(k + 1) * h]
+        grads = {f"{name}{gate}": d[k * h:(k + 1) * h] for k, gate in enumerate(self.GATES)
+                 for name, d in (("W", dW), ("b", db))}
         if not need_prev:
             return None, None, None, grads
         # four per-gate products summed in gate order, as the bits require;
@@ -267,11 +253,7 @@ class LstmCell:
         return [M[:, k * h:(k + 1) * h] for k in range(4)]
 
     def params(self):
-        out = {}
-        for gate in self.GATES:
-            out[f"W{gate}"] = getattr(self, f"W{gate}")
-            out[f"b{gate}"] = getattr(self, f"b{gate}")
-        return out
+        return {name + gate: getattr(self, name + gate) for gate in self.GATES for name in "Wb"}
 
 
 def softmax_logloss_rows(logits, gold):

@@ -17,14 +17,16 @@ Head prediction picks the argmax candidate independently per token, ties
 going to the wall and then to lower positions; no tree constraint is applied.
 Inference (``predict_heads``, ``export_arc_scores``) scores blocks of whole
 sentences of about ``SCORE_BLOCK`` arc rows in one pass each; training runs
-one pass per sentence.
+one pass per sentence.  The frozen token features come from one
+``token_features`` call per scoring block, and one for the training corpus.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Predictor, windows
+from .embeddings import Predictor
+from .encoder import corpus_windows
 from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
 from .nn import MLP, fit, relu, softmax_logloss, softmax_logloss_rows
 from .serialize import read_tsv, tsv_int
@@ -178,9 +180,9 @@ class Parser(Predictor):
             raise ValueError("window=-1 with no encoders leaves no lexical input")
         super().__init__(config, table, encoders, dtype)
 
-        # window offsets, none for window -1
-        self._offsets = np.arange(-config.window, config.window + 1)
-        self.win_len = len(self._offsets)
+        # the type window's columns of the radius window, none for window -1
+        self._cols = self.radius + np.arange(-config.window, config.window + 1)
+        self.win_len = len(self._cols)
         self.type_width = 2 * self.win_len * table.dim
         token_dim = sum(e.token_dim for e in self.encoders)
         self.token_width = 2 * token_dim
@@ -212,18 +214,27 @@ class Parser(Predictor):
 
     # -- input composition ---------------------------------------------------
 
-    def _cache_sentence(self, sent):
-        """Position rows and arc indices for every selected child of a sentence."""
-        vocab = self.table.vocab
-        ids = vocab.to_ids(sent.tokens)
+    def _caches(self, sentences):
+        """The ``_SentenceCache`` of each of ``sentences``, from one window
+        per token and one ``token_features`` call for them all."""
+        tokens = [sent.tokens for sent in sentences]
+        wins = corpus_windows(self.table, tokens, self.radius)
+        ends = np.cumsum([len(sent) for sent in sentences])[:-1]
+        return list(map(self._cache_sentence, sentences, np.split(wins, ends),
+                        np.split(self.token_features(tokens, wins), ends)))
+
+    def _cache_sentence(self, sent, wins, token_rows):
+        """Position rows and arc indices for every selected child of a
+        sentence, from its tokens' rows of the window matrix (radius
+        ``self.radius``) and of ``token_features`` that ``_caches`` made."""
         n = len(sent)
         dtype = self.net.layers[0].W.dtype
         positions = np.array([0] + sent.selected_positions(), dtype=np.int64)
         tokens = positions[1:]
         k = len(tokens)
 
-        fixed = np.zeros((k + 1, self.pos_width - self.type_width // 2), dtype=dtype)
-        fixed[1:] = self.token_features(sent.tokens, ids)[tokens - 1]
+        fixed = np.zeros((k + 1, token_rows.shape[1]), dtype=dtype)
+        fixed[1:] = token_rows[tokens - 1]
 
         slots = np.arange(1, k + 1)
         grid = np.concatenate([np.zeros((k, 1), dtype=np.int64),
@@ -238,10 +249,9 @@ class Parser(Predictor):
         # a child's own slot is missing from its candidates, shifting later ones
         gold = np.where(gold_slot > slots, gold_slot - 1, gold_slot)
         # the wall's window reads the all-zero unknown row
-        wins = np.concatenate([np.full((1, self.win_len), vocab.unk_id),
-                               windows(ids, self._offsets, vocab.bos_id, vocab.eos_id)])
-        return _SentenceCache(positions, wins[positions], fixed, parent,
-                              pair.astype(dtype), gold)
+        wins = np.concatenate([np.full((1, self.win_len), self.table.vocab.unk_id),
+                               wins[np.ix_(tokens - 1, self._cols)]])
+        return _SentenceCache(positions, wins, fixed, parent, pair.astype(dtype), gold)
 
     def _side_rows(self, cache):
         """(2k+1, input_dim) first-layer rows per position: children (slots
@@ -305,15 +315,14 @@ class Parser(Predictor):
         """Score of the arc attaching child ``i`` to parent candidate ``j``,
         taken from the whole-sentence pass ``predict_heads([sent])`` uses."""
         self._check_arc(sent, i, j)
-        rows = {child: (cands, scores) for child, cands, scores in self.score_sentence(sent)}
-        cands, scores = rows[i]
+        _, cands, scores = next(row for row in self.score_sentence(sent) if row[0] == i)
         return float(scores[cands.index(j)])
 
     def arc_input(self, sent, i, j):
         """Composed network input for one (child, parent) pair: the row whose
         first-layer product the factored scorer computes."""
         self._check_arc(sent, i, j)
-        cache = self._cache_sentence(sent)
+        cache, = self._caches([sent])
         child, parent = np.searchsorted(cache.positions, [i, j])
         Z = self._side_rows(cache)
         row = Z[child - 1] + Z[cache.n_children + parent]
@@ -321,15 +330,13 @@ class Parser(Predictor):
         return row
 
     def _sentence_blocks(self, sentences):
-        """Lists of (sentence, cache) holding whole sentences in order, each
-        closed once its sentences have ``SCORE_BLOCK`` arc rows between them,
-        so a block has fewer than ``SCORE_BLOCK`` rows plus those of its last
-        sentence.  A cache lives only as long as its block."""
+        """Lists of whole sentences in order, each closed once its sentences
+        have ``SCORE_BLOCK`` arc rows between them, so a block has fewer than
+        ``SCORE_BLOCK`` rows plus those of its last sentence."""
         block, rows = [], 0
         for sent in sentences:
-            cache = self._cache_sentence(sent)
-            block.append((sent, cache))
-            rows += cache.n_children ** 2
+            block.append(sent)
+            rows += sum(sent.selected) ** 2
             if rows >= SCORE_BLOCK:
                 yield block
                 block, rows = [], 0
@@ -338,12 +345,14 @@ class Parser(Predictor):
 
     def _block_scores(self, sentences):
         """(sentence, cache, (k, k) arc scores) per sentence, in order, with
-        one ``_forward`` per block of sentences."""
+        one ``_caches`` call and one ``_forward`` per block of sentences; a
+        cache lives only as long as its block."""
         for block in self._sentence_blocks(sentences):
-            caches = [cache for _, cache in block if cache.n_children]
-            flat = self._forward(caches)[0] if caches else np.zeros(0)
+            caches = self._caches(block)
+            scored = [cache for cache in caches if cache.n_children]
+            flat = self._forward(scored)[0] if scored else np.zeros(0)
             end = 0
-            for sent, cache in block:
+            for sent, cache in zip(block, caches):
                 k = cache.n_children
                 yield sent, cache, flat[end:end + k * k].reshape(k, k)
                 end += k * k
@@ -499,7 +508,7 @@ def train_parser(model, train_sents, val_sents, cfg):
     heads and gold selection drive both."""
     if not train_sents or not val_sents:
         raise ValueError("empty corpus")
-    caches = [model._cache_sentence(s) for s in train_sents]
+    caches = model._caches(train_sents)
     for cache in caches:
         missing = np.flatnonzero(cache.gold < 0)
         if len(missing):

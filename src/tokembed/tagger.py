@@ -10,10 +10,11 @@ softmax layer over the tagset, fed a fixed-order concatenation of
   4. the extended resource-based stack, when enabled.
 
 Token embeddings come from encoders whose parameters never receive gradients
-here; they are treated as precomputed sentence features, which enforces the
-freeze structurally.  Optionally the type-embedding table itself is trained
-(on a private copy), with an anchored L2 penalty pulling it back toward the
-pretrained values; reserved rows stay zero either way.
+here; they are precomputed for a whole corpus at once, one ``encode`` per
+encoder, which enforces the freeze structurally.  Optionally the
+type-embedding table itself is trained (on a private copy), with an anchored
+L2 penalty pulling it back toward the pretrained values; reserved rows stay
+zero either way.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .embeddings import Predictor, windows
+from .embeddings import Predictor
+from .encoder import corpus_windows
 from .features import WORD_FEATURE_COUNT, extended_feature_width, extended_features
 from .nn import MLP, fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
@@ -113,7 +115,7 @@ class Tagger(Predictor):
 
         w = config.window
         offsets = [o for o in range(-w, w + 1) if not (config.omit_center and o == 0)]
-        self._offsets = np.array(offsets, dtype=np.int64)
+        self._cols = self.radius + np.array(offsets, dtype=np.int64)
         self.type_width = len(offsets) * table.dim
         self.input_dim = self.input_width(config, table.dim,
                                           sum(e.token_dim for e in self.encoders),
@@ -126,26 +128,24 @@ class Tagger(Predictor):
 
     # -- input composition ------------------------------------------------
 
-    def const_features(self, tokens):
-        """Per-token features that do not depend on trainable state: the
-        frozen ``token_features`` block, then the extended stack when enabled."""
-        fixed = self.token_features(tokens, self.table.vocab.to_ids(tokens))
+    def const_features(self, sentences, wins):
+        """Features of every token of ``sentences`` that do not depend on
+        trainable state: the frozen ``token_features`` of their windows
+        ``wins``, then the extended stack when enabled."""
+        fixed = self.token_features(sentences, wins)
         if not self.config.extended:
             return fixed
-        ext = np.stack([extended_features(tokens, j, self.resources)
-                        for j in range(len(tokens))])
+        ext = np.array([extended_features(tokens, j, self.resources)
+                        for tokens in sentences for j in range(len(tokens))],
+                       dtype=np.float32).reshape(len(wins), self.header()["extended_width"])
         return np.concatenate([fixed, ext], axis=1)
 
     def features(self, sentences):
         """Type-window ids and constant features of every token of
-        ``sentences``, in corpus order; ``inputs`` composes them."""
-        vocab = self.table.vocab
-        wins, consts = [], []
-        for tokens in sentences:
-            wins.append(windows(vocab.to_ids(tokens), self._offsets, vocab.bos_id,
-                                vocab.eos_id))
-            consts.append(self.const_features(tokens))
-        return np.concatenate(wins), np.concatenate(consts)
+        ``sentences``, in corpus order, from one window per token;
+        ``inputs`` composes them."""
+        wins = corpus_windows(self.table, sentences, self.radius)
+        return wins[:, self._cols], self.const_features(sentences, wins)
 
     def inputs(self, wins, consts):
         """Network input rows: the type embeddings of the window ids, then the
@@ -260,14 +260,11 @@ def tagging_accuracy(predicted, gold):
     if len(predicted) != len(gold):
         raise ValueError(f"corpora have different sentence counts: {len(predicted)} "
                          f"predicted, {len(gold)} gold")
-    total = 0
-    matched = 0
     for p, g in zip(predicted, gold):
         if len(p) != len(g):
             raise ValueError("sentence length mismatch between corpora")
-        for a, b in zip(p, g):
-            total += 1
-            matched += a == b
+    total = sum(len(g) for g in gold)
+    matched = sum(a == b for p, g in zip(predicted, gold) for a, b in zip(p, g))
     if total == 0:
         raise ValueError("empty corpora")
     return float(100.0 * matched / total)

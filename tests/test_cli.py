@@ -831,6 +831,12 @@ def tsv_argv(fmt, data, path, tmp_path):
     ("ngrams", "th\t0\nhe\n", 2, "expected 2 tab-separated fields, got 1"),
     ("ngrams", "\t0\n", 1, "field 1 is empty"),
     ("ngrams", "th\tzero\n", 1, "field 2 is not an integer: 'zero'"),
+    ("tagdict", "the\tDT\t90\nthe\tNN\t-3\n", 2, "field 3 is a negative count: -3"),
+    ("ngrams", "th\t0\nhe\t1\nth\t0\n", 3, "duplicate n-gram 'th' (first at line 1)"),
+    ("ngrams", "th\t0\n\nth\t1\n", 3, "duplicate n-gram 'th' (first at line 1)"),
+    ("ngrams", "th\t1\nhe\t1\n", 2, "duplicate slot 1 (first at line 1)"),
+    ("ngrams", "th\t0\nhe\t2\n", 2, "slot 2 outside 0..1: char n-gram slots must be dense"),
+    ("ngrams", "th\t-1\n", 1, "slot -1 outside 0..0: char n-gram slots must be dense"),
 ])
 def test_malformed_tsv_field_exits_1_naming_line(data, capsys, tmp_path, fmt, text,
                                                  line, message):

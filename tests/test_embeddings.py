@@ -1,11 +1,15 @@
+import math
 import warnings
+from contextlib import ExitStack
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given
 
-from tokembed import embeddings, parser, rng as rng_mod, tagger
+from tokembed import embeddings, encoder, parser, rng as rng_mod, tagger
+from tokembed.analysis import index_corpus
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text, windows)
@@ -383,7 +387,7 @@ def _parser_setup(table, words, rng):
         return parser.Parser(cfg, table, rng=rng_mod.stream(72, "init"))
 
     def batches(model):
-        caches = [model._cache_sentence(s) for s in sents]
+        caches = model._caches(sents)
         return [(caches[k:k + 2],) for k in range(0, len(caches), 2)]
 
     def window_ids(batch):
@@ -430,3 +434,105 @@ def test_sparse_anchored_steps_match_dense_rule(setup):
                 assert np.array_equal(model.params()[name], value), name
     assert 9 not in active
     assert not np.signbit(model.embeddings[9, 3])
+
+
+# -- one corpus path from tokens to encoder features ---------------------------
+
+# 3- and 4-token sentences, whose small forward passes may round otherwise,
+# and one sentence longer than the patched block of 8 windows
+CORPUS = [["u0", "u1", "u2"], ["u3", "u4", "oov", "u5"], [f"u{k % 6}" for k in range(11)],
+          ["u5", "u0", "u2"], ["u1", "u1", "u4", "u3"], ["u2"]]
+
+
+def corpus_encoders():
+    return [encoder.FfnEncoder(4, 1, token_dim=3, hidden=6, rng=rng_mod.stream(73, "init")),
+            encoder.Seq2SeqEncoder(4, 2, token_dim=2, rng=rng_mod.stream(74, "init"))]
+
+
+def corpus_predictors(table, encoders):
+    """A tagger and a parser whose type windows are wider than, or as wide
+    as, the encoders' windows."""
+    return [tagger.Tagger(tagger.TaggerConfig(window=3, hidden=4), ["A"], table, encoders),
+            parser.Parser(parser.ParserConfig(window=0, hidden=4, word_features=False),
+                          table, encoders)]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_token_features_are_the_index_embeddings(monkeypatch, which):
+    # one encoder, no word features: the rows a predictor trains on are the
+    # rows ``embed`` exports, bit for bit
+    monkeypatch.setattr(encoder, "ENCODE_BLOCK", 8)
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(75, "data"))
+    enc = corpus_encoders()[which]
+    want = np.stack([r.embedding for r in index_corpus(enc, table, CORPUS)])
+    predictors = corpus_predictors(table, [enc])
+    for model in predictors:
+        wins = encoder.corpus_windows(table, CORPUS, model.radius)
+        got = model.token_features(CORPUS, wins)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    # the parser's training caches keep the rows of their selected tokens
+    sents = [parser.DepSentence(toks, [-1] * len(toks), [k % 2 == 0 for k in range(len(toks))])
+             for toks in CORPUS]
+    fixed = np.concatenate([c.fixed[1:] for c in predictors[1]._caches(sents)])
+    selected = [flag for s in sents for flag in s.selected]
+    assert np.array_equal(fixed.view(np.uint32), want[selected].view(np.uint32))
+
+
+def count_passes(encoders, log):
+    """Patch each encoder's forward pass to append (encoder index, rows) to
+    ``log``."""
+    stack = ExitStack()
+    for k, enc in enumerate(encoders):
+        def counting(E, k=k, codes=enc._codes):
+            log.append((k, len(E)))
+            return codes(E)
+        stack.enter_context(mock.patch.object(enc, "_codes", counting))
+    return stack
+
+
+def passes_per_encoder(log, n_encoders):
+    return [[rows for k, rows in log if k == e] for e in range(n_encoders)]
+
+
+@pytest.mark.parametrize("block", [4, 8, 256])
+def test_tagger_features_encode_the_corpus_in_blocks(monkeypatch, block):
+    monkeypatch.setattr(encoder, "ENCODE_BLOCK", block)
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(75, "data"))
+    encoders = corpus_encoders()
+    model = corpus_predictors(table, encoders)[0]
+    n = sum(len(toks) for toks in CORPUS)
+    log = []
+    with count_passes(encoders, log):
+        wins, consts = model.features(CORPUS)
+    assert len(wins) == len(consts) == n
+    for rows in passes_per_encoder(log, len(encoders)):
+        assert sum(rows) == n
+        assert len(rows) <= math.ceil(n / block)
+
+
+@pytest.mark.parametrize("block", [4, 8, 256])
+def test_parser_blocks_encode_their_sentences_in_blocks(monkeypatch, block):
+    # the forward passes between two scoring passes are those of one block
+    monkeypatch.setattr(encoder, "ENCODE_BLOCK", block)
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(75, "data"))
+    encoders = corpus_encoders()
+    model = corpus_predictors(table, encoders)[1]
+    sents = [parser.DepSentence(toks, [-1] * len(toks), [True] * len(toks))
+             for toks in CORPUS * 12]
+    log, blocks = [], []
+    forward = model._forward
+
+    def scoring(caches):
+        blocks.append(passes_per_encoder(log, len(encoders)))
+        log.clear()
+        return forward(caches)
+
+    with count_passes(encoders, log), mock.patch.object(model, "_forward", scoring):
+        model.predict_heads(sents)
+    assert not log and 1 < len(blocks) < len(sents)
+    for per_encoder in blocks:
+        n = sum(per_encoder[0])
+        for rows in per_encoder:
+            assert sum(rows) == n
+            assert len(rows) <= math.ceil(n / block)

@@ -148,7 +148,7 @@ def test_cache_keeps_no_per_arc_input_rows():
     model = Parser(ParserConfig(window=1, hidden=6), table, encoders=[enc])
     sent = DepSentence([f"t{k}" for k in range(6)], [0, 1, -1, 2, 4, 5],
                        [True, True, False, True, True, True])
-    cache = model._cache_sentence(sent)
+    cache = model._caches([sent])[0]
     n_arcs = cache.n_children ** 2
     per_arc = [getattr(cache, f.name) for f in fields(cache)
                if len(getattr(cache, f.name)) == n_arcs]
@@ -170,7 +170,7 @@ def test_cache_windows_are_wall_row_plus_selected_windows(window, selected):
     expected = [[v.unk_id] * len(offsets)] + [
         reference_window(ids, p - 1, offsets, v.bos_id, v.eos_id)
         for p in sent.selected_positions()]
-    wins = model._cache_sentence(sent).wins
+    wins = model._caches([sent])[0].wins
     assert wins.shape == (len(expected), len(offsets))
     assert wins.tolist() == expected
 
@@ -183,7 +183,7 @@ def test_fixed_rows_are_token_blocks_of_selected_positions():
     model = Parser(ParserConfig(window=0, hidden=2), table, encoders=[enc])
     sent = DepSentence(["t0", "@you", "42", "t3", "#tag"], [-1, 0, -1, 2, 4],
                        [False, True, False, True, True])
-    fixed = model._cache_sentence(sent).fixed
+    fixed = model._caches([sent])[0].fixed
     embs = enc.encode_sentence(table, table.vocab.to_ids(sent.tokens))
     assert np.array_equal(fixed[0], np.zeros(12, np.float32))
     for slot, p in enumerate(sent.selected_positions(), start=1):
@@ -236,7 +236,7 @@ def test_arc_loss_gradient_through_network():
     model = Parser(ParserConfig(window=1, hidden=5), table,
                    rng=rng_mod.stream(45, "init"), dtype=np.float64)
     sent = full_sentence(4)
-    cache = model._cache_sentence(sent)
+    cache = model._caches([sent])[0]
     k = cache.n_children
 
     def loss_and_grads():
@@ -254,7 +254,7 @@ def test_arc_loss_gradient_through_network():
 def summed_loss(model, sent):
     """Sum of the per-child arc losses of one sentence: the minibatch mean of
     ``batch_loss_and_grads`` times its child count."""
-    cache = model._cache_sentence(sent)
+    cache = model._caches([sent])[0]
     mean, _ = batch_loss_and_grads(model, [cache])
     return mean * cache.n_children
 
@@ -599,7 +599,7 @@ def test_update_embeddings_gradients_match_finite_differences():
     model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))
     sents = [DepSentence([words[int(rng.integers(6))] for _ in range(3)],
                          [0, 1, 2], [True] * 3) for _ in range(2)]
-    caches = [model._cache_sentence(s) for s in sents]
+    caches = model._caches(sents)
 
     params = {k: v for k, v in model.params().items() if k != "embeddings"}
     params["embeddings"] = model.embeddings[:6]
@@ -634,7 +634,7 @@ def test_batch_gradients_with_window_encoder_and_embedding_updates():
     sents = [DepSentence(words[:4], [0, 1, -1, 2], [True, True, False, True]),
              DepSentence(words[3:], [3, 0, 2], [True] * 3),
              DepSentence(["55"], [0], [True])]
-    caches = [model._cache_sentence(s) for s in sents]
+    caches = model._caches(sents)
 
     params = {k: v for k, v in model.params().items() if k != "embeddings"}
     params["embeddings"] = model.embeddings[:6]
