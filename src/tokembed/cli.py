@@ -33,8 +33,8 @@ from .features import (ResourceBundle, build_char_ngram_index,
                        save_char_ngram_index)
 from .nn import FitConfig, TrainingDiverged
 from .parser import (DepSentence, Parser, ParserConfig, attachment_f1,
-                     export_arc_scores, load_dep_corpus, save_dep_corpus,
-                     train_parser)
+                     check_gold_heads, export_arc_scores, load_dep_corpus,
+                     save_dep_corpus, train_parser)
 from .serialize import open_text
 from .tagger import (Tagger, TaggerConfig, corpus_tag_ids, load_tagged_corpus,
                      load_tagset, save_tagged_corpus, tagging_accuracy,
@@ -147,6 +147,14 @@ def _config(cls, args, **renamed):
     return cls(**{**values, **renamed})
 
 
+def _training_corpus(path, load):
+    """The sentences ``load`` reads from ``path``; training needs some."""
+    corpus = load(path)
+    if not corpus:
+        raise CliError(f"{path}: empty corpus")
+    return corpus
+
+
 def _subsample(sentences, fraction, seed):
     if fraction == 1.0:
         return sentences
@@ -165,11 +173,11 @@ def cmd_train_encoder(args):
     window_weights(scheme, args.w_prime)  # training needs w' >= 1, inference does not
     check_encoder_sizes(args.arch, token_dim=args.token_dim, hidden=args.hidden)
     table = load_word2vec_text(args.embeddings)
-    train = load_corpus(args.train)
-    val = load_corpus(args.val)
+    train = _training_corpus(args.train, load_corpus)
+    val = _training_corpus(args.val, load_corpus)
     vocab = table.vocab
     for path, corpus in ((args.train, train), (args.val, val)):
-        if corpus and all(vocab.id_of(t) >= vocab.bos_id for toks in corpus for t in toks):
+        if all(vocab.id_of(t) >= vocab.bos_id for toks in corpus for t in toks):
             raise CliError(f"{path}: no token is in the embeddings vocabulary, "
                            "so every window is all zero rows")
     model = build_encoder(args.arch, table.dim, args.w_prime, args.token_dim,
@@ -263,9 +271,10 @@ def cmd_train_tagger(args):
     tagset = load_tagset(args.tagset)
     encoders = _load_encoders(args.encoder, table)
     resources = _load_resources(args)
-    train = corpus_tag_ids(load_tagged_corpus(args.train), tagset, args.train)
+    train = corpus_tag_ids(_training_corpus(args.train, load_tagged_corpus), tagset,
+                           args.train)
     train = _subsample(train, args.train_fraction, cfg.seed)
-    val = corpus_tag_ids(load_tagged_corpus(args.val), tagset, args.val)
+    val = corpus_tag_ids(_training_corpus(args.val, load_tagged_corpus), tagset, args.val)
     model = Tagger(config, tagset, table, encoders, resources,
                    rng_mod.stream(cfg.seed, "init"))
     log(f"training tagger: input={model.input_dim} hidden={args.hidden} "
@@ -306,8 +315,12 @@ def cmd_tag(args):
 
 
 def _load_pred_and_gold(args, load, tokens):
-    """Both corpora, rejected at the first sentence whose tokens differ."""
+    """Both corpora, rejected if their sentence counts differ or at the
+    first sentence whose tokens differ."""
     pred, gold = load(args.pred), load(args.gold)
+    if len(pred) != len(gold):
+        raise CliError(f"{args.pred} and {args.gold}: the sentence counts differ, "
+                       f"{len(pred)} and {len(gold)}")
     for k, (p, g) in enumerate(zip(pred, gold), start=1):
         if tokens(p) != tokens(g):
             raise CliError(f"{args.pred} and {args.gold}: the tokens of sentence {k} differ")
@@ -327,8 +340,9 @@ def cmd_train_parser(args):
     config = _config(ParserConfig, args)
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder, table)
-    train = load_dep_corpus(args.train)
-    val = load_dep_corpus(args.val)
+    train = _training_corpus(args.train, load_dep_corpus)
+    check_gold_heads(train, args.train)
+    val = _training_corpus(args.val, load_dep_corpus)
     model = Parser(config, table, encoders, rng_mod.stream(cfg.seed, "init"))
     log(f"training parser: input={model.input_dim} hidden={args.hidden} "
         f"on {len(train)} sentences")

@@ -81,6 +81,14 @@ def candidate_heads(sentence, i):
     return [0] + [j for j in sentence.selected_positions() if j != i]
 
 
+def check_gold_heads(sentences, source="training corpus"):
+    """Reject a selected token with no gold head, naming ``source`` and the sentence."""
+    for k, sent in enumerate(sentences, start=1):
+        for i in sent.selected_positions():
+            if sent.heads[i - 1] < 0:
+                raise ValueError(f"{source}: sentence {k}: selected token {i} has no gold head")
+
+
 def load_dep_corpus(path):
     """CoNLL-like file: "index<TAB>token<TAB>head<TAB>selected" lines, blank
     line between sentences; head is -1 (and selected 0) for unselected tokens."""
@@ -159,17 +167,17 @@ class Parser(Predictor):
     """Arc scorer and local head predictor.
 
     The first layer is linear in the input row, so it is applied per position
-    rather than per arc: each position is projected once through the child
-    columns and once through the parent columns of ``net.0.W``, and an arc's
-    pre-activation is its child's projection plus its parent's plus that of
-    its pair features (Chen & Manning, 2014).  Only the hidden layers see one
-    row per arc.
+    rather than per arc: a position row holds each block of ``_blocks`` once,
+    and it is projected once through the block's child columns and once
+    through its parent columns of ``net.0.W``.  An arc's pre-activation is its
+    child's projection plus its parent's plus that of its pair features (Chen
+    & Manning, 2014).  Only the hidden layers see one row per arc.
 
-    Inference goes through ``_forward`` a block of sentences at a time: one
-    first-layer product over the positions of every sentence in the block and
-    one product per hidden layer over all their arcs.  ``score_sentence`` and
-    ``arc_score`` are the one-sentence block; ``predict_heads`` takes a whole
-    corpus.
+    Inference goes through ``_forward`` a block of sentences at a time: the
+    first-layer products run over the positions of every sentence in the
+    block, and one product per hidden layer over all their arcs.
+    ``score_sentence`` and ``arc_score`` are the one-sentence block;
+    ``predict_heads`` takes a whole corpus.
     """
 
     kind = "parser"
@@ -185,20 +193,20 @@ class Parser(Predictor):
         self.win_len = len(self._cols)
         self.type_width = 2 * self.win_len * table.dim
         token_dim = sum(e.token_dim for e in self.encoders)
-        self.token_width = 2 * token_dim
         shape_width = WORD_FEATURE_COUNT if config.word_features else 0
         self.input_dim = self.input_width(config, table.dim, token_dim, {})
 
-        # (offset, width) of the type-window, token-embedding and shape blocks
-        # in a position row.  The network input holds each block twice, child
-        # copy then parent copy, from twice its offset; pair features close it.
+        # (position-row, child-column, parent-column) slices of the type-window,
+        # token-embedding and shape blocks, the one statement of the layout: the
+        # network input holds each block of a position row twice, child copy
+        # then parent copy, from twice its offset; pair features close it.
         self._blocks = []
-        offset = 0
-        for width in (self.type_width // 2, self.token_width // 2, shape_width):
+        lo = 0
+        for width in (self.win_len * table.dim, token_dim, shape_width):
             if width:
-                self._blocks.append((offset, width))
-            offset += width
-        self.pos_width = offset
+                self._blocks.append((slice(lo, lo + width), slice(2 * lo, 2 * lo + width),
+                                     slice(2 * lo + width, 2 * (lo + width))))
+            lo += width
 
         self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
                        ["relu", "relu", "linear"], rng, dtype)
@@ -253,44 +261,38 @@ class Parser(Predictor):
                                wins[np.ix_(tokens - 1, self._cols)]])
         return _SentenceCache(positions, wins, fixed, parent, pair.astype(dtype), gold)
 
-    def _side_rows(self, cache):
-        """(2k+1, input_dim) first-layer rows per position: children (slots
-        1..k) in the child columns, then slots 0..k in the parent columns, zero
-        elsewhere.  An arc's input row is its child's row plus its parent's
-        row plus its pair features in the last columns, so one product with
-        ``net.0.W`` projects every position for both roles."""
-        k = cache.n_children
-        typ = self.embeddings[cache.wins].reshape(k + 1, -1)
-        X = np.concatenate([typ.astype(cache.fixed.dtype, copy=False), cache.fixed],
-                           axis=1)
-        Z = np.zeros((2 * k + 1, self.input_dim), dtype=X.dtype)
-        for lo, width in self._blocks:
-            Z[:k, 2 * lo:2 * lo + width] = X[1:, lo:lo + width]
-            Z[k:, 2 * lo + width:2 * lo + 2 * width] = X[:, lo:lo + width]
-        return Z
+    def _position_rows(self, caches):
+        """The (k+1, P) position rows of each of ``caches``, stacked: per slot
+        its type window, then its ``fixed`` row, P wide like one role's columns."""
+        wins = np.concatenate([c.wins for c in caches])
+        fixed = np.concatenate([c.fixed for c in caches])
+        typ = self.embeddings[wins].reshape(len(wins), -1)
+        return np.concatenate([typ.astype(fixed.dtype, copy=False), fixed], axis=1)
 
     def _forward(self, caches):
         """Scores of the k*k arcs of every sentence in ``caches``, one flat
         array holding each sentence's child spans in order, and the
         activations ``batch_loss_and_grads`` propagates back through.
 
-        One product with ``net.0.W`` projects the positions of all the
-        sentences, one takes their pair features, and one per hidden layer
-        covers all their arcs.  The scalar output layer runs per sentence,
-        because the rounding of an (M, hidden) x (hidden, 1) product changes
-        with M: a sentence keeps the scores it gets alone wherever the wider
+        The child and parent columns of ``net.0.W`` project the position rows
+        of all the sentences, one product per block of ``_blocks`` and role;
+        one product takes the pair features, and one per hidden layer covers
+        all the arcs.  The scalar output layer runs per sentence, because the
+        rounding of an (M, hidden) x (hidden, 1) product changes with M: a
+        sentence keeps the scores it gets alone wherever the wider
         hidden-layer products round alike (README, "Parser cost")."""
         first, last = self.net.layers[0], self.net.layers[-1]
         ks = [c.n_children for c in caches]
-        rows = np.cumsum([0] + [k * k for k in ks])        # each sentence's first arc
-        slots = np.cumsum([0] + [2 * k + 1 for k in ks])   # and first side row
-        Z = np.concatenate([self._side_rows(c) for c in caches])
-        proj = Z @ first.W.T
+        rows = np.cumsum([0] + [k * k for k in ks])   # each sentence's first arc
+        slots = np.cumsum([0] + [k + 1 for k in ks])  # and its wall's position row
+        X = self._position_rows(caches)
+        child = sum(X[:, pos] @ first.W[:, cols].T for pos, cols, _ in self._blocks)
+        parent = sum(X[:, pos] @ first.W[:, cols].T for pos, _, cols in self._blocks)
         A = np.concatenate([c.pair for c in caches]) @ first.W[:, -PAIR_FEATURE_COUNT:].T
         for cache, k, lo, s in zip(caches, ks, rows, slots):
             spans = A[lo:lo + k * k].reshape(k, k, first.n_out)
-            spans += (proj[s:s + k] + first.b)[:, None, :]
-            spans += proj[s + k:s + 2 * k + 1][cache.parent.reshape(k, k)]
+            spans += (child[s + 1:s + k + 1] + first.b)[:, None, :]
+            spans += parent[s:s + k + 1][cache.parent.reshape(k, k)]
         H = relu(A)
         tail = []
         for layer in self.net.layers[1:-1]:
@@ -298,7 +300,7 @@ class Parser(Predictor):
             tail.append(layer_cache)
         out = np.concatenate([last.forward(H[lo:hi])[0] for lo, hi in zip(rows, rows[1:])])
         tail.append((H, out))  # the (input, pre-activation) cache of the linear output
-        return out[:, 0], (Z, A, tail)
+        return out[:, 0], (X, A, tail)
 
     # -- scoring and prediction ----------------------------------------------
 
@@ -323,9 +325,10 @@ class Parser(Predictor):
         first-layer product the factored scorer computes."""
         self._check_arc(sent, i, j)
         cache, = self._caches([sent])
-        child, parent = np.searchsorted(cache.positions, [i, j])
-        Z = self._side_rows(cache)
-        row = Z[child - 1] + Z[cache.n_children + parent]
+        child, parent = self._position_rows([cache])[np.searchsorted(cache.positions, [i, j])]
+        row = np.zeros(self.input_dim, dtype=child.dtype)
+        for pos, child_cols, parent_cols in self._blocks:
+            row[child_cols], row[parent_cols] = child[pos], parent[pos]
         row[-PAIR_FEATURE_COUNT:] = pair_feature_matrix([i], [j], len(sent))[0]
         return row
 
@@ -450,24 +453,24 @@ def batch_loss_and_grads(model, caches):
     The first layer's gradient is built per position, like its forward pass:
     an incidence-matrix product sums the arc pre-activation gradients over
     each child's span and over each parent, giving the gradient of every
-    position's projection, and one product of those with the position rows
-    of the whole batch gives ``net.0.W``.  Only the pair-feature columns see
-    per-arc rows.  The input gradient is formed per position, and only when
-    the embeddings are updated.
+    slot's child and parent projections.  Per block of ``_blocks`` and role,
+    one product of those with the position rows of the whole batch gives
+    that block's columns of ``net.0.W``.  Only the pair-feature columns see
+    per-arc rows.  The type-window gradient is formed per position, through
+    the type block's columns, and only when the embeddings are updated.
     """
     net = model.net
     first = net.layers[0]
     n_children = sum(c.n_children for c in caches)
     grads = {f"net.{k}": np.zeros_like(v) for k, v in net.params().items()}
     window_grads = []
-    half = model.type_width // 2
     total = 0.0
-    side_rows, dside_rows, pair_grad = [], [], 0.0
+    first_rows, pair_grad = [], 0.0  # per sentence: X and its projections' gradients
     for cache in caches:
         k = cache.n_children
         if k == 0:
             continue
-        flat, (Z, A, tail) = model._forward([cache])
+        flat, (X, A, tail) = model._forward([cache])
         losses, dscores = _child_losses(flat.reshape(k, k), cache.gold)
         total += losses.sum()
         d = (dscores.astype(flat.dtype) / n_children).reshape(k * k, 1)
@@ -477,23 +480,24 @@ def batch_loss_and_grads(model, caches):
             grads[f"net.{idx}.b"] += layer_grads["b"]
         dA = d * (A > 0)
         arcs = np.arange(k * k)
-        incidence = np.zeros((2 * k + 1, k * k), dtype=dA.dtype)
-        incidence[arcs // k, arcs] = 1.0
-        incidence[k + cache.parent, arcs] = 1.0
-        dproj = incidence @ dA
-        grads["net.0.b"] += dproj[:k].sum(axis=0)
+        incidence = np.zeros((2 * (k + 1), k * k), dtype=dA.dtype)
+        incidence[1 + arcs // k, arcs] = 1.0          # each arc's child slot
+        incidence[k + 1 + cache.parent, arcs] = 1.0   # and its parent slot
+        dchild, dparent = np.split(incidence @ dA, 2)
+        grads["net.0.b"] += dchild.sum(axis=0)
         pair_grad = pair_grad + dA.T @ cache.pair
-        side_rows.append(Z)
-        dside_rows.append(dproj)
-        if model.adapted is not None and half:
-            dwin = dproj[k:] @ first.W[:, half:2 * half]
-            dwin[1:] += dproj[:k] @ first.W[:, :half]
+        first_rows.append((X, dchild, dparent))
+        if model.adapted is not None and model.win_len:
+            _, child_cols, parent_cols = model._blocks[0]  # the type window
+            dwin = dparent @ first.W[:, parent_cols] + dchild @ first.W[:, child_cols]
             window_grads.append((cache.wins, dwin.reshape(k + 1, model.win_len, -1)))
-    if side_rows:
-        np.matmul(np.concatenate(dside_rows).T, np.concatenate(side_rows),
-                  out=grads["net.0.W"])
-        # the side rows are zero in the pair columns
-        grads["net.0.W"][:, -PAIR_FEATURE_COUNT:] = pair_grad
+    if first_rows:
+        X, dchild, dparent = map(np.concatenate, zip(*first_rows))
+        dW = grads["net.0.W"]
+        for pos, child_cols, parent_cols in model._blocks:  # in place: no (hidden, width) temporaries
+            np.matmul(dchild.T, X[:, pos], out=dW[:, child_cols])
+            np.matmul(dparent.T, X[:, pos], out=dW[:, parent_cols])
+        dW[:, -PAIR_FEATURE_COUNT:] = pair_grad
     total /= n_children
     if model.adapted is not None:
         penalty, grads["embeddings"] = model.adapted.gradient(window_grads)
@@ -508,12 +512,8 @@ def train_parser(model, train_sents, val_sents, cfg):
     heads and gold selection drive both."""
     if not train_sents or not val_sents:
         raise ValueError("empty corpus")
+    check_gold_heads(train_sents)
     caches = model._caches(train_sents)
-    for cache in caches:
-        missing = np.flatnonzero(cache.gold < 0)
-        if len(missing):
-            raise ValueError(f"selected token {cache.positions[1 + missing[0]]} "
-                             "has no usable gold head")
     usable = [k for k, c in enumerate(caches) if c.n_children]
     if not usable:
         raise ValueError("no selected tokens in the training corpus")

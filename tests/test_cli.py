@@ -520,6 +520,31 @@ def test_train_tagger_names_file_and_sentence_of_an_unknown_tag(data, capsys, tm
         f"error: {train}: sentence 2: tag 'ZZZ' not in the tagset"]
 
 
+@pytest.mark.parametrize("command", sorted(TRAIN_INPUTS))
+@pytest.mark.parametrize("flag", ["--train", "--val"])
+def test_train_on_an_empty_corpus_exits_1_naming_it(data, capsys, tmp_path, command, flag):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n", encoding="utf-8")
+    out = tmp_path / "m.bin"
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"],
+                             *TRAIN_INPUTS[command](data), flag, empty, "--out", out)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {empty}: empty corpus"]
+    assert not out.exists()
+
+
+def test_train_parser_names_file_and_sentence_of_a_missing_gold_head(data, capsys,
+                                                                     tmp_path):
+    train = tmp_path / "train.dep"
+    train.write_text("1\ta\t0\t1\n\n1\ta\t0\t1\n2\tb\t-1\t1\n", encoding="utf-8")
+    code, summary, err = run(capsys, "train-parser", "--embeddings", data["emb"],
+                             *TRAIN_INPUTS["train-parser"](data), "--train", train,
+                             "--out", tmp_path / "p.bin")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {train}: sentence 2: selected token 2 has no gold head"]
+
+
 def test_same_seed_same_bytes(data, capsys, tmp_path):
     out1, out2 = tmp_path / "a.bin", tmp_path / "b.bin"
     s1 = train_encoder_file(data, capsys, out1)
@@ -905,6 +930,18 @@ def test_eval_rejects_different_tokens(capsys, tmp_path, command, pred_text, gol
     sentence = 1 if command == "eval-tags" else 2
     assert err.strip().splitlines() == [
         f"error: {pred} and {gold}: the tokens of sentence {sentence} differ"]
+
+
+@pytest.mark.parametrize("command, text", [("eval-tags", "a\tT0\n"),
+                                           ("eval-parse", "1\ta\t0\t1\n")])
+def test_eval_rejects_different_sentence_counts(capsys, tmp_path, command, text):
+    pred, gold = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
+    pred.write_text(text, encoding="utf-8")
+    gold.write_text(text + "\n" + text, encoding="utf-8")
+    code, summary, err = run(capsys, command, "--pred", pred, "--gold", gold)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {pred} and {gold}: the sentence counts differ, 1 and 2"]
 
 
 @pytest.mark.parametrize("command, tensor", [("tag", "net.0.W"), ("parse", "net.1.b"),

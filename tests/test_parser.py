@@ -191,6 +191,27 @@ def test_fixed_rows_are_token_blocks_of_selected_positions():
         assert np.array_equal(fixed[slot], want)
 
 
+def test_forward_keeps_one_position_row_per_slot():
+    # the first layer reads each slot's row once, as wide as one role's
+    # columns of net.0.W; no input_dim-wide row is built per position
+    table = small_table(dim=3)
+    enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(42, "init"))
+    model = Parser(ParserConfig(window=1, hidden=6), table, encoders=[enc],
+                   rng=rng_mod.stream(43, "init"))
+    sents = [full_sentence(4), full_sentence(1),
+             DepSentence(["t0", "t1", "t2"], [-1, 0, 2], [False, True, True])]
+    caches = model._caches(sents)
+    _, (X, A, tail) = model._forward(caches)
+    width = (model.input_dim - PAIR_FEATURE_COUNT) // 2
+    assert X.shape == (sum(c.n_children + 1 for c in caches), width)
+    expected = [np.concatenate([model.embeddings[c.wins].reshape(len(c.wins), -1),
+                                c.fixed], axis=1) for c in caches]
+    assert np.array_equal(X, np.concatenate(expected))
+    assert A.shape == (sum(c.n_children ** 2 for c in caches), 6)
+    arrays = [X, A] + [a for layer_cache in tail for a in layer_cache]
+    assert all(a.shape[-1] != model.input_dim for a in arrays)
+
+
 def test_window_minus_one_has_no_type_inputs():
     table = small_table(dim=3)
     enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(44, "init"))
@@ -615,19 +636,27 @@ def test_update_embeddings_gradients_match_finite_differences():
     assert report.ok, report.failures[:3]
 
 
-def test_batch_gradients_with_window_encoder_and_embedding_updates():
+@pytest.mark.parametrize("window", [-1, 0, 1])
+@pytest.mark.parametrize("word_feats", [True, False])
+@pytest.mark.parametrize("n_enc", [1, 2])
+def test_batch_gradients_with_window_encoder_and_embedding_updates(window, word_feats,
+                                                                   n_enc):
     # every net tensor and every used embedding row through the factored
     # first layer: child and parent windows, token embeddings, shape bits,
-    # an unselected token and a single-token sentence
+    # an unselected token and a single-token sentence, over every set of
+    # column blocks (window -1 has no type block, so only the anchored
+    # penalty moves the embeddings)
     rng = rng_mod.stream(57, "data")
     words = ["t0", "t1", "#t2", "t3", "@t4", "55"]
     table = toy_embedding_table(words, 3, rng)
     table.vectors = table.vectors.astype(np.float64)
-    enc = FfnEncoder(3, 1, token_dim=2, hidden=4, rng=rng_mod.stream(58, "init"),
-                     dtype=np.float64)
-    model = Parser(ParserConfig(window=1, hidden=4, update_embeddings=True,
-                                anchor_weight=0.05), table, encoders=[enc],
-                   rng=rng_mod.stream(57, "init"), dtype=np.float64)
+    encoders = [FfnEncoder(3, 1 - e, token_dim=2 + e, hidden=4,
+                           rng=rng_mod.stream(58 + e, "init"), dtype=np.float64)
+                for e in range(n_enc)]
+    model = Parser(ParserConfig(window=window, hidden=4, word_features=word_feats,
+                                update_embeddings=True, anchor_weight=0.05),
+                   table, encoders=encoders, rng=rng_mod.stream(57, "init"),
+                   dtype=np.float64)
     for v in model.net.params().values():
         v += rng.normal(scale=0.05, size=v.shape)
     model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))
