@@ -147,8 +147,8 @@ def _config(cls, args, **renamed):
     return cls(**{**values, **renamed})
 
 
-def _training_corpus(path, load):
-    """The sentences ``load`` reads from ``path``; training needs some."""
+def _nonempty_corpus(path, load):
+    """The sentences ``load`` reads from ``path``, which must hold some."""
     corpus = load(path)
     if not corpus:
         raise CliError(f"{path}: empty corpus")
@@ -173,8 +173,8 @@ def cmd_train_encoder(args):
     window_weights(scheme, args.w_prime)  # training needs w' >= 1, inference does not
     check_encoder_sizes(args.arch, token_dim=args.token_dim, hidden=args.hidden)
     table = load_word2vec_text(args.embeddings)
-    train = _training_corpus(args.train, load_corpus)
-    val = _training_corpus(args.val, load_corpus)
+    train = _nonempty_corpus(args.train, load_corpus)
+    val = _nonempty_corpus(args.val, load_corpus)
     vocab = table.vocab
     for path, corpus in ((args.train, train), (args.val, val)):
         if all(vocab.id_of(t) >= vocab.bos_id for toks in corpus for t in toks):
@@ -271,10 +271,10 @@ def cmd_train_tagger(args):
     tagset = load_tagset(args.tagset)
     encoders = _load_encoders(args.encoder, table)
     resources = _load_resources(args)
-    train = corpus_tag_ids(_training_corpus(args.train, load_tagged_corpus), tagset,
+    train = corpus_tag_ids(_nonempty_corpus(args.train, load_tagged_corpus), tagset,
                            args.train)
     train = _subsample(train, args.train_fraction, cfg.seed)
-    val = corpus_tag_ids(_training_corpus(args.val, load_tagged_corpus), tagset, args.val)
+    val = corpus_tag_ids(_nonempty_corpus(args.val, load_tagged_corpus), tagset, args.val)
     model = Tagger(config, tagset, table, encoders, resources,
                    rng_mod.stream(cfg.seed, "init"))
     log(f"training tagger: input={model.input_dim} hidden={args.hidden} "
@@ -283,6 +283,11 @@ def cmd_train_tagger(args):
     model.save(args.out)
     log(f"best validation accuracy {res.best:.2f}% "
         f"after {res.epochs_run} epochs; saved {args.out}")
+    golds = [t for _, ids in val for t in ids.tolist()]
+    majority = 100.0 * (max(map(golds.count, set(golds))) / len(golds))  # like the accuracy
+    if res.best <= majority:
+        log(f"warning: {args.val}: best validation accuracy {res.best:.2f}% is not "
+            f"above the majority-tag baseline {majority:.2f}%")
     _emit(args, {"model": args.out, "metrics": {
         "best_val_accuracy": res.best,
         "epochs_run": res.epochs_run,
@@ -315,9 +320,9 @@ def cmd_tag(args):
 
 
 def _load_pred_and_gold(args, load, tokens):
-    """Both corpora, rejected if their sentence counts differ or at the
-    first sentence whose tokens differ."""
-    pred, gold = load(args.pred), load(args.gold)
+    """Both corpora, rejected if either is empty, if their sentence counts
+    differ or at the first sentence whose tokens differ."""
+    pred, gold = _nonempty_corpus(args.pred, load), _nonempty_corpus(args.gold, load)
     if len(pred) != len(gold):
         raise CliError(f"{args.pred} and {args.gold}: the sentence counts differ, "
                        f"{len(pred)} and {len(gold)}")
@@ -340,9 +345,11 @@ def cmd_train_parser(args):
     config = _config(ParserConfig, args)
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder, table)
-    train = _training_corpus(args.train, load_dep_corpus)
+    train = _nonempty_corpus(args.train, load_dep_corpus)
     check_gold_heads(train, args.train)
-    val = _training_corpus(args.val, load_dep_corpus)
+    if not any(any(sent.selected) for sent in train):
+        raise CliError(f"{args.train}: no selected tokens")
+    val = _nonempty_corpus(args.val, load_dep_corpus)
     model = Parser(config, table, encoders, rng_mod.stream(cfg.seed, "init"))
     log(f"training parser: input={model.input_dim} hidden={args.hidden} "
         f"on {len(train)} sentences")

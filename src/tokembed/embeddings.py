@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .features import WORD_FEATURE_COUNT, word_features
-from .nn import RowGrad, anchored_l2
+from .nn import MLP, RowGrad, anchored_l2
 from .serialize import (check_config, check_sizes, load_model, open_text,
                         restore_params, save_model)
 
@@ -154,9 +154,11 @@ def _fingerprint(encoders):
 
 
 class Predictor:
-    """Base of the tagger and the parser: a network ``self.net``, built by the
-    subclass, over the type embeddings of ``table`` (an ``AdaptedEmbeddings``
-    copy with ``config.update_embeddings``) and frozen ``encoders``.
+    """Base of the tagger and the parser: a network ``self.net`` over the type
+    embeddings of ``table`` (an ``AdaptedEmbeddings`` copy with
+    ``config.update_embeddings``) and frozen ``encoders``.  Both read one
+    *position row* per token, whose block widths only ``position_widths``
+    states; ``token_features`` and ``position_rows`` compose it.
 
     A subclass sets its model ``kind``, which is also the header key of its
     ``config_class`` dataclass, and any further header fields: their kinds in
@@ -167,7 +169,7 @@ class Predictor:
     config_class = None
     header_fields = {}
 
-    def __init__(self, config, table, encoders, dtype):
+    def __init__(self, config, table, encoders, n_out, rng, dtype):
         for enc in encoders:
             if enc.dim != table.dim:
                 raise ValueError(f"encoder dim {enc.dim} does not match table dim {table.dim}")
@@ -180,6 +182,33 @@ class Predictor:
         # the type window and every encoder read their columns of one window
         # per token of this radius
         self.radius = max(config.window, 0, *(e.w_prime for e in self.encoders))
+        self._cols = self.radius + np.array(self.offsets(config), dtype=np.int64)
+        self.win_len = len(self._cols)
+        token_dim = sum(e.token_dim for e in self.encoders)
+        self.widths = self.position_widths(config, table.dim, token_dim)
+        self.input_dim = self.input_width(config, table.dim, token_dim, self.header())
+        if self.input_dim == 0:
+            raise ValueError(f"{self.kind} input is empty: no embeddings, encoders, or features")
+        self.net = MLP([self.input_dim, config.hidden, config.hidden, n_out],
+                       ["relu", "relu", "linear"], rng, dtype)
+
+    @staticmethod
+    def offsets(config):
+        """The type window's offsets from its token, in column order."""
+        raise NotImplementedError
+
+    @classmethod
+    def position_widths(cls, config, dim, token_dim):
+        """Widths of a position row's blocks: the type embeddings at ``offsets``,
+        each encoder's token embedding and the word-shape bits."""
+        return (len(cls.offsets(config)) * dim, token_dim,
+                WORD_FEATURE_COUNT if config.word_features else 0)
+
+    def position_rows(self, wins, fixed):
+        """In the network's dtype, the type embeddings of the window ids
+        ``wins``, then ``fixed``: ``token_features`` and any later columns."""
+        typ = self.embeddings[wins].reshape(len(wins), self.widths[0])
+        return np.concatenate([typ, fixed], axis=1, dtype=self.net.layers[0].W.dtype)
 
     def token_features(self, sentences, wins):
         """(N, width) frozen block of the N tokens of ``sentences``, in corpus

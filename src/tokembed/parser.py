@@ -27,8 +27,8 @@ import numpy as np
 
 from .embeddings import Predictor
 from .encoder import corpus_windows
-from .features import PAIR_FEATURE_COUNT, WORD_FEATURE_COUNT, pair_feature_matrix
-from .nn import MLP, fit, relu, softmax_logloss, softmax_logloss_rows
+from .features import PAIR_FEATURE_COUNT, pair_feature_matrix
+from .nn import fit, relu, softmax_logloss, softmax_logloss_rows
 from .serialize import read_tsv, tsv_int
 
 # Arc rows per scoring pass at inference: a block of whole sentences closes
@@ -167,11 +167,12 @@ class Parser(Predictor):
     """Arc scorer and local head predictor.
 
     The first layer is linear in the input row, so it is applied per position
-    rather than per arc: a position row holds each block of ``_blocks`` once,
-    and it is projected once through the block's child columns and once
-    through its parent columns of ``net.0.W``.  An arc's pre-activation is its
-    child's projection plus its parent's plus that of its pair features (Chen
-    & Manning, 2014).  Only the hidden layers see one row per arc.
+    rather than per arc: each block of a slot's position row (``_blocks``,
+    from ``Predictor.position_widths``) is projected once through its child
+    and once through its parent columns of ``net.0.W``.  An arc's
+    pre-activation is its child's projection plus its parent's plus that of
+    its pair features (Chen & Manning, 2014).  Only the hidden layers see one
+    row per arc.
 
     Inference goes through ``_forward`` a block of sentences at a time: the
     first-layer products run over the positions of every sentence in the
@@ -186,39 +187,24 @@ class Parser(Predictor):
     def __init__(self, config, table, encoders=(), rng=None, dtype=np.float32):
         if config.window == -1 and not encoders:
             raise ValueError("window=-1 with no encoders leaves no lexical input")
-        super().__init__(config, table, encoders, dtype)
-
-        # the type window's columns of the radius window, none for window -1
-        self._cols = self.radius + np.arange(-config.window, config.window + 1)
-        self.win_len = len(self._cols)
-        self.type_width = 2 * self.win_len * table.dim
-        token_dim = sum(e.token_dim for e in self.encoders)
-        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
-        self.input_dim = self.input_width(config, table.dim, token_dim, {})
-
-        # (position-row, child-column, parent-column) slices of the type-window,
-        # token-embedding and shape blocks, the one statement of the layout: the
-        # network input holds each block of a position row twice, child copy
+        super().__init__(config, table, encoders, 1, rng, dtype)
+        # (position-row, child-column, parent-column) slices of the position
+        # row's blocks: the network input holds each block twice, child copy
         # then parent copy, from twice its offset; pair features close it.
-        self._blocks = []
-        lo = 0
-        for width in (self.win_len * table.dim, token_dim, shape_width):
-            if width:
-                self._blocks.append((slice(lo, lo + width), slice(2 * lo, 2 * lo + width),
-                                     slice(2 * lo + width, 2 * (lo + width))))
-            lo += width
+        starts = np.cumsum((0, *self.widths)).tolist()
+        self._blocks = [(slice(lo, lo + w), slice(2 * lo, 2 * lo + w),
+                         slice(2 * lo + w, 2 * (lo + w)))
+                        for lo, w in zip(starts, self.widths) if w]
 
-        self.net = MLP([self.input_dim, config.hidden, config.hidden, 1],
-                       ["relu", "relu", "linear"], rng, dtype)
+    @staticmethod
+    def offsets(config):
+        """-w..w, none for window -1."""
+        return range(-config.window, config.window + 1)
 
     @classmethod
     def input_width(cls, config, dim, token_dim, header):
-        """Child then parent copies of the type window, the token embeddings
-        and the word features, then the pair features; window -1 has no
-        type window."""
-        win_len = max(2 * config.window + 1, 0)
-        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
-        return 2 * (win_len * dim + token_dim + shape_width) + PAIR_FEATURE_COUNT
+        """Child then parent copies of the position row, then the pair features."""
+        return 2 * sum(cls.position_widths(config, dim, token_dim)) + PAIR_FEATURE_COUNT
 
     # -- input composition ---------------------------------------------------
 
@@ -261,14 +247,6 @@ class Parser(Predictor):
                                wins[np.ix_(tokens - 1, self._cols)]])
         return _SentenceCache(positions, wins, fixed, parent, pair.astype(dtype), gold)
 
-    def _position_rows(self, caches):
-        """The (k+1, P) position rows of each of ``caches``, stacked: per slot
-        its type window, then its ``fixed`` row, P wide like one role's columns."""
-        wins = np.concatenate([c.wins for c in caches])
-        fixed = np.concatenate([c.fixed for c in caches])
-        typ = self.embeddings[wins].reshape(len(wins), -1)
-        return np.concatenate([typ.astype(fixed.dtype, copy=False), fixed], axis=1)
-
     def _forward(self, caches):
         """Scores of the k*k arcs of every sentence in ``caches``, one flat
         array holding each sentence's child spans in order, and the
@@ -285,7 +263,8 @@ class Parser(Predictor):
         ks = [c.n_children for c in caches]
         rows = np.cumsum([0] + [k * k for k in ks])   # each sentence's first arc
         slots = np.cumsum([0] + [k + 1 for k in ks])  # and its wall's position row
-        X = self._position_rows(caches)
+        X = self.position_rows(np.concatenate([c.wins for c in caches]),
+                               np.concatenate([c.fixed for c in caches]))
         child = sum(X[:, pos] @ first.W[:, cols].T for pos, cols, _ in self._blocks)
         parent = sum(X[:, pos] @ first.W[:, cols].T for pos, _, cols in self._blocks)
         A = np.concatenate([c.pair for c in caches]) @ first.W[:, -PAIR_FEATURE_COUNT:].T
@@ -325,7 +304,8 @@ class Parser(Predictor):
         first-layer product the factored scorer computes."""
         self._check_arc(sent, i, j)
         cache, = self._caches([sent])
-        child, parent = self._position_rows([cache])[np.searchsorted(cache.positions, [i, j])]
+        child, parent = self.position_rows(cache.wins, cache.fixed)[
+            np.searchsorted(cache.positions, [i, j])]
         row = np.zeros(self.input_dim, dtype=child.dtype)
         for pos, child_cols, parent_cols in self._blocks:
             row[child_cols], row[parent_cols] = child[pos], parent[pos]

@@ -24,8 +24,8 @@ import numpy as np
 from . import rng as rng_mod
 from .embeddings import Predictor
 from .encoder import corpus_windows
-from .features import WORD_FEATURE_COUNT, extended_feature_width, extended_features
-from .nn import MLP, fit, softmax_logloss_batch
+from .features import extended_feature_width, extended_features
+from .nn import fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
 
 
@@ -99,7 +99,8 @@ def corpus_tag_ids(sentences, tagset, source="corpus"):
 
 
 class Tagger(Predictor):
-    """Feature composer plus classification network over a fixed tagset."""
+    """Classifier over a fixed tagset; a token's input is its position row
+    (``Predictor.position_rows``), then the extended stack."""
 
     kind = "tagger"
     config_class = TaggerConfig
@@ -109,22 +110,15 @@ class Tagger(Predictor):
                  rng=None, dtype=np.float32):
         if config.extended and resources is None:
             raise ValueError("extended features enabled but no resources supplied")
-        super().__init__(config, table, encoders, dtype)
-        self.tagset = list(tagset)
+        self.tagset = list(tagset)  # header() reads both
         self.resources = resources
+        super().__init__(config, table, encoders, len(self.tagset), rng, dtype)
 
+    @staticmethod
+    def offsets(config):
+        """-w..w, without 0 when the center is omitted."""
         w = config.window
-        offsets = [o for o in range(-w, w + 1) if not (config.omit_center and o == 0)]
-        self._cols = self.radius + np.array(offsets, dtype=np.int64)
-        self.type_width = len(offsets) * table.dim
-        self.input_dim = self.input_width(config, table.dim,
-                                          sum(e.token_dim for e in self.encoders),
-                                          self.header())
-        if self.input_dim == 0:
-            raise ValueError("tagger input is empty: no embeddings, encoders, or features")
-
-        self.net = MLP([self.input_dim, config.hidden, config.hidden, len(self.tagset)],
-                       ["relu", "relu", "linear"], rng, dtype)
+        return [o for o in range(-w, w + 1) if not (config.omit_center and o == 0)]
 
     # -- input composition ------------------------------------------------
 
@@ -143,23 +137,15 @@ class Tagger(Predictor):
     def features(self, sentences):
         """Type-window ids and constant features of every token of
         ``sentences``, in corpus order, from one window per token;
-        ``inputs`` composes them."""
+        ``position_rows`` composes them into the network input."""
         wins = corpus_windows(self.table, sentences, self.radius)
         return wins[:, self._cols], self.const_features(sentences, wins)
-
-    def inputs(self, wins, consts):
-        """Network input rows: the type embeddings of the window ids, then the
-        constant features."""
-        if self.type_width == 0:
-            return consts
-        typ = self.embeddings[wins].reshape(len(wins), -1)
-        return np.concatenate([typ, consts], axis=1)
 
     # -- prediction --------------------------------------------------------
 
     def predict(self, wins, consts):
         """Predicted tag id of each row; argmax ties go to the lowest id."""
-        logits, _ = self.net.forward(self.inputs(wins, consts))
+        logits, _ = self.net.forward(self.position_rows(wins, consts))
         return np.argmax(logits, axis=1)
 
     def tag_ids(self, tokens):
@@ -179,11 +165,8 @@ class Tagger(Predictor):
 
     @classmethod
     def input_width(cls, config, dim, token_dim, header):
-        """The type window, then the token embeddings, the word features and
-        the extended features, each when enabled."""
-        n_offsets = 2 * config.window + 1 - config.omit_center
-        shape_width = WORD_FEATURE_COUNT if config.word_features else 0
-        return (n_offsets * dim + token_dim + shape_width
+        """The position row, then the extended features when enabled."""
+        return (sum(cls.position_widths(config, dim, token_dim))
                 + (header["extended_width"] if config.extended else 0))
 
     @classmethod
@@ -200,7 +183,7 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     the anchored penalty; gradients cover the network and (scattered
     through the window ids) the rows of the embedding table that
     ``AdaptedEmbeddings`` tracks."""
-    X = model.inputs(wins, consts)
+    X = model.position_rows(wins, consts)
     if dropout_rng is not None:
         logits, cache = model.net.forward(
             X, rng=dropout_rng, input_rate=model.config.dropout_input,
@@ -212,8 +195,8 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     grads = {f"net.{k}": g for k, g in net_grads.items()}
     if model.adapted is not None:
         window_grads = []
-        if model.type_width > 0:
-            dTyp = dX[:, :model.type_width].reshape(len(X), -1, model.table.dim)
+        if model.win_len:
+            dTyp = dX[:, :model.widths[0]].reshape(len(X), model.win_len, -1)
             window_grads.append((wins, dTyp))
         penalty, grads["embeddings"] = model.adapted.gradient(window_grads)
         loss += penalty

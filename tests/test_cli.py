@@ -25,7 +25,8 @@ from tokembed.parser import Parser, ParserConfig, save_dep_corpus
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
                                 toy_embedding_table)
-from tokembed.tagger import Tagger, TaggerConfig, save_tagged_corpus
+from tokembed.tagger import (Tagger, TaggerConfig, load_tagged_corpus,
+                             save_tagged_corpus)
 
 
 def run(capsys, *argv):
@@ -545,6 +546,39 @@ def test_train_parser_names_file_and_sentence_of_a_missing_gold_head(data, capsy
         f"error: {train}: sentence 2: selected token 2 has no gold head"]
 
 
+def test_train_parser_without_a_selected_token_exits_1_before_building(data, capsys,
+                                                                      tmp_path):
+    train = tmp_path / "train.dep"
+    train.write_text("1\ta\t-1\t0\n2\tb\t-1\t0\n\n1\tc\t-1\t0\n", encoding="utf-8")
+    out = tmp_path / "p.bin"
+    code, summary, err = run(capsys, "train-parser", "--embeddings", data["emb"],
+                             *TRAIN_INPUTS["train-parser"](data), "--train", train,
+                             "--out", out)
+    assert code == 1 and summary is None
+    # no "training parser" line: the corpus is rejected before the model is built
+    assert err.strip().splitlines() == [f"error: {train}: no selected tokens"]
+    assert not out.exists()
+
+
+def test_train_tagger_warns_at_the_majority_baseline(data, capsys, tmp_path):
+    # every validation token carries one tag, so no accuracy is above the
+    # 100 % majority-tag baseline
+    tag = data["tagset"].read_text(encoding="utf-8").split()[0]
+    val = tmp_path / "val.tags"
+    save_tagged_corpus([(toks, [tag] * len(toks))
+                        for toks, _ in load_tagged_corpus(data["val_tags"])], val)
+    argv = ["train-tagger", "--embeddings", data["emb"], *TRAIN_INPUTS["train-tagger"](data),
+            "--out", tmp_path / "t.bin", "--epochs", 5]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and "warning" not in err
+    code, summary, err = run(capsys, *argv, "--val", val)
+    assert code == 0 and summary.keys() == plain.keys()
+    accuracy = summary["metrics"]["best_val_accuracy"]
+    assert err.strip().splitlines()[-1] == (
+        f"warning: {val}: best validation accuracy {accuracy:.2f}% is not above "
+        "the majority-tag baseline 100.00%")
+
+
 def test_same_seed_same_bytes(data, capsys, tmp_path):
     out1, out2 = tmp_path / "a.bin", tmp_path / "b.bin"
     s1 = train_encoder_file(data, capsys, out1)
@@ -942,6 +976,22 @@ def test_eval_rejects_different_sentence_counts(capsys, tmp_path, command, text)
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [
         f"error: {pred} and {gold}: the sentence counts differ, 1 and 2"]
+
+
+@pytest.mark.parametrize("command", ["eval-tags", "eval-parse"])
+@pytest.mark.parametrize("empty_text", ["", "\n\n"], ids=["zero-bytes", "blank-lines"])
+@pytest.mark.parametrize("flags", [("--pred",), ("--gold",), ("--pred", "--gold")],
+                         ids=["pred", "gold", "both"])
+def test_eval_rejects_an_empty_corpus_naming_it(capsys, tmp_path, command, empty_text,
+                                                flags):
+    empty, other = tmp_path / "empty.tsv", tmp_path / "other.tsv"
+    empty.write_text(empty_text, encoding="utf-8")
+    other.write_text("a\tT0\n" if command == "eval-tags" else "1\ta\t0\t1\n",
+                     encoding="utf-8")
+    files = {"--pred": other, "--gold": other} | dict.fromkeys(flags, empty)
+    code, summary, err = run(capsys, command, *(a for item in files.items() for a in item))
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {empty}: empty corpus"]
 
 
 @pytest.mark.parametrize("command, tensor", [("tag", "net.0.W"), ("parse", "net.1.b"),

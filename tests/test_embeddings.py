@@ -479,6 +479,25 @@ def test_token_features_are_the_index_embeddings(monkeypatch, which):
     assert np.array_equal(fixed.view(np.uint32), want[selected].view(np.uint32))
 
 
+@pytest.mark.parametrize("window", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tagger_and_parser_compose_the_same_position_rows(window, dtype):
+    # parser slot j + 1 holds token j of a fully selected sentence; a float64
+    # model composes float64 rows over the float32 table and encoders
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(75, "data"))
+    encoders = corpus_encoders()
+    tag = tagger.Tagger(tagger.TaggerConfig(window=window, hidden=4, word_features=True),
+                        ["A"], table, encoders, dtype=dtype)
+    par = parser.Parser(parser.ParserConfig(window=window, hidden=4, word_features=True),
+                        table, encoders, dtype=dtype)
+    sents = [parser.DepSentence(toks, [-1] * len(toks), [True] * len(toks)) for toks in CORPUS]
+    want = tag.position_rows(*tag.features(CORPUS))
+    got = [par.position_rows(c.wins, c.fixed) for c in par._caches(sents)]
+    assert all(rows.dtype == dtype for rows in [want, *got])
+    assert want.shape[1] == sum(tag.widths) == sum(par.widths)
+    assert np.array_equal(np.concatenate([rows[1:] for rows in got]), want)
+
+
 def count_passes(encoders, log):
     """Patch each encoder's forward pass to append (encoder index, rows) to
     ``log``."""

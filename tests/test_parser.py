@@ -216,7 +216,7 @@ def test_window_minus_one_has_no_type_inputs():
     table = small_table(dim=3)
     enc = FfnEncoder(3, 1, token_dim=4, hidden=6, rng=rng_mod.stream(44, "init"))
     model = Parser(ParserConfig(window=-1, hidden=6), table, encoders=[enc])
-    assert model.type_width == 0
+    assert model.win_len == 0
     assert model.input_dim == 2 * 4 + 20 + 10
 
 

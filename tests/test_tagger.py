@@ -25,7 +25,7 @@ def big_table(seed=20, n_words=8, dim=100):
 
 def input_rows(model, tokens):
     """The network input rows of one sentence, composed as training does."""
-    return model.inputs(*model.features([tokens]))
+    return model.position_rows(*model.features([tokens]))
 
 
 def test_compose_width_window_only():
