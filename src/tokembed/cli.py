@@ -343,6 +343,7 @@ def cmd_eval_tags(args):
 def cmd_train_parser(args):
     cfg = _config(FitConfig, args, learning_rate=args.lr)
     config = _config(ParserConfig, args)
+    Parser.check_lexical_input(config, args.encoder)
     table = load_word2vec_text(args.embeddings)
     encoders = _load_encoders(args.encoder, table)
     train = _nonempty_corpus(args.train, load_dep_corpus)
@@ -357,6 +358,13 @@ def cmd_train_parser(args):
     model.save(args.out)
     log(f"best validation F1 {res.best:.2f} "
         f"after {res.epochs_run} epochs; saved {args.out}")
+    # chance F1, the mean over selected tokens of 1/k for k selected in the
+    # token's sentence: each sentence with a selected token adds 1 to the sum
+    counts = [sum(sent.selected) for sent in val]
+    chance = 100.0 * sum(map(bool, counts)) / max(sum(counts), 1)
+    if res.best <= chance:
+        log(f"warning: {args.val}: best validation F1 {res.best:.2f} is not "
+            f"above the chance F1 {chance:.2f}")
     _emit(args, {"model": args.out, "metrics": {
         "best_val_f1": res.best,
         "epochs_run": res.epochs_run,

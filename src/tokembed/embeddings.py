@@ -95,6 +95,7 @@ class EmbeddingTable:
 class AdaptedEmbeddings:
     """Trainable copy of a table's type vectors, pulled toward the pretrained
     values (the anchor) by ``anchor_weight * sum((vectors - anchor)^2)``.
+    In the table's dtype the anchor is the table's own array.
 
     Reserved rows never receive gradient.  Only *active* rows ever change:
     the rows that differ from the anchor when the first gradient is taken,
@@ -107,7 +108,7 @@ class AdaptedEmbeddings:
     """
 
     def __init__(self, table, anchor_weight, dtype=np.float32):
-        self.anchor = table.vectors.astype(dtype)
+        self.anchor = table.vectors.astype(dtype, copy=False)  # never written
         # Adding +0.0 turns -0.0 into +0.0, as the first dense step would on
         # every row; rows the update never reaches must match it too.
         self.vectors = self.anchor + 0.0

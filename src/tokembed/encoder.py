@@ -26,13 +26,10 @@ from .serialize import (check_config, check_sizes, load_model, restore_params,
 
 SCHEME_NAMES = ("uniform", "focused", "tapered")
 
-# Windows per forward pass of ``encode``: enough to amortise the per-call cost,
-# few enough that a block's activations stay a few MB.  Float32 products of
-# another row count may round differently, so the size is part of the output.
+# Windows per forward pass of ``encode`` and ``mean_wre``: enough to amortise
+# the per-call cost, few enough that a block's activations stay a few MB.  The
+# size is part of the output: float32 products may round by their row count.
 ENCODE_BLOCK = 256
-
-# Windows per forward pass of ``mean_wre``, the validation error.
-WRE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,8 @@ class WindowEncoder:
     def mean_wre(self, table, windows, weights):
         """Forward-only mean reconstruction error over many windows."""
         total = 0.0
-        for k in range(0, len(windows), WRE_BLOCK):
-            targets = self._embed(table, windows[k:k + WRE_BLOCK])
+        for k in range(0, len(windows), ENCODE_BLOCK):
+            targets = self._embed(table, windows[k:k + ENCODE_BLOCK])
             rec = self.decode(self._codes(targets))
             total += wre_value(rec, targets, weights) * len(targets)
         return total / len(windows)

@@ -21,8 +21,8 @@ class TrainingDiverged(RuntimeError):
     """Raised when a training loss stops being finite."""
 
 
-def relu(z):
-    return np.maximum(z, 0.0)
+def relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def sigmoid(z, out=None):
@@ -48,7 +48,8 @@ class Dense:
     """Affine map plus elementwise activation: y = g(W x + b).
 
     ``W`` has shape (n_out, n_in).  With ``rng=None`` all parameters start at
-    zero, which unit tests rely on.
+    zero, which unit tests rely on.  The relu runs in place: the cache holds
+    (input, output), and an output is positive where its pre-activation was.
     """
 
     def __init__(self, n_in, n_out, activation="linear", rng=None, dtype=np.float32):
@@ -70,12 +71,12 @@ class Dense:
                 f"dense layer expects input of width {self.n_in}, got shape {X.shape}"
             )
         A = X @ self.W.T + self.b
-        Y = relu(A) if self.activation == "relu" else A
-        return Y, (X, A)
+        Y = relu(A, out=A) if self.activation == "relu" else A
+        return Y, (X, Y)
 
     def backward(self, dY, cache):
-        X, A = cache
-        dA = dY * (A > 0) if self.activation == "relu" else dY
+        X, Y = cache
+        dA = dY * (Y > 0) if self.activation == "relu" else dY
         grads = {"W": dA.T @ X, "b": dA.sum(axis=0)}
         dX = dA @ self.W
         return dX, grads

@@ -133,6 +133,8 @@ class ParserConfig:
         if not 0.0 <= self.anchor_weight < np.inf:
             raise ValueError(f"anchor weight {self.anchor_weight} is not a finite "
                              "non-negative number")
+        if self.update_embeddings and self.window == -1:
+            raise ValueError("update_embeddings needs a type window, and window -1 has none")
 
 
 @dataclass
@@ -185,8 +187,7 @@ class Parser(Predictor):
     config_class = ParserConfig
 
     def __init__(self, config, table, encoders=(), rng=None, dtype=np.float32):
-        if config.window == -1 and not encoders:
-            raise ValueError("window=-1 with no encoders leaves no lexical input")
+        self.check_lexical_input(config, encoders)
         super().__init__(config, table, encoders, 1, rng, dtype)
         # (position-row, child-column, parent-column) slices of the position
         # row's blocks: the network input holds each block twice, child copy
@@ -195,6 +196,12 @@ class Parser(Predictor):
         self._blocks = [(slice(lo, lo + w), slice(2 * lo, 2 * lo + w),
                          slice(2 * lo + w, 2 * (lo + w)))
                         for lo, w in zip(starts, self.widths) if w]
+
+    @staticmethod
+    def check_lexical_input(config, encoders):
+        """Reject window -1 with no ``encoders``: no input would name a word."""
+        if config.window == -1 and not encoders:
+            raise ValueError("window=-1 with no encoders leaves no lexical input")
 
     @staticmethod
     def offsets(config):
@@ -272,13 +279,13 @@ class Parser(Predictor):
             spans = A[lo:lo + k * k].reshape(k, k, first.n_out)
             spans += (child[s + 1:s + k + 1] + first.b)[:, None, :]
             spans += parent[s:s + k + 1][cache.parent.reshape(k, k)]
-        H = relu(A)
+        H = relu(A, out=A)  # in place, so A > 0 stays the backward mask
         tail = []
         for layer in self.net.layers[1:-1]:
             H, layer_cache = layer.forward(H)
             tail.append(layer_cache)
         out = np.concatenate([last.forward(H[lo:hi])[0] for lo, hi in zip(rows, rows[1:])])
-        tail.append((H, out))  # the (input, pre-activation) cache of the linear output
+        tail.append((H, out))  # the (input, output) cache of the linear output
         return out[:, 0], (X, A, tail)
 
     # -- scoring and prediction ----------------------------------------------
@@ -467,7 +474,7 @@ def batch_loss_and_grads(model, caches):
         grads["net.0.b"] += dchild.sum(axis=0)
         pair_grad = pair_grad + dA.T @ cache.pair
         first_rows.append((X, dchild, dparent))
-        if model.adapted is not None and model.win_len:
+        if model.adapted is not None:
             _, child_cols, parent_cols = model._blocks[0]  # the type window
             dwin = dparent @ first.W[:, parent_cols] + dchild @ first.W[:, child_cols]
             window_grads.append((cache.wins, dwin.reshape(k + 1, model.win_len, -1)))

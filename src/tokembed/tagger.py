@@ -49,6 +49,9 @@ class TaggerConfig:
         if not 0.0 <= self.anchor_weight < np.inf:
             raise ValueError(f"anchor weight {self.anchor_weight} is not a finite "
                              "non-negative number")
+        if self.update_embeddings and self.window == 0 and self.omit_center:
+            raise ValueError("update_embeddings needs a type window, and window 0 "
+                             "with omit_center has none")
         for r in (self.dropout_input, self.dropout_hidden):
             if not 0.0 <= r < 1.0:
                 raise ValueError(f"dropout rate {r} outside [0, 1)")
@@ -194,11 +197,8 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     dX, net_grads = model.net.backward(dlogits.astype(logits.dtype), cache)
     grads = {f"net.{k}": g for k, g in net_grads.items()}
     if model.adapted is not None:
-        window_grads = []
-        if model.win_len:
-            dTyp = dX[:, :model.widths[0]].reshape(len(X), model.win_len, -1)
-            window_grads.append((wins, dTyp))
-        penalty, grads["embeddings"] = model.adapted.gradient(window_grads)
+        dTyp = dX[:, :model.widths[0]].reshape(len(X), model.win_len, -1)
+        penalty, grads["embeddings"] = model.adapted.gradient([(wins, dTyp)])
         loss += penalty
     return loss, grads
 

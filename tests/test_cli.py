@@ -21,7 +21,8 @@ from tokembed.embeddings import (load_corpus, load_word2vec_text, save_corpus,
                                  save_word2vec_text)
 from tokembed.encoder import FfnEncoder, WeightScheme, WindowEncoder, load_encoder
 from tokembed.nn import Dense, LstmCell
-from tokembed.parser import Parser, ParserConfig, save_dep_corpus
+from tokembed.parser import (DepSentence, Parser, ParserConfig, load_dep_corpus,
+                             save_dep_corpus)
 from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
                                 toy_embedding_table)
@@ -472,6 +473,7 @@ CONFIG_ERRORS = [
     ("train-parser", "--hidden", "0", "parser hidden size must be positive"),
     ("train-parser", "--anchor-weight", "nan",
      "anchor weight nan is not a finite non-negative number"),
+    ("train-parser", "--window", "-1", "window=-1 with no encoders leaves no lexical input"),
     ("train-encoder", "--center-weight", "0", "center weight must be positive"),
     ("train-encoder", "--center-weight", "nan", "center weight nan is not finite"),
     ("train-encoder", "--center-weight", "inf", "center weight inf is not finite"),
@@ -496,6 +498,24 @@ def test_train_config_error_exits_1_before_any_input_is_read(capsys, tmp_path, c
                              flag, value)
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, flags, window", [
+    ("train-tagger", ["--window", "0", "--omit-center"], "window 0 with omit_center"),
+    ("train-parser", ["--window", "-1"], "window -1"),
+])
+def test_embedding_update_without_a_type_window_exits_1_before_any_input_is_read(
+        capsys, tmp_path, command, flags, window):
+    missing = tmp_path / "missing"
+    inputs = ["--embeddings", missing, "--train", missing, "--val", missing]
+    if command == "train-tagger":
+        inputs += ["--tagset", missing]
+    out = tmp_path / "m.bin"
+    code, summary, err = run(capsys, command, *inputs, "--encoder", missing, "--out", out,
+                             *flags, "--update-embeddings")
+    assert code == 1 and summary is None and not out.exists()
+    assert err.strip().splitlines() == [
+        f"error: update_embeddings needs a type window, and {window} has none"]
 
 
 def test_train_tagger_names_both_lines_of_a_duplicate_tag(data, capsys, tmp_path):
@@ -577,6 +597,24 @@ def test_train_tagger_warns_at_the_majority_baseline(data, capsys, tmp_path):
     assert err.strip().splitlines()[-1] == (
         f"warning: {val}: best validation accuracy {accuracy:.2f}% is not above "
         "the majority-tag baseline 100.00%")
+
+
+def test_train_parser_warns_at_the_chance_f1(data, capsys, tmp_path):
+    # every validation sentence selects one token, whose one candidate is the
+    # wall, so the chance F1 is 100 and no F1 is above it
+    val = tmp_path / "val.dep"
+    save_dep_corpus([DepSentence(s.tokens, [0] + [-1] * (len(s) - 1),
+                                 [True] + [False] * (len(s) - 1))
+                     for s in load_dep_corpus(data["dep_val"])], val)
+    argv = ["train-parser", "--embeddings", data["emb"], *TRAIN_INPUTS["train-parser"](data),
+            "--out", tmp_path / "p.bin", "--epochs", 3]
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and "warning" not in err
+    code, summary, err = run(capsys, *argv, "--val", val)
+    assert code == 0 and summary.keys() == plain.keys()
+    f1 = summary["metrics"]["best_val_f1"]
+    assert err.strip().splitlines()[-1] == (
+        f"warning: {val}: best validation F1 {f1:.2f} is not above the chance F1 100.00")
 
 
 def test_same_seed_same_bytes(data, capsys, tmp_path):

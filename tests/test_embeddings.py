@@ -13,7 +13,7 @@ from tokembed.analysis import index_corpus
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text, windows)
-from tokembed.nn import RowGrad, SgdMomentum, anchored_l2
+from tokembed.nn import FitConfig, RowGrad, SgdMomentum, anchored_l2
 from tokembed.synthetic import toy_embedding_table
 
 
@@ -357,6 +357,50 @@ class DenseAnchored:
         grad += anchor_grad
         grad[self.reserved] = 0.0
         return penalty, grad
+
+
+def test_anchor_is_the_table_in_its_dtype():
+    rng = rng_mod.stream(76, "data")
+    words = [f"u{k}" for k in range(6)]
+    table = toy_embedding_table(words, 4, rng)
+    before = table.vectors.copy()
+    single = embeddings.AdaptedEmbeddings(table, 0.05)
+    assert np.shares_memory(single.anchor, table.vectors)
+    assert not np.shares_memory(single.vectors, table.vectors)
+    double = embeddings.AdaptedEmbeddings(table, 0.05, np.float64)
+    assert double.anchor.dtype == np.float64
+    assert not np.shares_memory(double.anchor, table.vectors)
+    # training moves the trainable copy only
+    model = tagger.Tagger(tagger.TaggerConfig(window=1, hidden=6, update_embeddings=True),
+                          ["A", "B", "C"], table, rng=rng_mod.stream(76, "init"))
+    assert np.shares_memory(model.adapted.anchor, table.vectors)
+    corpus = [(list(rng.choice(words, size=4)), rng.integers(0, 3, size=4))
+              for _ in range(6)]
+    cfg = FitConfig(epochs=2, batch_size=2, learning_rate=0.1, momentum=0.9, seed=76)
+    tagger.train_tagger(model, corpus[:4], corpus[4:], cfg)
+    assert np.array_equal(table.vectors, before)
+    assert not np.array_equal(model.embeddings, before)
+
+
+@pytest.mark.parametrize("kind", ["tagger", "parser"])
+def test_embedding_update_without_a_type_window_does_not_load(tmp_path, kind):
+    # a file whose config asks for an embedding update that no type window
+    # could receive, as older versions saved it
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(77, "data"))
+    encoders = corpus_encoders()[:1]
+    if kind == "tagger":
+        config = tagger.TaggerConfig(window=0, omit_center=True, hidden=4)
+        model = tagger.Tagger(config, ["A"], table, encoders)
+    else:
+        config = parser.ParserConfig(window=-1, hidden=4)
+        model = parser.Parser(config, table, encoders)
+    config.update_embeddings = True
+    path = tmp_path / "model.bin"
+    model.save(path)
+    with pytest.raises(ValueError) as err:
+        type(model).load(path, table, encoders)
+    assert str(err.value).startswith(
+        f"{path}: config.{kind}: update_embeddings needs a type window, and window ")
 
 
 def _tagger_setup(table, words, rng):

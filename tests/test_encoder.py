@@ -174,6 +174,29 @@ def test_long_sentence_is_encoded_in_blocks(arch, toy_table):
                                    rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("arch", ["ffn", "seq2seq"])
+def test_mean_wre_runs_in_encode_blocks(arch, toy_table, monkeypatch):
+    model = build_encoder(arch, 3, 1, token_dim=4, hidden=5,
+                          rng=rng_mod.stream(3, "init"))
+    v = toy_table.vocab
+    wins = windows(np.arange(11) % 6, np.arange(-1, 2), v.bos_id, v.eos_id)
+    weights = window_weights(WeightScheme(), 1)
+    targets = model._embed(toy_table, wins)
+    whole = wre_value(model.decode(model._codes(targets)), targets, weights)
+    monkeypatch.setattr("tokembed.encoder.ENCODE_BLOCK", 4)
+    rows = []
+    codes = model._codes
+
+    def counting_codes(E):
+        rows.append(len(E))
+        return codes(E)
+
+    with mock.patch.object(model, "_codes", counting_codes):
+        value = model.mean_wre(toy_table, wins, weights)
+    assert rows == [4, 4, 3]
+    assert value == pytest.approx(whole, rel=1e-6)
+
+
 def test_seq2seq_order_sensitivity(toy_table):
     fwd = np.array([0, 1, 2])
     rev = fwd[::-1].copy()

@@ -33,6 +33,30 @@ def test_dense_relu_clips():
     assert np.allclose(dense_row(layer, [2.0, -5.0]), [0.0])
 
 
+def test_dense_relu_output_is_its_own_mask():
+    # the in-place relu gives np.maximum(A, 0), and the backward pass masks
+    # like A > 0, bit for bit, at pre-activations +-0, +-inf, nan and finite
+    # values of both signs
+    layer = Dense(1, 3, "relu")
+    layer.W[:] = [[1.0], [2.0], [-1.0]]
+    X = np.array([[0.0], [np.inf], [-np.inf], [np.nan], [1.5], [-2.5]], np.float32)
+    A = X @ layer.W.T + layer.b
+    Y, cache = layer.forward(X)
+    assert np.shares_memory(Y, cache[1])
+    assert Y.tobytes() == np.maximum(A, 0).tobytes()
+    dY = rng_mod.stream(5, "data").normal(size=A.shape).astype(np.float32)
+    # no float32 product here gives -0.0, so a cache is also made from one
+    negative_zero = np.where(A == 0, np.float32(-0.0), A)
+    assert np.signbit(negative_zero[0]).all()
+    for pre, layer_cache in ((A, cache), (negative_zero, (X, relu(negative_zero)))):
+        with np.errstate(invalid="ignore"):  # 0 * inf in the weight gradient
+            dX, grads = layer.backward(dY, layer_cache)
+            dA = dY * (pre > 0)
+            assert grads["W"].tobytes() == (dA.T @ X).tobytes()
+        assert dX.tobytes() == (dA @ layer.W).tobytes()
+        assert grads["b"].tobytes() == dA.sum(axis=0).tobytes()
+
+
 def test_dense_dimension_mismatch():
     layer = Dense(3, 2)
     with pytest.raises(ValueError, match="width 3"):

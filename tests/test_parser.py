@@ -644,8 +644,8 @@ def test_batch_gradients_with_window_encoder_and_embedding_updates(window, word_
     # every net tensor and every used embedding row through the factored
     # first layer: child and parent windows, token embeddings, shape bits,
     # an unselected token and a single-token sentence, over every set of
-    # column blocks (window -1 has no type block, so only the anchored
-    # penalty moves the embeddings)
+    # column blocks (window -1 has no type block, so it updates no
+    # embeddings)
     rng = rng_mod.stream(57, "data")
     words = ["t0", "t1", "#t2", "t3", "@t4", "55"]
     table = toy_embedding_table(words, 3, rng)
@@ -653,8 +653,9 @@ def test_batch_gradients_with_window_encoder_and_embedding_updates(window, word_
     encoders = [FfnEncoder(3, 1 - e, token_dim=2 + e, hidden=4,
                            rng=rng_mod.stream(58 + e, "init"), dtype=np.float64)
                 for e in range(n_enc)]
+    update = window >= 0
     model = Parser(ParserConfig(window=window, hidden=4, word_features=word_feats,
-                                update_embeddings=True, anchor_weight=0.05),
+                                update_embeddings=update, anchor_weight=0.05),
                    table, encoders=encoders, rng=rng_mod.stream(57, "init"),
                    dtype=np.float64)
     for v in model.net.params().values():
@@ -666,13 +667,15 @@ def test_batch_gradients_with_window_encoder_and_embedding_updates(window, word_
     caches = model._caches(sents)
 
     params = {k: v for k, v in model.params().items() if k != "embeddings"}
-    params["embeddings"] = model.embeddings[:6]
+    if update:
+        params["embeddings"] = model.embeddings[:6]
 
     def loss_and_grads():
         loss, grads = batch_loss_and_grads(model, caches)
-        dense = np.zeros_like(model.embeddings)
-        dense[grads["embeddings"].rows] = grads["embeddings"].values
-        grads["embeddings"] = dense[:6]
+        if update:
+            dense = np.zeros_like(model.embeddings)
+            dense[grads["embeddings"].rows] = grads["embeddings"].values
+            grads["embeddings"] = dense[:6]
         return loss, grads
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
