@@ -236,6 +236,8 @@ def cmd_knn(args):
     if args.same_type:
         types = {query_token}
     index = index_corpus(model, table, sentences, types, tags)
+    if not index:  # only --types can reject every token of a corpus
+        raise CliError(f"{args.corpus}: no token is one of --types {args.types}")
     identity = (args.sentence, args.position)
     query = next((r for r in index if r.identity == identity), None)
     if query is None:  # the type filter rejects the query token

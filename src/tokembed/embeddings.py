@@ -9,6 +9,7 @@ start-of-sequence, end-of-sequence, and unknown.  Their rows are all-zero and
 are never trained anywhere in the package.
 """
 
+import itertools
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -292,26 +293,29 @@ def load_word2vec_text(path):
     of "<word> <dim floats>", fields separated by any whitespace.  Reserved
     symbols are appended automatically.  Malformed headers, wrong float
     counts, duplicate words, count mismatches and non-finite values are
-    rejected with the offending line number.  The values are read by
-    ``np.loadtxt``, a block of lines at a time, so a float is an ASCII
-    spelling that ``float()`` accepts, without ``_``.
+    rejected with the offending line number.  The lines are read as a
+    stream and their values by ``np.loadtxt``, a block of lines at a time,
+    so a float is an ASCII spelling that ``float()`` accepts, without ``_``.
     """
     with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected '<count> <dim>'")
-    try:
-        count, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"{path}:1: malformed header {lines[0]!r}, expected two integers") from None
-    if count < 0 or dim <= 0:
-        raise ValueError(f"{path}:1: nonsensical header values {count} {dim}")
-    if count == 0:
-        raise ValueError(f"{path}:1: header declares no entries")
-    words, vectors = _parse_entries(path, lines[1:], count, dim)
+        # per physical line, str.splitlines gives the lines of the whole text
+        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        head = header.split()
+        if len(head) != 2:
+            raise ValueError(f"{path}:1: malformed header {header!r}, expected '<count> <dim>'")
+        try:
+            count, dim = int(head[0]), int(head[1])
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed header {header!r}, "
+                             "expected two integers") from None
+        if count < 0 or dim <= 0:
+            raise ValueError(f"{path}:1: nonsensical header values {count} {dim}")
+        if count == 0:
+            raise ValueError(f"{path}:1: header declares no entries")
+        words, vectors = _parse_entries(path, lines, count, dim)
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if len(bad):
         # Entry k sits on line k + 2; values beyond float32 range read as inf.
@@ -325,19 +329,18 @@ _BLOCK_LINES = 1024  # entry lines per np.loadtxt call; bounds its float64 copy
 def _parse_entries(path, entries, count, dim):
     """Words and float32 vectors of the entry lines, ``_BLOCK_LINES`` lines
     per ``np.loadtxt`` call; a block with a fault raises ``_raise_line_fault``.
-    The table is allocated once the first block has shown ``dim`` values per
-    line, so a header's ``dim`` alone sizes nothing."""
+    The table stacks the blocks that loaded, so a header sizes nothing."""
     words = []
     seen = set()
-    vectors = None
-    for start in range(0, len(entries), _BLOCK_LINES):
-        lines = entries[start:start + _BLOCK_LINES]
+    blocks = []
+    while lines := list(itertools.islice(entries, _BLOCK_LINES)):
         pairs = [line.split(None, 1) for line in lines]
         seen.update(p[0] for p in pairs if p)
+        n = len(words) + len(pairs)
         block = None
         # one rest per line: np.loadtxt would skip an empty one, shifting rows
-        if (all(len(p) == 2 for p in pairs) and start + len(pairs) <= count
-                and len(seen) == start + len(pairs) and seen.isdisjoint(RESERVED)):
+        if (all(len(p) == 2 for p in pairs) and n <= count
+                and len(seen) == n and seen.isdisjoint(RESERVED)):
             try:
                 block = np.loadtxt([p[1] for p in pairs], dtype=np.float64,
                                    comments=None, ndmin=2)
@@ -345,15 +348,12 @@ def _parse_entries(path, entries, count, dim):
                 pass
         if block is None or block.shape != (len(pairs), dim):
             _raise_line_fault(path, lines, words, count, dim)
-        if vectors is None:
-            vectors = np.zeros((min(count, len(entries)) + len(RESERVED), dim),
-                               dtype=np.float32)
         with np.errstate(over="ignore"):  # the non-finite check names the word
-            vectors[start:start + len(pairs)] = block
+            blocks.append(block.astype(np.float32))
         words += [p[0] for p in pairs]
     if len(words) != count:
         raise ValueError(f"{path}: header declares {count} entries, file has {len(words)}")
-    return words, vectors
+    return words, np.concatenate(blocks + [np.zeros((len(RESERVED), dim), np.float32)])
 
 
 def _raise_line_fault(path, lines, words, count, dim):

@@ -339,6 +339,16 @@ def test_knn_rejects_k_below_1(data, capsys, tmp_path, monkeypatch, k):
     assert err.strip().splitlines() == [f"error: -k must be at least 1, got {k}"]
 
 
+def test_knn_types_admitting_no_token_names_corpus_and_types(data, capsys, tmp_path):
+    enc = tmp_path / "enc.bin"
+    train_encoder_file(data, capsys, enc)
+    code, summary, err = run(capsys, "knn", "--embeddings", data["emb"], "--model", enc,
+                             "--corpus", data["val"], "--types", "zzzz")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {data['val']}: no token is one of --types zzzz"]
+
+
 @pytest.mark.parametrize("command", ["embed", "knn", "train-tagger"])
 def test_encoder_of_another_dim_exits_1(data, capsys, tmp_path, command):
     enc, emb = tmp_path / "enc.bin", tmp_path / "emb5.txt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from contextlib import ExitStack
 from unittest import mock
@@ -68,6 +69,7 @@ def test_count_mismatch(tmp_path):
     ("0 100000000000\na 1 2\n", ":1: header declares no entries"),
     ("2 100000000000\na 1 2\nb 3 4\n", ":2: word 'a' has 2 values, expected 100000000000"),
     ("2 100000000000\n", ": header declares 2 entries, file has 0"),
+    ("100000000000 2\na 1 2\n", ": header declares 100000000000 entries, file has 1"),
 ])
 def test_huge_header_dim_sizes_nothing(tmp_path, no_large_arrays, text, message):
     f = write(tmp_path / "e.txt", text)
@@ -218,6 +220,7 @@ def reference_outcome(path):
 @example("2 1\na\t\u0661\nb 2\n")
 @example("3 1\na 1\nb 2\nc 3\nb 4\n")
 @example("3 1\na 1\nb 2\nc x\nb 4\n")
+@example("3 1\na 1\nb 2\x0cc 3\n")
 def test_reader_matches_line_by_line_reference(tmp_path_factory, text):
     # two-line blocks, so that lines of one file fall in several blocks
     path = tmp_path_factory.mktemp("w2v") / "e.txt"
@@ -226,6 +229,23 @@ def test_reader_matches_line_by_line_reference(tmp_path_factory, text):
         warnings.simplefilter("error")
         mp.setattr(embeddings, "_BLOCK_LINES", 2)
         assert load_outcome(str(path)) == reference_outcome(str(path))
+
+
+def test_loader_peak_memory_is_below_the_file_size_and_a_half(tmp_path, monkeypatch):
+    # the text is read line by line: at no point are the whole text and its
+    # lines held, which alone would take twice the file's size
+    path = tmp_path / "e.txt"
+    save_word2vec_text(toy_embedding_table([f"w{k}" for k in range(2000)], 100,
+                                           np.random.default_rng(3)), path)
+    monkeypatch.setattr(embeddings, "_BLOCK_LINES", 64)
+    tracemalloc.start()
+    try:
+        table = load_word2vec_text(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.vocab) == 2003
+    assert peak < 1.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("seps", [[" "], ["\t"], [" ", "\t", "  ", " \t ", "\xa0", "\u3000"]],
