@@ -213,6 +213,8 @@ def cmd_embed(args):
     sentences = load_corpus(args.corpus)
     types = set(args.types.split(",")) if args.types else None
     index = index_corpus(model, table, sentences, types, _aligned_tags(args, sentences))
+    if types and not index:
+        raise CliError(f"{args.corpus}: no token is one of --types {args.types}")
     export_embeddings_tsv(index, args.out)
     log(f"wrote {len(index)} token records to {args.out}")
     _emit(args, {"output": args.out, "metrics": {"n_records": len(index)}})
@@ -311,12 +313,12 @@ def _load_model(args, cls):
 def cmd_tag(args):
     model = _load_model(args, Tagger)
     sentences = load_corpus(args.corpus)
-    tagged = [(toks, model.tag_sentence(toks)) for toks in sentences]
-    save_tagged_corpus(tagged, args.out)
-    n_tokens = sum(len(t) for t, _ in tagged)
-    log(f"tagged {len(tagged)} sentences ({n_tokens} tokens) into {args.out}")
+    # a stream: every block of sentences is tagged inside the save call
+    save_tagged_corpus(zip(sentences, model.tag_corpus(sentences)), args.out)
+    n_tokens = sum(map(len, sentences))
+    log(f"tagged {len(sentences)} sentences ({n_tokens} tokens) into {args.out}")
     _emit(args, {"output": args.out, "metrics": {
-        "n_sentences": len(tagged), "n_tokens": n_tokens,
+        "n_sentences": len(sentences), "n_tokens": n_tokens,
     }})
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .features import WORD_FEATURE_COUNT, word_features
+from .features import WORD_FEATURE_COUNT, word_feature_matrix
 from .nn import MLP, RowGrad, anchored_l2
 from .serialize import (check_config, check_sizes, load_model, open_text,
                         restore_params, save_model)
@@ -212,20 +212,40 @@ class Predictor:
         typ = self.embeddings[wins].reshape(len(wins), self.widths[0])
         return np.concatenate([typ, fixed], axis=1, dtype=self.net.layers[0].W.dtype)
 
-    def token_features(self, sentences, wins):
-        """(N, width) frozen block of the N tokens of ``sentences``, in corpus
-        order, whose ``encoder.corpus_windows`` of radius ``self.radius`` are
-        ``wins``: one ``encode`` per encoder of its 2w'+1 center columns, then
-        the word-shape bits when ``config.word_features`` is on."""
+    def token_features(self, sentences, wins, extra=0):
+        """(N, width + ``extra``) frozen block of the N tokens of ``sentences``,
+        in corpus order, whose ``encoder.corpus_windows`` of radius
+        ``self.radius`` are ``wins``: one ``encode`` per encoder of its 2w'+1
+        center columns, then the word-shape bits when ``config.word_features``
+        is on, one row per distinct string.  The last ``extra`` columns are
+        left for the caller to write."""
         r = self.radius
-        blocks = [np.zeros((len(wins), 0), dtype=np.float32)] + [
-            enc.encode(self.table, wins[:, r - enc.w_prime:r + enc.w_prime + 1])
-            for enc in self.encoders]
+        out = np.empty((len(wins), self.widths[1] + self.widths[2] + extra),
+                       dtype=np.result_type(np.float32, *(e.dtype for e in self.encoders)))
+        k = 0
+        for enc in self.encoders:
+            out[:, k:k + enc.token_dim] = enc.encode(
+                self.table, wins[:, r - enc.w_prime:r + enc.w_prime + 1])
+            k += enc.token_dim
         if self.config.word_features:
-            # np.array rather than np.stack, which refuses an empty corpus
-            blocks.append(np.array([word_features(t) for toks in sentences for t in toks],
-                                   dtype=np.float32).reshape(len(wins), WORD_FEATURE_COUNT))
-        return np.concatenate(blocks, axis=1)
+            word_feature_matrix(sentences, out[:, k:k + WORD_FEATURE_COUNT])
+        return out
+
+    @staticmethod
+    def _sentence_blocks(sentences, rows, limit):
+        """Lists of whole sentences in order, each closed once its sentences
+        have ``limit`` rows between them, a sentence counting ``rows(sent)``,
+        so a block has fewer than ``limit`` rows plus those of its last
+        sentence."""
+        block, total = [], 0
+        for sent in sentences:
+            block.append(sent)
+            total += rows(sent)
+            if total >= limit:
+                yield block
+                block, total = [], 0
+        if block:
+            yield block
 
     def params(self):
         out = {f"net.{k}": v for k, v in self.net.params().items()}

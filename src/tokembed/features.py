@@ -11,6 +11,10 @@ Three families live here:
 * ``extended_features``: the large sparse stack built from external resources
   (Brown cluster prefixes, a tag dictionary, name lists, character n-grams,
   capitalization).
+
+``word_features`` and ``extended_features`` depend on words only, so the
+corpus forms ``word_feature_matrix`` and ``extended_feature_matrix`` compute
+one row per distinct token string (``word_types``) and gather them per token.
 """
 
 import re
@@ -89,6 +93,26 @@ def word_features(x):
     if rule is not None:
         v[rule] = 1.0
     return v
+
+
+def word_types(sentences):
+    """The distinct token strings of ``sentences`` in order of first
+    occurrence, and the index among them of every token's string, flat in
+    corpus order.  Strings, not table ids, key the rows: out-of-vocabulary
+    tokens share one id but not their features."""
+    index = {}
+    of = np.fromiter((index.setdefault(t, len(index)) for toks in sentences for t in toks),
+                     dtype=np.int64)
+    return list(index), of
+
+
+def word_feature_matrix(sentences, out):
+    """Write the ``word_features`` of every token of ``sentences``, in corpus
+    order, into the (N, ``WORD_FEATURE_COUNT``) array ``out``."""
+    types, of = word_types(sentences)
+    rows = np.array([word_features(t) for t in types],
+                    dtype=np.float32).reshape(len(types), WORD_FEATURE_COUNT)
+    out[:] = rows[of]
 
 
 # Upper edges of the arc-distance buckets: 1, 2, [3..5], [6..10], 11+.
@@ -221,16 +245,48 @@ def extended_features(tokens, j, resources):
     for pos in (j, j - 1, j + 1):
         word = tokens[pos] if 0 <= pos < len(tokens) else None
         parts.append(_word_block(word, resources))
-    center = tokens[j]
-    names = np.array([1.0 if center in s else 0.0 for s in resources.name_lists],
-                     dtype=np.float32)
-    grams = np.zeros(len(resources.char_ngrams), dtype=np.float32)
+    return np.concatenate(parts + [_center_block(tokens[j], resources)])
+
+
+def _center_block(center, res):
+    """Name-list membership bits, then character n-gram counts."""
+    out = np.zeros(len(res.name_lists) + len(res.char_ngrams), dtype=np.float32)
+    for k, names in enumerate(res.name_lists):
+        if center in names:
+            out[k] = 1.0
+    grams = out[len(res.name_lists):]
     for order in NGRAM_ORDERS:
         for k in range(len(center) - order + 1):
-            slot = resources.char_ngrams.get(center[k:k + order])
+            slot = res.char_ngrams.get(center[k:k + order])
             if slot is not None:
                 grams[slot] += 1.0
-    return np.concatenate(parts + [names, grams])
+    return out
+
+
+def extended_feature_matrix(sentences, resources, out):
+    """Write the ``extended_features`` row of every token of ``sentences``,
+    in corpus order, into the (N, ``extended_feature_width``) array ``out``.
+
+    Each distinct string gets one word block and one center block; a
+    trailing zero word block stands for a missing neighbor.  Every token
+    then gathers its center's blocks and its neighbors' word blocks, the
+    sentence bounds selecting the zero block."""
+    types, of = word_types(sentences)
+    lengths = np.array([len(toks) for toks in sentences], dtype=np.int64)
+    pos = np.arange(len(of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    zero = len(types)
+    left = np.where(pos > 0, np.roll(of, 1), zero)
+    right = np.where(pos < np.repeat(lengths, lengths) - 1, np.roll(of, -1), zero)
+    width = resources.word_block_width()
+    words = np.zeros((len(types) + 1, width), dtype=np.float32)
+    centers = np.zeros((len(types), len(resources.name_lists) + len(resources.char_ngrams)),
+                       dtype=np.float32)
+    for k, word in enumerate(types):
+        words[k] = _word_block(word, resources)
+        centers[k] = _center_block(word, resources)
+    for k, ids in enumerate((of, left, right)):
+        out[:, k * width:(k + 1) * width] = words[ids]
+    out[:, 3 * width:] = centers[of]
 
 
 def build_char_ngram_index(sentences, min_count=3):

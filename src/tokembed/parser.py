@@ -319,25 +319,12 @@ class Parser(Predictor):
         row[-PAIR_FEATURE_COUNT:] = pair_feature_matrix([i], [j], len(sent))[0]
         return row
 
-    def _sentence_blocks(self, sentences):
-        """Lists of whole sentences in order, each closed once its sentences
-        have ``SCORE_BLOCK`` arc rows between them, so a block has fewer than
-        ``SCORE_BLOCK`` rows plus those of its last sentence."""
-        block, rows = [], 0
-        for sent in sentences:
-            block.append(sent)
-            rows += sum(sent.selected) ** 2
-            if rows >= SCORE_BLOCK:
-                yield block
-                block, rows = [], 0
-        if block:
-            yield block
-
     def _block_scores(self, sentences):
         """(sentence, cache, (k, k) arc scores) per sentence, in order, with
         one ``_caches`` call and one ``_forward`` per block of sentences; a
         cache lives only as long as its block."""
-        for block in self._sentence_blocks(sentences):
+        for block in self._sentence_blocks(sentences, lambda sent: sum(sent.selected) ** 2,
+                                           SCORE_BLOCK):
             caches = self._caches(block)
             scored = [cache for cache in caches if cache.n_children]
             flat = self._forward(scored)[0] if scored else np.zeros(0)

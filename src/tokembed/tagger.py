@@ -10,8 +10,11 @@ softmax layer over the tagset, fed a fixed-order concatenation of
   4. the extended resource-based stack, when enabled.
 
 Token embeddings come from encoders whose parameters never receive gradients
-here; they are precomputed for a whole corpus at once, one ``encode`` per
-encoder, which enforces the freeze structurally.  Optionally the
+here; they are precomputed with one ``encode`` per encoder for a whole
+training corpus, and for each block of whole sentences of about
+``ENCODE_BLOCK`` tokens when tagging (``predict_corpus``), which enforces the
+freeze structurally.  The word-shape and extended features depend on a word
+alone, so they are computed once per distinct token string.  Optionally the
 type-embedding table itself is trained (on a private copy), with an anchored
 L2 penalty pulling it back toward the pretrained values; reserved rows stay
 zero either way.
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import rng as rng_mod
 from .embeddings import Predictor
-from .encoder import corpus_windows
-from .features import extended_feature_width, extended_features
+from .encoder import ENCODE_BLOCK, corpus_windows
+from .features import extended_feature_matrix, extended_feature_width
 from .nn import fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
 
@@ -128,14 +131,13 @@ class Tagger(Predictor):
     def const_features(self, sentences, wins):
         """Features of every token of ``sentences`` that do not depend on
         trainable state: the frozen ``token_features`` of their windows
-        ``wins``, then the extended stack when enabled."""
-        fixed = self.token_features(sentences, wins)
-        if not self.config.extended:
-            return fixed
-        ext = np.array([extended_features(tokens, j, self.resources)
-                        for tokens in sentences for j in range(len(tokens))],
-                       dtype=np.float32).reshape(len(wins), self.header()["extended_width"])
-        return np.concatenate([fixed, ext], axis=1)
+        ``wins``, then the extended stack when enabled, both in one array
+        and from one row per distinct string."""
+        width = self.header()["extended_width"]
+        out = self.token_features(sentences, wins, width)
+        if self.config.extended:
+            extended_feature_matrix(sentences, self.resources, out[:, out.shape[1] - width:])
+        return out
 
     def features(self, sentences):
         """Type-window ids and constant features of every token of
@@ -151,13 +153,26 @@ class Tagger(Predictor):
         logits, _ = self.net.forward(self.position_rows(wins, consts))
         return np.argmax(logits, axis=1)
 
+    def predict_corpus(self, sentences):
+        """Yield the predicted tag ids of each of ``sentences``, in order,
+        from one ``features`` and one ``predict`` per block of whole
+        sentences of about ``ENCODE_BLOCK`` tokens."""
+        for block in self._sentence_blocks(sentences, len, ENCODE_BLOCK):
+            ids = self.predict(*self.features(block))
+            yield from np.split(ids, np.cumsum([len(tokens) for tokens in block])[:-1])
+
+    def tag_corpus(self, sentences):
+        """Yield the predicted tag strings of each of ``sentences``, in order."""
+        for ids in self.predict_corpus(sentences):
+            yield [self.tagset[k] for k in ids]
+
     def tag_ids(self, tokens):
-        """Predicted tag ids, one per token."""
-        return self.predict(*self.features([tokens]))
+        """Predicted tag ids, one per token: the one-sentence block."""
+        return next(self.predict_corpus([tokens]))
 
     def tag_sentence(self, tokens):
         """Predicted tag strings for one sentence."""
-        return [self.tagset[k] for k in self.tag_ids(tokens)]
+        return next(self.tag_corpus([tokens]))
 
     # -- persistence ---------------------------------------------------------
 

@@ -137,6 +137,44 @@ def test_parse_predicts_every_sentence_in_one_call(data, capsys, tmp_path, monke
     assert calls == [summary["metrics"]["n_sentences"]] and calls[0] > 1
 
 
+def test_tag_runs_in_blocks_of_whole_sentences(data, capsys, tmp_path, monkeypatch):
+    # ENCODE_BLOCK 4 over sentences of 1-5 tokens: blocks close once they
+    # reach 4 tokens, each tagged inside the save call the benchmark times
+    table = load_word2vec_text(str(data["emb"]))
+    words = table.vocab.corpus_words
+    sentences = [[words[(3 * k + j) % len(words)] for j in range(n)]
+                 for k, n in enumerate([1, 2, 3, 1, 1, 5, 2, 2, 1, 3, 4, 1])]
+    corpus, enc, tagger = tmp_path / "c.txt", tmp_path / "enc.bin", tmp_path / "t.bin"
+    save_corpus(sentences, corpus)
+    encoder = FfnEncoder(table.dim, 1, token_dim=3, hidden=5, rng=rng_mod.stream(6, "init"))
+    encoder.save(enc, WeightScheme())
+    tagset = data["tagset"].read_text(encoding="utf-8").split()
+    model = Tagger(TaggerConfig(window=1, hidden=8, word_features=True), tagset, table,
+                   encoders=[encoder], rng=rng_mod.stream(7, "init"))
+    model.save(tagger)
+    blocks, saving = [], []
+    features, save = Tagger.features, cli.save_tagged_corpus
+    monkeypatch.setattr(Tagger, "features",
+                        lambda self, sents: blocks.append((saving[:], sents))
+                        or features(self, sents))
+    monkeypatch.setattr(cli, "save_tagged_corpus",
+                        lambda *a: saving.append(1) or save(*a))
+    monkeypatch.setattr("tokembed.tagger.ENCODE_BLOCK", 4)
+    code, summary, _ = run(capsys, "tag", "--embeddings", data["emb"], "--model", tagger,
+                           "--encoder", enc, "--corpus", corpus, "--out", tmp_path / "p.tags")
+    assert code == 0 and summary["metrics"]["n_sentences"] == len(sentences)
+    sizes = [list(map(len, sents)) for _, sents in blocks]
+    assert sizes == [[1, 2, 3], [1, 1, 5], [2, 2], [1, 3], [4], [1]]
+    assert all(inside == [1] for inside, _ in blocks)
+    assert [s for _, sents in blocks for s in sents] == sentences
+    want = [[(tok, tagset[k]) for tok, k in zip(sent, ids)]
+            for _, sents in blocks
+            for sent, ids in zip(sents, np.split(
+                model.predict(*features(model, sents)),
+                np.cumsum(list(map(len, sents)))[:-1]))]
+    assert [list(zip(*pair)) for pair in load_tagged_corpus(str(tmp_path / "p.tags"))] == want
+
+
 def test_parse_rejects_nan_embeddings(data, capsys, tmp_path):
     lines = data["emb"].read_text(encoding="utf-8").splitlines()
     word, *values = lines[2].split()
@@ -347,6 +385,17 @@ def test_knn_types_admitting_no_token_names_corpus_and_types(data, capsys, tmp_p
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [
         f"error: {data['val']}: no token is one of --types zzzz"]
+
+
+def test_embed_types_admitting_no_token_names_corpus_and_types(data, capsys, tmp_path):
+    enc, out = tmp_path / "enc.bin", tmp_path / "tokens.tsv"
+    save_untrained("embed", data, enc)
+    code, summary, err = run(capsys, "embed", "--embeddings", data["emb"], "--model", enc,
+                             "--corpus", data["val"], "--types", "zzzz,yyyy", "--out", out)
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {data['val']}: no token is one of --types zzzz,yyyy"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["embed", "knn", "train-tagger"])

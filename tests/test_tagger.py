@@ -1,8 +1,10 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 from tokembed import rng as rng_mod
-from tokembed.encoder import FfnEncoder, Seq2SeqEncoder
+from tokembed.encoder import FfnEncoder, Seq2SeqEncoder, corpus_windows
 from tokembed.features import (ResourceBundle, extended_feature_width,
                                extended_features, word_features)
 from tokembed.nn import FitConfig, TrainingDiverged
@@ -85,6 +87,45 @@ def test_compose_width_extended_stack():
     assert np.array_equal(rows[1, 4:14], word_features("w1"))
     assert np.array_equal(rows[1, 14:], extended_features(["w0", "w1", "w2"], 1,
                                                           resources))
+
+
+# Table words, their case variants and out-of-vocabulary strings: an unknown
+# token shares the UNK id but not its case bit, n-grams or resource entries.
+FEATURE_WORDS = ["the", "cat", "sat", "alice", "Paris", "ththe", "@bob", "12", ":", ".."]
+_feature_token = st.one_of(
+    st.sampled_from(FEATURE_WORDS),
+    st.sampled_from(FEATURE_WORDS).map(str.upper),
+    st.sampled_from(FEATURE_WORDS).map(str.capitalize),
+    st.text(alphabet="theaTHE@#.:1$", min_size=1, max_size=4))
+
+
+@given(st.lists(st.lists(_feature_token, min_size=1, max_size=6), max_size=6))
+@example([])
+@example([["cat"], ["cat", "CAT", "cat"], ["zz"], ["zz", "the"]])
+def test_const_features_per_type_rows_equal_the_per_token_references(sentences):
+    table = toy_embedding_table(["the", "cat", "sat", "alice"], 3,
+                                rng_mod.stream(40, "data"))
+    resources = ResourceBundle(
+        brown_clusters={"the": "0010110101", "cat": "110010", "CAT": "1110", "sat": "1101"},
+        tag_dictionary={"the": {"DT": 90, "NN": 2}, "Cat": {"NN": 5},
+                        "cat": {"NN": 50, "VB": 50, "JJ": 10, "RB": 5}},
+        name_lists=[frozenset({"alice", "Paris"}), frozenset({"zz", "PARIS"})],
+        char_ngrams={"th": 0, "he": 1, "the": 2, "at": 3, "TH": 4})
+    enc = FfnEncoder(3, 1, token_dim=2, hidden=4, rng=rng_mod.stream(41, "init"))
+    model = Tagger(TaggerConfig(window=1, hidden=4, word_features=True, extended=True),
+                   TAGSET, table, encoders=[enc], resources=resources)
+    wins = corpus_windows(table, sentences, model.radius)
+    out = model.const_features(sentences, wins)
+    tokens = [(toks, j) for toks in sentences for j in range(len(toks))]
+    width = 2 + 10 + extended_feature_width(resources)
+    ref = np.concatenate([
+        enc.encode(table, wins),
+        np.array([word_features(toks[j]) for toks, j in tokens],
+                 dtype=np.float32).reshape(len(tokens), 10),
+        np.array([extended_features(toks, j, resources) for toks, j in tokens],
+                 dtype=np.float32).reshape(len(tokens), width - 12)], axis=1)
+    assert out.dtype == np.float32 and out.shape == (len(tokens), width)
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_empty_input_rejected():
