@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import corpus_windows
+from .features import word_types
 from .serialize import open_text
 
 METRICS = ("euclidean", "cosine")
@@ -47,22 +48,21 @@ class TokenRecord:
 
 
 def index_corpus(model, table, sentences, type_filter=None, tags=None):
-    """One TokenRecord per token whose type passes ``type_filter`` (or all).
+    """One TokenRecord per token whose string is in ``type_filter`` (or all).
 
     ``tags`` optionally supplies a gold tag sequence per sentence, aligned
     with ``sentences``.  The admitted tokens' windows are encoded in one
     ``model.encode`` call.
     """
-    if type_filter is not None:
-        type_filter = set(type_filter)
-    keep = [type_filter is None or tok in type_filter for tokens in sentences for tok in tokens]
-    places = [(si, j) for si, tokens in enumerate(sentences) for j in range(len(tokens))]
-    places = [place for place, kept in zip(places, keep) if kept]
-    codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[
-        np.array(keep, dtype=bool)])
+    types, of = word_types(sentences)
+    keep = np.array([type_filter is None or t in type_filter for t in types], dtype=bool)[of]
+    lengths = np.array([len(tokens) for tokens in sentences], dtype=np.int64)
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    position = np.arange(len(of)) - (np.cumsum(lengths) - lengths)[sentence]
+    codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[keep])
     records = []
     w = model.w_prime
-    for (si, j), emb in zip(places, codes):
+    for si, j, emb in zip(sentence[keep].tolist(), position[keep].tolist(), codes):
         tokens = sentences[si]
         records.append(TokenRecord(
             sentence_id=si,

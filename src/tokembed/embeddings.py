@@ -1,7 +1,7 @@
 """Vocabulary management, fixed type-embedding storage, and word2vec-text IO,
-plus what every model built over a table shares: context windows of ids, the
-anchored trainable copy of the table, and the set-up and persistence common
-to the tagger and the parser.
+plus what every model built over a table shares: the anchored trainable copy
+of the table, and the set-up and persistence common to the tagger and the
+parser.
 
 Type embeddings are one vector per word type, pretrained elsewhere and kept
 fixed here.  Three reserved symbols are appended after the corpus entries:
@@ -56,19 +56,6 @@ class Vocabulary:
 
     def to_ids(self, tokens):
         return np.array([self.id_of(t) for t in tokens], dtype=np.int64)
-
-
-def windows(ids, offsets, bos_id, eos_id):
-    """(n, len(offsets)) matrix whose row ``j`` holds the ids at positions
-    ``j + offset`` of a sentence of ``n`` ids; positions before its start
-    read ``bos_id`` and positions past its end ``eos_id``."""
-    ids = np.asarray(ids, dtype=np.int64)
-    n = len(ids)
-    pos = np.arange(n)[:, None] + np.asarray(offsets, dtype=np.int64)[None, :]
-    out = ids[np.clip(pos, 0, max(n - 1, 0))]
-    out[pos < 0] = bos_id
-    out[pos >= n] = eos_id
-    return out
 
 
 class EmbeddingTable:

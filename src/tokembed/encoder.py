@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import windows
+from .features import windows, word_types
 from .nn import MLP, Dense, LstmCell, fit
 from .serialize import (check_config, check_sizes, load_model, restore_params,
                         save_model)
@@ -80,11 +80,11 @@ def window_weights(scheme, w_prime):
 
 def corpus_windows(table, sentences, w_prime):
     """(N, 2w'+1) window ids around the N tokens of ``sentences``, in corpus
-    order, each sentence's ids looked up once."""
+    order, from one id lookup per distinct string and one ``windows``."""
     vocab = table.vocab
-    offsets = np.arange(-w_prime, w_prime + 1)
-    return np.concatenate([np.zeros((0, len(offsets)), dtype=np.int64)] + [
-        windows(vocab.to_ids(toks), offsets, vocab.bos_id, vocab.eos_id) for toks in sentences])
+    types, of = word_types(sentences)
+    return windows(vocab.to_ids(types)[of], [len(toks) for toks in sentences],
+                   np.arange(-w_prime, w_prime + 1), vocab.bos_id, vocab.eos_id)
 
 
 def wre_value(reconstructions, targets, weights):
@@ -138,9 +138,8 @@ class WindowEncoder:
 
     def encode_sentence(self, table, ids):
         """Token embeddings of every position of a sentence of ids."""
-        vocab = table.vocab
-        offsets = np.arange(-self.w_prime, self.w_prime + 1)
-        return self.encode(table, windows(ids, offsets, vocab.bos_id, vocab.eos_id))
+        return self.encode(table, windows(ids, [len(ids)], np.arange(-self.w_prime, self.w_prime + 1),
+                                          table.vocab.bos_id, table.vocab.eos_id))
 
     def mean_wre(self, table, windows, weights):
         """Forward-only mean reconstruction error over many windows."""

@@ -106,6 +106,24 @@ def word_types(sentences):
     return list(index), of
 
 
+def windows(ids, lengths, offsets, bos_id, eos_id):
+    """(N, len(offsets)) ids at ``offsets`` from each of the N ids of a flat
+    corpus of sentences of ``lengths`` ids; a position outside the id's own
+    sentence reads ``bos_id`` before it and ``eos_id`` after it.  Every window
+    and neighbour gather states sentence bounds here, one column at a time,
+    with no (N, len(offsets)) array of positions."""
+    n = len(ids)
+    r = max(map(abs, offsets), default=0)
+    ids = np.pad(np.asarray(ids, dtype=np.int64), r)
+    sentence = np.pad(np.repeat(np.arange(len(lengths)), lengths), r, constant_values=-1)
+    out = np.empty((n, len(offsets)), dtype=np.int64)
+    for k, o in enumerate(offsets):
+        near = slice(r + o, r + o + n)
+        out[:, k] = ids[near]
+        out[sentence[near] != sentence[r:r + n], k] = bos_id if o < 0 else eos_id
+    return out
+
+
 def word_feature_matrix(sentences, out):
     """Write the ``word_features`` of every token of ``sentences``, in corpus
     order, into the (N, ``WORD_FEATURE_COUNT``) array ``out``."""
@@ -272,11 +290,7 @@ def extended_feature_matrix(sentences, resources, out):
     then gathers its center's blocks and its neighbors' word blocks, the
     sentence bounds selecting the zero block."""
     types, of = word_types(sentences)
-    lengths = np.array([len(toks) for toks in sentences], dtype=np.int64)
-    pos = np.arange(len(of)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    zero = len(types)
-    left = np.where(pos > 0, np.roll(of, 1), zero)
-    right = np.where(pos < np.repeat(lengths, lengths) - 1, np.roll(of, -1), zero)
+    near = windows(of, [len(toks) for toks in sentences], (-1, 1), len(types), len(types))
     width = resources.word_block_width()
     words = np.zeros((len(types) + 1, width), dtype=np.float32)
     centers = np.zeros((len(types), len(resources.name_lists) + len(resources.char_ngrams)),
@@ -284,7 +298,7 @@ def extended_feature_matrix(sentences, resources, out):
     for k, word in enumerate(types):
         words[k] = _word_block(word, resources)
         centers[k] = _center_block(word, resources)
-    for k, ids in enumerate((of, left, right)):
+    for k, ids in enumerate((of, near[:, 0], near[:, 1])):
         out[:, k * width:(k + 1) * width] = words[ids]
     out[:, 3 * width:] = centers[of]
 

@@ -13,7 +13,8 @@ from tokembed import embeddings, encoder, parser, rng as rng_mod, tagger
 from tokembed.analysis import index_corpus
 from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
-                                 save_corpus, save_word2vec_text, windows)
+                                 save_corpus, save_word2vec_text)
+from tokembed.features import windows
 from tokembed.nn import FitConfig, RowGrad, SgdMomentum, anchored_l2
 from tokembed.synthetic import toy_embedding_table
 
@@ -328,19 +329,26 @@ def reference_window(ids, j, offsets, bos_id, eos_id):
     return out
 
 
-@given(st.lists(st.integers(0, 99), max_size=7),
+@given(st.lists(st.lists(st.integers(0, 99), max_size=7), max_size=4),
        st.lists(st.integers(-3, 3), unique=True, max_size=5))
 @example([], [-1, 0, 1])
-@example([7], [])
-@example([7], [-2, -1, 1, 2])
-def test_windows_match_per_position_reference(ids, offsets):
-    # offsets with and without the center, none at all, and sentences of
-    # length 0 and 1
-    wins = windows(np.array(ids, dtype=np.int64), offsets, 100, 101)
+@example([[]], [-1, 0, 1])
+@example([[7]], [])
+@example([[7]], [-2, -1, 1, 2])
+@example([[1, 2, 3], [], [4], [5, 6]], [-3, -2, -1, 0, 1, 2, 3])
+@example([[4], [5], [6]], [-3, -1, 1, 3])
+def test_windows_match_per_position_reference(sentences, offsets):
+    # one flat corpus of sentences, empty and one-token ones among them;
+    # offsets with and without the center, and none at all: every row is
+    # the window over its own sentence alone
+    ids = np.array([i for sent in sentences for i in sent], dtype=np.int64)
+    wins = windows(ids, [len(sent) for sent in sentences], offsets, 100, 101)
     assert wins.shape == (len(ids), len(offsets))
     assert wins.dtype == np.int64
-    for j in range(len(ids)):
-        assert wins[j].tolist() == reference_window(ids, j, offsets, 100, 101)
+    rows = iter(wins.tolist())
+    for sent in sentences:
+        for j in range(len(sent)):
+            assert next(rows) == reference_window(sent, j, offsets, 100, 101)
 
 
 def test_corpus_round_trip(tmp_path):
