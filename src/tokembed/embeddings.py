@@ -1,5 +1,5 @@
 """Vocabulary management, fixed type-embedding storage, and word2vec-text IO,
-plus what every model built over a table shares: the anchored trainable copy
+plus what every model built over a table shares: the anchored trainable rows
 of the table, and the set-up and persistence common to the tagger and the
 parser.
 
@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .features import WORD_FEATURE_COUNT, word_feature_matrix
-from .nn import MLP, RowGrad, anchored_l2
+from .nn import MLP, anchored_l2
 from .serialize import (check_config, check_sizes, load_model, open_text,
                         restore_params, save_model)
 
@@ -62,7 +62,7 @@ class EmbeddingTable:
     """Vocabulary plus a |V| x d float32 matrix of type vectors.
 
     Immutable after construction by convention; components that adapt type
-    embeddings work on their own copy.  Reserved rows are forced to zero.
+    embeddings keep their own rows.  Reserved rows are forced to zero.
     """
 
     def __init__(self, vocab, vectors):
@@ -81,57 +81,66 @@ class EmbeddingTable:
 
 
 class AdaptedEmbeddings:
-    """Trainable copy of a table's type vectors, pulled toward the pretrained
-    values (the anchor) by ``anchor_weight * sum((vectors - anchor)^2)``.
-    In the table's dtype the anchor is the table's own array.
+    """Trainable type vectors of the table rows that training reaches, pulled
+    toward the pretrained values (the anchor) by ``anchor_weight *
+    sum((vectors - anchor)^2)``; in the table's dtype the anchor is the table.
 
-    Reserved rows never receive gradient.  Only *active* rows ever change:
-    the rows that differ from the anchor when the first gradient is taken,
-    plus every row a window has touched since; a row stays active once added.
-    Any other row has zero deviation, zero gradient and zero momentum, so a
-    dense update would leave it as it is, and ``gradient`` covers the active
-    rows only.  Per-row arithmetic is that of the dense update, so the
-    parameters are bit-identical; only the summation order of the reported
-    penalty differs.
+    ``vectors`` holds row k's values for row ``rows[k]``, one dense parameter
+    over the rows ``add_rows`` reached, never a reserved one.  Any other row
+    reads as ``anchor + 0.0``, as a dense update of the whole table would
+    leave it: its first step turns -0.0 into +0.0 and changes nothing else.
     """
 
     def __init__(self, table, anchor_weight, dtype=np.float32):
         self.anchor = table.vectors.astype(dtype, copy=False)  # never written
-        # Adding +0.0 turns -0.0 into +0.0, as the first dense step would on
-        # every row; rows the update never reaches must match it too.
-        self.vectors = self.anchor + 0.0
         self.anchor_weight = anchor_weight
-        vocab = table.vocab
-        self.reserved = np.array([vocab.bos_id, vocab.eos_id, vocab.unk_id])
-        self.rows = None   # active rows, in the order they were added
-        self._slot = None  # row -> its index in ``rows``, -1 while inactive
+        self.rows = np.empty(0, dtype=np.int64)
+        self.vectors = np.empty((0, table.dim), dtype)
+        # row -> its index in ``rows``; -1 while not reached, -2 if reserved
+        self._slot = np.full(len(self.anchor), -1, dtype=np.int64)
+        self._slot[[table.vocab.bos_id, table.vocab.eos_id, table.vocab.unk_id]] = -2
 
-    def _activate(self, new):
+    def add_rows(self, ids):
+        """Reach the rows of ``ids`` not reached or reserved, each at ``anchor
+        + 0.0``.  It replaces ``vectors``, so it comes before training."""
+        new = np.unique(ids[self._slot[ids] == -1])
         self._slot[new] = np.arange(len(self.rows), len(self.rows) + len(new))
         self.rows = np.concatenate([self.rows, new])
+        self.vectors = np.concatenate([self.vectors, self.anchor[new] + 0.0])
+
+    def lookup(self, ids):
+        """The vectors of the rows ``ids``, shaped like ``ids`` plus the dimension."""
+        slot = self._slot[ids]
+        out = self.vectors[np.maximum(slot, 0)] if len(self.rows) else self.anchor[ids]
+        out[slot < 0] = self.anchor[ids[slot < 0]] + 0.0
+        return out
+
+    def full(self):
+        """The whole table: ``anchor + 0.0`` with the reached rows' values."""
+        out = self.anchor + 0.0
+        out[self.rows] = self.vectors
+        return out
+
+    def restore(self, full):
+        """Reach the rows of a whole table ``full`` that differ from the anchor, at its values."""
+        self.add_rows(np.flatnonzero((full != self.anchor).any(axis=1)))
+        self.vectors[...] = full[self.rows]
 
     def gradient(self, window_grads):
-        """Anchored penalty and its gradient as a ``RowGrad`` over the active
-        rows.  ``window_grads`` holds (ids, grad) pairs, ``grad`` shaped like
-        ``ids`` plus the embedding dimension; they are summed per row in the
-        order ``np.add.at`` on the whole table would use."""
-        if self._slot is None:
-            self._slot = np.full(len(self.vectors), -1, dtype=np.int64)
-            self.rows = np.empty(0, dtype=np.int64)
-            moved = (self.vectors != self.anchor).any(axis=1)
-            self._activate(np.flatnonzero(moved))
-        for ids, _ in window_grads:
-            self._activate(np.unique(ids[self._slot[ids] < 0]))
-        rows = self.rows
-        values = np.zeros((len(rows), self.vectors.shape[1]), self.vectors.dtype)
+        """The anchored penalty, and the gradient shaped like ``vectors``: the
+        (ids, grad) pairs of ``window_grads``, ``grad`` shaped like ``ids`` plus
+        the dimension, summed per row in ``np.add.at`` order, plus the penalty's.
+        Reserved ids are dropped; a row not reached raises ``ValueError``."""
+        values = np.zeros_like(self.vectors)
         for ids, grad in window_grads:
-            np.add.at(values, self._slot[ids], grad)
-        penalty, anchor_grad = anchored_l2(self.vectors[rows], self.anchor[rows],
+            slot = self._slot[ids]
+            if (slot == -1).any():
+                raise ValueError(f"gradient on row {ids[slot == -1][0]}, which was not reached")
+            np.add.at(values, slot[slot >= 0], grad[slot >= 0])
+        penalty, anchor_grad = anchored_l2(self.vectors, self.anchor[self.rows],
                                            self.anchor_weight)
         values += anchor_grad
-        reserved = self._slot[self.reserved]
-        values[reserved[reserved >= 0]] = 0.0
-        return penalty, RowGrad(rows, values)
+        return penalty, values
 
 
 _ENCODER_FIELDS = {"arch": str, "token_dim": int, "w_prime": int}
@@ -144,7 +153,7 @@ def _fingerprint(encoders):
 
 class Predictor:
     """Base of the tagger and the parser: a network ``self.net`` over the type
-    embeddings of ``table`` (an ``AdaptedEmbeddings`` copy with
+    embeddings of ``table`` (trained ones in ``AdaptedEmbeddings`` with
     ``config.update_embeddings``) and frozen ``encoders``.  Both read one
     *position row* per token, whose block widths only ``position_widths``
     states; ``token_features`` and ``position_rows`` compose it.
@@ -167,7 +176,6 @@ class Predictor:
         self.encoders = tuple(encoders)
         self.adapted = (AdaptedEmbeddings(table, config.anchor_weight, dtype)
                         if config.update_embeddings else None)
-        self.embeddings = table.vectors if self.adapted is None else self.adapted.vectors
         # the type window and every encoder read their columns of one window
         # per token of this radius
         self.radius = max(config.window, 0, *(e.w_prime for e in self.encoders))
@@ -196,7 +204,8 @@ class Predictor:
     def position_rows(self, wins, fixed):
         """In the network's dtype, the type embeddings of the window ids
         ``wins``, then ``fixed``: ``token_features`` and any later columns."""
-        typ = self.embeddings[wins].reshape(len(wins), self.widths[0])
+        typ = (self.table.vectors[wins] if self.adapted is None
+               else self.adapted.lookup(wins)).reshape(len(wins), self.widths[0])
         return np.concatenate([typ, fixed], axis=1, dtype=self.net.layers[0].W.dtype)
 
     def token_features(self, sentences, wins, extra=0):
@@ -237,7 +246,7 @@ class Predictor:
     def params(self):
         out = {f"net.{k}": v for k, v in self.net.params().items()}
         if self.adapted is not None:
-            out["embeddings"] = self.embeddings
+            out["embeddings"] = self.adapted.vectors
         return out
 
     def header(self):
@@ -256,7 +265,10 @@ class Predictor:
         cfg = {self.kind: asdict(self.config), "dim": self.table.dim,
                "vocab_size": len(self.table.vocab),
                "encoders": _fingerprint(self.encoders), **self.header()}
-        save_model(path, self.kind, cfg, self.params())
+        tensors = self.params()
+        if self.adapted is not None:  # the file holds the whole table
+            tensors["embeddings"] = self.adapted.full()
+        save_model(path, self.kind, cfg, tensors)
 
     @classmethod
     def load(cls, path, table, encoders=(), **context):
@@ -272,8 +284,11 @@ class Predictor:
             config = cls.config_class(**cfg[cls.kind])
         except ValueError as e:
             raise ValueError(f"{path}: config.{cls.kind}: {e}") from None
-        if cfg["dim"] != table.dim or cfg["vocab_size"] != len(table.vocab):
-            raise ValueError(f"{path}: embedding table does not match the model")
+        for field, size, what in (("vocab_size", len(table.vocab), "{} entries"),
+                                  ("dim", table.dim, "dim {}")):
+            if cfg[field] != size:
+                raise ValueError(f"{path}: config.{field} {cfg[field]} does not match "
+                                 f"the embedding table's {what.format(size)}")
         width = cls.input_width(config, cfg["dim"],
                                 sum(e["token_dim"] for e in cfg["encoders"]), cfg)
         check_sizes(path, tensors, {
@@ -284,7 +299,13 @@ class Predictor:
             raise ValueError(
                 f"{path}: encoder set {given} does not match stored {cfg['encoders']}")
         model = cls.from_header(path, config, cfg, table, encoders, **context)
-        restore_params(model.params(), tensors, path)
+        params = model.params()
+        if model.adapted is not None:  # the file holds the whole table
+            params["embeddings"] = model.adapted.full()
+        restore_params(params, tensors, path)
+        if model.adapted is not None:
+            del tensors  # free the file's arrays before restore's temporaries
+            model.adapted.restore(params["embeddings"])
         return model
 
     @classmethod

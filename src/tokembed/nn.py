@@ -290,25 +290,11 @@ def softmax_logloss_batch(logits, gold):
     return float(losses.mean()), grad
 
 
-@dataclass
-class RowGrad:
-    """Gradient that is zero outside the listed rows of a 2-D parameter.
-
-    ``values[k]`` is the gradient of row ``rows[k]``; ``rows`` holds no
-    duplicates.
-    """
-
-    rows: np.ndarray
-    values: np.ndarray
-
-
 class SgdMomentum:
     """Heavy-ball SGD: v <- mu*v - lr*g, then theta <- theta + v.
 
     ``params`` is a dict of live arrays; velocity buffers start at zero and
-    match parameter shapes.  A ``RowGrad`` applies the same rule to its rows
-    and leaves the others as they are, which is what the dense rule does to
-    a row whose gradient and velocity are zero.
+    match parameter shapes, and so must every gradient.
     """
 
     def __init__(self, params, learning_rate=0.1, momentum=0.9):
@@ -321,26 +307,14 @@ class SgdMomentum:
         for name, p in self.params.items():
             if name not in grads:
                 raise ValueError(f"missing gradient for parameter {name!r}")
-            g = grads[name]
-            if isinstance(g, RowGrad):
-                rows, g = g.rows, g.values
-                shape = (len(rows),) + p.shape[1:]
-            else:
-                rows, g = None, np.asarray(g)
-                shape = p.shape
-            if g.shape != shape:
+            g = np.asarray(grads[name])
+            if g.shape != p.shape:
                 raise ValueError(
-                    f"gradient shape {g.shape} for parameter {name!r} of shape "
-                    f"{p.shape}, expected {shape}"
-                )
-            v = self.velocity[name] if rows is None else self.velocity[name][rows]
+                    f"gradient shape {g.shape} for parameter {name!r} of shape {p.shape}")
+            v = self.velocity[name]
             v *= self.momentum
             v -= self.learning_rate * g.astype(p.dtype, copy=False)
-            if rows is None:
-                p += v
-            else:
-                self.velocity[name][rows] = v
-                p[rows] += v
+            p += v
 
 
 @dataclass

@@ -422,7 +422,7 @@ def batch_loss_and_grads(model, caches):
     """Mean per-child arc loss over a minibatch of sentence caches plus, when
     embedding updates are on, the anchored penalty; gradients cover the
     network and the rows of the embedding table that ``AdaptedEmbeddings``
-    tracks.
+    has reached.
 
     The first layer's gradient is built per position, like its forward pass:
     an incidence-matrix product sums the arc pre-activation gradients over
@@ -491,6 +491,8 @@ def train_parser(model, train_sents, val_sents, cfg):
     usable = [k for k, c in enumerate(caches) if c.n_children]
     if not usable:
         raise ValueError("no selected tokens in the training corpus")
+    if model.adapted is not None:
+        model.adapted.add_rows(np.concatenate([c.wins for c in caches]))
 
     def batch_loss(sel):
         return batch_loss_and_grads(model, [caches[usable[q]] for q in sel])

@@ -15,8 +15,8 @@ training corpus, and for each block of whole sentences of about
 ``ENCODE_BLOCK`` tokens when tagging (``predict_corpus``), which enforces the
 freeze structurally.  The word-shape and extended features depend on a word
 alone, so they are computed once per distinct token string.  Optionally the
-type-embedding table itself is trained (on a private copy), with an anchored
-L2 penalty pulling it back toward the pretrained values; reserved rows stay
+type embeddings of the rows training reaches are trained, with an anchored
+L2 penalty pulling them back toward the pretrained values; reserved rows stay
 zero either way.
 """
 
@@ -200,7 +200,7 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     """Mean log loss of one minibatch plus, when embedding updates are on,
     the anchored penalty; gradients cover the network and (scattered
     through the window ids) the rows of the embedding table that
-    ``AdaptedEmbeddings`` tracks."""
+    ``AdaptedEmbeddings`` has reached."""
     X = model.position_rows(wins, consts)
     if dropout_rng is not None:
         logits, cache = model.net.forward(
@@ -237,6 +237,8 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
 
     t_wins, t_consts, t_golds = flatten(train_corpus)
     v_wins, v_consts, v_golds = flatten(val_corpus)
+    if model.adapted is not None:
+        model.adapted.add_rows(t_wins)
 
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
     use_dropout = model.config.dropout_input > 0 or model.config.dropout_hidden > 0

@@ -417,6 +417,28 @@ def test_encoder_of_another_dim_exits_1(data, capsys, tmp_path, command):
         f"error: {enc}: config.dim 6 does not match the embedding table's dim 5"]
 
 
+@pytest.mark.parametrize("command", ["tag", "parse"])
+@pytest.mark.parametrize("change", ["size", "dim"])
+def test_model_over_another_table_exits_1(data, capsys, tmp_path, command, change):
+    model, emb = tmp_path / "model.bin", tmp_path / "emb.txt"
+    save_untrained(command, data, model)  # over the d=6 table
+    head, *entries = data["emb"].read_text(encoding="utf-8").splitlines()
+    count = int(head.split()[0])
+    if change == "size":  # one entry fewer; the reserved rows make 3 more
+        lines = [f"{count - 1} 6"] + entries[:-1]
+        want = (f"config.vocab_size {count + 3} does not match the embedding "
+                f"table's {count + 2} entries")
+    else:
+        lines = [f"{count} 5"] + [" ".join(e.split()[:6]) for e in entries]
+        want = "config.dim 6 does not match the embedding table's dim 5"
+    emb.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    corpus = data["val"] if command == "tag" else data["dep_val"]
+    code, summary, err = run(capsys, command, "--embeddings", emb, "--model", model,
+                             "--corpus", corpus, "--out", tmp_path / "out")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {model}: {want}"]
+
+
 @pytest.mark.parametrize("flag", ["--train", "--val"])
 def test_train_encoder_without_known_tokens_exits_1(data, capsys, tmp_path, flag):
     # nothing is learned from all-zero windows, and all-zero validation

@@ -15,7 +15,8 @@ from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
                                  load_corpus, load_word2vec_text,
                                  save_corpus, save_word2vec_text)
 from tokembed.features import windows
-from tokembed.nn import FitConfig, RowGrad, SgdMomentum, anchored_l2
+from tokembed.nn import FitConfig, SgdMomentum, anchored_l2
+from tokembed.serialize import load_model
 from tokembed.synthetic import toy_embedding_table
 
 
@@ -362,16 +363,16 @@ def test_corpus_skips_blank_lines(tmp_path):
     assert load_corpus(str(tmp_path / "c.txt")) == [["a", "b"], ["c"]]
 
 
-# -- sparse anchored update ------------------------------------------------------
+# -- anchored update of the reached rows -----------------------------------------
 
 
 class DenseAnchored:
-    """The dense anchored update, written out: a |V|-row gradient filled by
-    np.add.at, the penalty over the whole table, reserved rows zeroed.  As a
-    plain array the gradient makes SgdMomentum step every row."""
+    """The dense anchored update, written out: a trainable copy of the whole
+    table, a |V|-row gradient filled by np.add.at, the penalty over the whole
+    table, reserved rows zeroed.  SgdMomentum steps every row."""
 
-    def __init__(self, table, vectors, weight):
-        self.vectors = vectors
+    def __init__(self, table, weight):
+        self.vectors = table.vectors.copy()
         self.anchor = table.vectors.copy()
         self.weight = weight
         vocab = table.vocab
@@ -386,6 +387,9 @@ class DenseAnchored:
         grad[self.reserved] = 0.0
         return penalty, grad
 
+    def lookup(self, ids):
+        return self.vectors[ids]
+
 
 def test_anchor_is_the_table_in_its_dtype():
     rng = rng_mod.stream(76, "data")
@@ -395,6 +399,7 @@ def test_anchor_is_the_table_in_its_dtype():
     single = embeddings.AdaptedEmbeddings(table, 0.05)
     assert np.shares_memory(single.anchor, table.vectors)
     assert not np.shares_memory(single.vectors, table.vectors)
+    assert single.vectors.shape == (0, 4)
     double = embeddings.AdaptedEmbeddings(table, 0.05, np.float64)
     assert double.anchor.dtype == np.float64
     assert not np.shares_memory(double.anchor, table.vectors)
@@ -407,7 +412,7 @@ def test_anchor_is_the_table_in_its_dtype():
     cfg = FitConfig(epochs=2, batch_size=2, learning_rate=0.1, momentum=0.9, seed=76)
     tagger.train_tagger(model, corpus[:4], corpus[4:], cfg)
     assert np.array_equal(table.vectors, before)
-    assert not np.array_equal(model.embeddings, before)
+    assert not np.array_equal(model.adapted.full(), before)
 
 
 @pytest.mark.parametrize("kind", ["tagger", "parser"])
@@ -472,40 +477,141 @@ def _parser_setup(table, words, rng):
 def test_sparse_anchored_steps_match_dense_rule(setup):
     # Rows 0-5 appear in sentences, row 6 is moved off its anchor before
     # training and row 9 is never reached; -0.0 sits in a used and an unused
-    # row.  Windows hold <s>, </s> and <unk>.  After every step the sparse
-    # path's table must be bitwise that of the dense rule.
+    # row.  Windows hold <s>, </s> and <unk>.  After every step the whole
+    # table the reached rows compose must be bitwise that of the dense rule.
     rng = rng_mod.stream(70, "data")
     words = [f"u{k}" for k in range(12)]
     table = toy_embedding_table(words, 4, rng)
     table.vectors[2, 1] = table.vectors[9, 3] = -0.0
     build, batches, loss_and_grads, window_ids = setup(table, words[:6], rng)
+    vocab = table.vocab
+    reserved = {vocab.bos_id, vocab.eos_id, vocab.unk_id}
 
     model, ref = build(), build()
-    ref.adapted = DenseAnchored(table, ref.embeddings, 0.05)
-    ref.embeddings[...] = table.vectors
-    assert np.signbit(ref.embeddings[9, 3])
-    for m in (model, ref):
-        m.embeddings[6] += 0.25
+    ref.adapted = DenseAnchored(table, 0.05)
+    assert np.signbit(ref.adapted.vectors[9, 3])
+    ids = set(np.concatenate([window_ids(b).ravel() for b in batches(model)]).tolist())
+    assert reserved <= ids
+    model.adapted.add_rows(np.array(sorted(ids | {6})))
+    rows = model.adapted.rows.tolist()
+    assert sorted(rows) == sorted((ids | {6}) - reserved)
+    assert 9 not in rows
+    model.adapted.vectors[rows.index(6)] += 0.25
+    ref.adapted.vectors[6] += 0.25
     opt = SgdMomentum(model.params(), 0.1, 0.9)
     ref_opt = SgdMomentum(ref.params(), 0.1, 0.9)
-    active = {6}
     for _ in range(3):
         for batch, ref_batch in zip(batches(model), batches(ref)):
             _, grads = loss_and_grads(model, *batch)
             _, ref_grads = loss_and_grads(ref, *ref_batch)
-            sparse = grads["embeddings"]
-            active |= set(window_ids(batch).ravel().tolist())
-            assert isinstance(sparse, RowGrad)
-            assert sorted(sparse.rows.tolist()) == sorted(active)
-            assert sparse.values.shape == (len(active), 4)
+            assert grads["embeddings"].shape == (len(rows), 4)
             opt.step(grads)
             ref_opt.step(ref_grads)
-            assert np.array_equal(model.embeddings.view(np.uint32),
-                                  ref.embeddings.view(np.uint32))
+            assert np.array_equal(model.adapted.full().view(np.uint32),
+                                  ref.adapted.vectors.view(np.uint32))
             for name, value in ref.params().items():
-                assert np.array_equal(model.params()[name], value), name
-    assert 9 not in active
-    assert not np.signbit(model.embeddings[9, 3])
+                if name != "embeddings":
+                    assert np.array_equal(model.params()[name], value), name
+    assert model.adapted.rows.tolist() == rows
+    assert not np.signbit(model.adapted.full()[9, 3])
+
+
+def test_gradient_on_a_row_not_reached_raises():
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(78, "data"))
+    table.vectors[2, 0] = -0.0
+    adapted = embeddings.AdaptedEmbeddings(table, 0.05)
+    vocab = table.vocab
+    # lookups read a row not reached as the table's + 0.0, with no row reached too
+    looked = np.array([[1, 2], [vocab.unk_id, 3]])
+    want = table.vectors[looked] + 0.0
+    assert np.array_equal(adapted.lookup(looked).view(np.uint32), want.view(np.uint32))
+    adapted.add_rows(np.array([[1, vocab.bos_id], [3, vocab.unk_id]]))
+    assert adapted.rows.tolist() == [1, 3]
+    adapted.vectors += 1.0
+    want[0, 0] += 1.0
+    want[1, 1] += 1.0
+    assert np.array_equal(adapted.lookup(looked).view(np.uint32), want.view(np.uint32))
+    assert not np.signbit(adapted.lookup(looked)[0, 1, 0])
+    # reserved ids are dropped
+    ids = np.array([[1, vocab.eos_id], [vocab.unk_id, 3]])
+    _, grad = adapted.gradient([(ids, np.ones((2, 2, 4), np.float32))])
+    assert np.array_equal(grad, 1.0 + anchored_l2(adapted.vectors, table.vectors[[1, 3]], 0.05)[1])
+    with pytest.raises(ValueError, match="gradient on row 2, which was not reached"):
+        adapted.gradient([(np.array([[1, 2]]), np.ones((1, 2, 4), np.float32))])
+
+
+def test_optimizer_rejects_a_gradient_of_the_whole_table():
+    table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(79, "data"))
+    model = tagger.Tagger(tagger.TaggerConfig(window=1, hidden=6, update_embeddings=True),
+                          ["A"], table, rng=rng_mod.stream(79, "init"))
+    model.adapted.add_rows(np.arange(3))
+    params = model.params()
+    opt = SgdMomentum(params, 0.1, 0.9)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads["embeddings"] = np.zeros_like(table.vectors)
+    with pytest.raises(ValueError, match="parameter 'embeddings' of shape \\(3, 4\\)"):
+        opt.step(grads)
+
+
+def test_whole_table_round_trips_with_a_negative_zero_in_a_row_not_reached(tmp_path):
+    rng = rng_mod.stream(80, "data")
+    words = [f"u{k}" for k in range(8)]
+    table = toy_embedding_table(words, 4, rng)
+    table.vectors[7, 2] = -0.0  # u7 is in no sentence
+    model = tagger.Tagger(tagger.TaggerConfig(window=1, hidden=6, update_embeddings=True),
+                          ["A", "B"], table, rng=rng_mod.stream(80, "init"))
+    corpus = [(list(rng.choice(words[:6], size=4)), rng.integers(0, 2, size=4))
+              for _ in range(6)]
+    cfg = FitConfig(epochs=2, batch_size=2, learning_rate=0.1, momentum=0.9, seed=80)
+    tagger.train_tagger(model, corpus[:4], corpus[4:], cfg)
+    assert 7 not in model.adapted.rows
+    path, again = tmp_path / "tagger.bin", tmp_path / "again.bin"
+    model.save(path)
+    stored = load_model(path)[2]["embeddings"]
+    whole = model.adapted.full()
+    assert np.array_equal(stored.view(np.uint32), whole.view(np.uint32))
+    assert stored[7, 2] == 0.0 and not np.signbit(stored[7, 2])
+    loaded = tagger.Tagger.load(path, table)
+    assert set(loaded.adapted.rows.tolist()) <= set(model.adapted.rows.tolist())
+    assert np.array_equal(loaded.adapted.full().view(np.uint32), whole.view(np.uint32))
+    tokens = [toks for toks, _ in corpus]
+    assert list(map(list, loaded.predict_corpus(tokens))) == list(
+        map(list, model.predict_corpus(tokens)))
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_training_memory_does_not_grow_with_rows_not_reached():
+    # Only the rows training reaches are trainable: what an embedding update
+    # builds and trains is the same for a table of 1k and of 51k unused rows,
+    # but for the row -> slot map.  The tables are built outside the trace.
+    rng = rng_mod.stream(81, "data")
+    words = [f"u{k}" for k in range(20)]
+    tagged = [(list(rng.choice(words, size=5)), rng.integers(0, 3, size=5))
+              for _ in range(12)]
+    deps = [parser.DepSentence(toks, [0, 1, 2, 3, 4], [True] * 5) for toks, _ in tagged]
+    cfg = FitConfig(epochs=2, batch_size=4, learning_rate=0.05, momentum=0.9, seed=81)
+
+    def peak(unused):
+        table = toy_embedding_table(words + [f"x{k}" for k in range(unused)], 100,
+                                    rng_mod.stream(82, "data"))
+        tracemalloc.start()
+        try:
+            model = tagger.Tagger(tagger.TaggerConfig(window=1, hidden=16,
+                                                      update_embeddings=True),
+                                  ["A", "B", "C"], table, rng=rng_mod.stream(81, "init"))
+            tagger.train_tagger(model, tagged[:9], tagged[9:], cfg)
+            model = parser.Parser(parser.ParserConfig(window=1, hidden=16,
+                                                      update_embeddings=True),
+                                  table, rng=rng_mod.stream(81, "init"))
+            parser.train_parser(model, deps[:9], deps[9:], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # one-time allocations of the first run
+    small, large = peak(1_000), peak(51_000)
+    assert large - small <= 40 * 50_000, (small, large)
 
 
 # -- one corpus path from tokens to encoder features ---------------------------

@@ -81,7 +81,8 @@ def train_all(table, seed, arch):
     parser = Parser(ParserConfig(window=1, hidden=4, update_embeddings=True), table,
                     encoders=[enc], rng=rng_mod.stream(seed, "init"))
     train_parser(parser, deps[:9], deps[9:], cfg)
-    return enc.params(), tagger.params(), parser.params()
+    return enc.params(), *({**model.params(), "embeddings": model.adapted.full()}
+                           for model in (tagger, parser))
 
 
 def assert_trains_alike(prop, table, seed, arch):

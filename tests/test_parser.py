@@ -204,7 +204,7 @@ def test_forward_keeps_one_position_row_per_slot():
     _, (X, A, tail) = model._forward(caches)
     width = (model.input_dim - PAIR_FEATURE_COUNT) // 2
     assert X.shape == (sum(c.n_children + 1 for c in caches), width)
-    expected = [np.concatenate([model.embeddings[c.wins].reshape(len(c.wins), -1),
+    expected = [np.concatenate([table.vectors[c.wins].reshape(len(c.wins), -1),
                                 c.fixed], axis=1) for c in caches]
     assert np.array_equal(X, np.concatenate(expected))
     assert A.shape == (sum(c.n_children ** 2 for c in caches), 6)
@@ -617,20 +617,17 @@ def test_update_embeddings_gradients_match_finite_differences():
                    rng=rng_mod.stream(56, "init"), dtype=np.float64)
     for v in model.net.params().values():
         v += rng.normal(scale=0.05, size=v.shape)
-    model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))
+    model.adapted.add_rows(np.arange(6))
+    model.adapted.vectors += rng.normal(scale=0.1, size=(6, 3))
     sents = [DepSentence([words[int(rng.integers(6))] for _ in range(3)],
                          [0, 1, 2], [True] * 3) for _ in range(2)]
     caches = model._caches(sents)
 
-    params = {k: v for k, v in model.params().items() if k != "embeddings"}
-    params["embeddings"] = model.embeddings[:6]
+    params = model.params()  # rows 0-5 of the table: probes mutate the model
+    assert params["embeddings"] is model.adapted.vectors
 
     def loss_and_grads():
-        loss, grads = batch_loss_and_grads(model, caches)
-        dense = np.zeros_like(model.embeddings)
-        dense[grads["embeddings"].rows] = grads["embeddings"].values
-        grads["embeddings"] = dense[:6]
-        return loss, grads
+        return batch_loss_and_grads(model, caches)
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
@@ -660,23 +657,21 @@ def test_batch_gradients_with_window_encoder_and_embedding_updates(window, word_
                    dtype=np.float64)
     for v in model.net.params().values():
         v += rng.normal(scale=0.05, size=v.shape)
-    model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))
+    moved = rng.normal(scale=0.1, size=(6, 3))
+    if update:
+        model.adapted.add_rows(np.arange(6))
+        model.adapted.vectors += moved
+    else:
+        table.vectors[:6] += moved  # the table the encoders read
     sents = [DepSentence(words[:4], [0, 1, -1, 2], [True, True, False, True]),
              DepSentence(words[3:], [3, 0, 2], [True] * 3),
              DepSentence(["55"], [0], [True])]
     caches = model._caches(sents)
 
-    params = {k: v for k, v in model.params().items() if k != "embeddings"}
-    if update:
-        params["embeddings"] = model.embeddings[:6]
+    params = model.params()  # with an update, rows 0-5 of the table
 
     def loss_and_grads():
-        loss, grads = batch_loss_and_grads(model, caches)
-        if update:
-            dense = np.zeros_like(model.embeddings)
-            dense[grads["embeddings"].rows] = grads["embeddings"].values
-            grads["embeddings"] = dense[:6]
-        return loss, grads
+        return batch_loss_and_grads(model, caches)
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
@@ -693,10 +688,10 @@ def test_updating_embeddings_moves_copy_only():
     cfg = FitConfig(epochs=3, batch_size=4, learning_rate=0.05, momentum=0.9, seed=53)
     train_parser(model, sents[:12], sents[12:], cfg)
     assert np.array_equal(table.vectors, before)
-    assert not np.array_equal(model.embeddings, before)
+    assert not np.array_equal(model.adapted.full(), before)
     v = table.vocab
     for rid in (v.bos_id, v.eos_id, v.unk_id):
-        assert np.array_equal(model.embeddings[rid], np.zeros(4, np.float32))
+        assert np.array_equal(model.adapted.full()[rid], np.zeros(4, np.float32))
 
 
 def test_save_load_round_trip(tmp_path):

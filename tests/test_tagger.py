@@ -280,9 +280,9 @@ def test_updating_moves_embeddings_but_not_reserved_rows():
     cfg = FitConfig(epochs=5, batch_size=8, learning_rate=0.05, momentum=0.9, seed=29)
     train_tagger(model, train, val, cfg)
     assert np.array_equal(table.vectors, before)  # the source table is untouched
-    assert not np.array_equal(model.embeddings, before)  # the copy trained
+    assert not np.array_equal(model.adapted.full(), before)  # the reached rows trained
     for rid in (vocab.bos_id, vocab.eos_id, vocab.unk_id):
-        assert np.array_equal(model.embeddings[rid], np.zeros(8, np.float32))
+        assert np.array_equal(model.adapted.full()[rid], np.zeros(8, np.float32))
 
 
 def test_update_embeddings_gradients_match_finite_differences():
@@ -300,21 +300,18 @@ def test_update_embeddings_gradients_match_finite_differences():
                    rng=rng_mod.stream(36, "init"), dtype=np.float64)
     for v in model.net.params().values():
         v += rng.normal(scale=0.05, size=v.shape)  # keep relu off its kinks
-    model.embeddings[:6] += rng.normal(scale=0.1, size=(6, 3))  # off the anchor
+    model.adapted.add_rows(np.arange(6))
+    model.adapted.vectors += rng.normal(scale=0.1, size=(6, 3))  # off the anchor
     corpus = [([words[int(rng.integers(6))] for _ in range(4)],
                rng.integers(0, len(TAGSET), size=4)) for _ in range(3)]
     wins, consts = model.features([toks for toks, _ in corpus])
     golds = np.concatenate([g for _, g in corpus])
 
-    params = {k: v for k, v in model.params().items() if k != "embeddings"}
-    params["embeddings"] = model.embeddings[:6]  # view: probes mutate the model
+    params = model.params()  # rows 0-5 of the table: probes mutate the model
+    assert params["embeddings"] is model.adapted.vectors
 
     def loss_and_grads():
-        loss, grads = batch_loss_and_grads(model, wins, consts, golds)
-        dense = np.zeros_like(model.embeddings)
-        dense[grads["embeddings"].rows] = grads["embeddings"].values
-        grads["embeddings"] = dense[:6]
-        return loss, grads
+        return batch_loss_and_grads(model, wins, consts, golds)
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
