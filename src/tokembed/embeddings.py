@@ -305,7 +305,13 @@ class Predictor:
         restore_params(params, tensors, path)
         if model.adapted is not None:
             del tensors  # free the file's arrays before restore's temporaries
-            model.adapted.restore(params["embeddings"])
+            full = params["embeddings"]
+            for sym in RESERVED:  # never trained, so a saved table holds them at +0.0
+                row = full[table.vocab.id_of(sym)]
+                if (row != 0).any() or np.signbit(row).any():
+                    raise ValueError(f"{path}: tensor 'embeddings': reserved row {sym!r} "
+                                     "is not +0.0")
+            model.adapted.restore(full)
         return model
 
     @classmethod

@@ -198,7 +198,7 @@ class FfnEncoder(WindowEncoder):
         dRec = (2.0 / B) * weights[None, :, None] * diff
         dFlat = dRec.reshape(B, -1).astype(flat.dtype)
         dCodes, dec_grads = self.decoder.backward(dFlat, dec_cache)
-        _, enc_grads = self.encoder.backward(dCodes, enc_cache)
+        _, enc_grads = self.encoder.backward(dCodes, enc_cache, None)  # types stay fixed
         grads = {f"enc.{k}": v for k, v in enc_grads.items()}
         grads.update({f"dec.{k}": v for k, v in dec_grads.items()})
         return loss, grads
@@ -288,10 +288,12 @@ class Seq2SeqEncoder(WindowEncoder):
             add("dec", g)
         # dh now carries the gradient w.r.t. the decoder's initial hidden state,
         # which is the encoder output; the zero initial cell state absorbs dc.
-        # The first step's gradient w.r.t. the zero initial state is not used.
+        # The first step's gradient w.r.t. the zero initial state is not used,
+        # nor any step's w.r.t. its input: type embeddings stay fixed.
         dc = np.zeros_like(codes)
         for t in reversed(range(self.window_len)):
-            _, dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t], need_prev=t > 0)
+            _, dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t],
+                                                        need_prev=t > 0, need_dx=False)
             add("enc", g)
         return loss, grads
 

@@ -15,6 +15,9 @@ from . import rng as rng_mod
 
 ACTIVATIONS = ("linear", "relu")
 FORGET_BIAS = 1.0  # initial forget-gate bias of an LstmCell drawn from an rng
+# Elements per pass of ``SgdMomentum.step``: the block of a parameter, its
+# velocity, its gradient and lr * gradient stays in cache across the rule.
+STEP_BLOCK = 1 << 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -74,11 +77,13 @@ class Dense:
         Y = relu(A, out=A) if self.activation == "relu" else A
         return Y, (X, Y)
 
-    def backward(self, dY, cache):
+    def backward(self, dY, cache, input_cols=slice(None)):
+        """(dX, grads); ``dX`` holds only the input columns ``input_cols``,
+        and is ``None`` without them."""
         X, Y = cache
         dA = dY * (Y > 0) if self.activation == "relu" else dY
         grads = {"W": dA.T @ X, "b": dA.sum(axis=0)}
-        dX = dA @ self.W
+        dX = None if input_cols is None else dA @ self.W[:, input_cols]
         return dX, grads
 
     def params(self):
@@ -118,17 +123,20 @@ class MLP:
                 H = H * masks[k + 1]
         return H, (caches, masks)
 
-    def backward(self, dY, cache):
+    def backward(self, dY, cache, input_cols=slice(None)):
+        """(dX, grads); as in ``Dense.backward``, ``dX`` holds only the input
+        columns ``input_cols``, and is ``None`` without them."""
         caches, masks = cache
         grads = {}
         d = dY
         for k in reversed(range(len(self.layers))):
             if masks[k + 1] is not None:
                 d = d * masks[k + 1]
-            d, layer_grads = self.layers[k].backward(d, caches[k])
+            d, layer_grads = self.layers[k].backward(
+                d, caches[k], input_cols if k == 0 else slice(None))
             grads.update({f"{k}.{name}": g for name, g in layer_grads.items()})
-        if masks[0] is not None:
-            d = d * masks[0]
+        if masks[0] is not None and d is not None:
+            d = d * masks[0][:, input_cols]
         return d, grads
 
     def params(self):
@@ -211,12 +219,13 @@ class LstmCell:
         tc = np.tanh(c)
         return o * tc, c, (cols, z, A, c_prev, tc)
 
-    def step_backward(self, dh, dc, cache, need_prev=True):
+    def step_backward(self, dh, dc, cache, need_prev=True, need_dx=True):
         """Gradients of one step: (dx, dh_prev, dc_prev, grads).  The
         columns of each ``W`` gradient that met a zero input or a zero
-        hidden state are zero, and after a zero-input step ``dx`` is
-        ``None``.  With ``need_prev=False`` only ``grads`` is computed and
-        the other three are ``None``."""
+        hidden state are zero.  After a zero-input step, or with
+        ``need_dx=False``, ``dx`` is ``None`` and only the hidden columns of
+        ``W`` are multiplied.  With ``need_prev=False`` only ``grads`` is
+        computed and the other three are ``None``."""
         cols, z, A, c_prev, tc = cache
         i, f, o, g = self._gates(A)
         do = dh * tc
@@ -240,13 +249,14 @@ class LstmCell:
             return None, None, None, grads
         # four per-gate products summed in gate order, as the bits require;
         # accumulating in place spares three temporaries
-        dz = dai @ self.Wi
-        dz += daf @ self.Wf
-        dz += dao @ self.Wo
-        dz += dag @ self.Wg
-        dx = dz[:, : self.n_in] if cols.start == 0 else None
+        first = 0 if need_dx and cols.start == 0 else self.n_in
+        dz = dai @ self.Wi[:, first:]
+        dz += daf @ self.Wf[:, first:]
+        dz += dao @ self.Wo[:, first:]
+        dz += dag @ self.Wg[:, first:]
+        dx = dz[:, : self.n_in] if first == 0 else None
         dct *= f
-        return dx, dz[:, self.n_in:], dct, grads
+        return dx, dz[:, self.n_in - first:], dct, grads
 
     def _gates(self, M):
         """The i, f, o, g column blocks of a (B, 4*n_hidden) array."""
@@ -293,15 +303,21 @@ def softmax_logloss_batch(logits, gold):
 class SgdMomentum:
     """Heavy-ball SGD: v <- mu*v - lr*g, then theta <- theta + v.
 
-    ``params`` is a dict of live arrays; velocity buffers start at zero and
-    match parameter shapes, and so must every gradient.
+    ``params`` is a dict of live C-contiguous arrays; velocity buffers start
+    at zero and match parameter shapes, and so must every gradient.  A step
+    runs the rule over ``STEP_BLOCK`` elements of a parameter at a time,
+    with ``lr * g`` in one preallocated block, and never writes a gradient.
     """
 
     def __init__(self, params, learning_rate=0.1, momentum=0.9):
         self.params = dict(params)
+        for name, p in self.params.items():
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous")
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._scaled = {p.dtype: np.empty(STEP_BLOCK, p.dtype) for p in self.params.values()}
 
     def step(self, grads):
         for name, p in self.params.items():
@@ -311,10 +327,16 @@ class SgdMomentum:
             if g.shape != p.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} for parameter {name!r} of shape {p.shape}")
-            v = self.velocity[name]
-            v *= self.momentum
-            v -= self.learning_rate * g.astype(p.dtype, copy=False)
-            p += v
+            g, v, p = g.reshape(-1), self.velocity[name].reshape(-1), p.reshape(-1)
+            scaled = self._scaled[p.dtype]
+            for k in range(0, len(p), STEP_BLOCK):
+                block = slice(k, k + STEP_BLOCK)
+                vb = v[block]
+                lr_g = np.multiply(g[block], self.learning_rate, out=scaled[:len(vb)],
+                                   dtype=p.dtype)
+                vb *= self.momentum
+                vb -= lr_g
+                p[block] += vb
 
 
 @dataclass

@@ -209,10 +209,12 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     else:
         logits, cache = model.net.forward(X)
     loss, dlogits = softmax_logloss_batch(logits, golds)
-    dX, net_grads = model.net.backward(dlogits.astype(logits.dtype), cache)
+    # the input gradient is read only for the type window, and only when updating
+    typ_cols = None if model.adapted is None else slice(0, model.widths[0])
+    dTyp, net_grads = model.net.backward(dlogits.astype(logits.dtype), cache, typ_cols)
     grads = {f"net.{k}": g for k, g in net_grads.items()}
     if model.adapted is not None:
-        dTyp = dX[:, :model.widths[0]].reshape(len(X), model.win_len, -1)
+        dTyp = dTyp.reshape(len(X), model.win_len, -1)
         penalty, grads["embeddings"] = model.adapted.gradient([(wins, dTyp)])
         loss += penalty
     return loss, grads

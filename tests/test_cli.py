@@ -123,6 +123,24 @@ def test_parse_rejects_mismatched_model_tensors(data, capsys, tmp_path, corrupt,
     assert str(bad) in err and repr(tensor) in err
 
 
+@pytest.mark.parametrize("symbol, value", [("<unk>", 5.0), ("<s>", -0.0)])
+def test_tag_rejects_a_reserved_embedding_row_that_is_not_zero(data, capsys, tmp_path,
+                                                               symbol, value):
+    # restore would drop the row, so the file would load as another model
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    table = load_word2vec_text(str(data["emb"]))
+    tagset = data["tagset"].read_text(encoding="utf-8").split()
+    Tagger(TaggerConfig(window=0, hidden=4, update_embeddings=True), tagset, table).save(good)
+    kind, config, tensors = load_model(good)
+    tensors["embeddings"][table.vocab.id_of(symbol)] = value
+    save_model(bad, kind, config, tensors)
+    code, summary, err = run(capsys, "tag", "--embeddings", data["emb"], "--model", bad,
+                             "--corpus", data["val"], "--out", tmp_path / "pred.tags")
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {bad}: tensor 'embeddings': reserved row {symbol!r} is not +0.0"]
+
+
 def test_parse_predicts_every_sentence_in_one_call(data, capsys, tmp_path, monkeypatch):
     # the benchmark times parse's work from its first predict_heads call
     model = tmp_path / "parser.bin"

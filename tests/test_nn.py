@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from tokembed import rng as rng_mod
-from tokembed.nn import (Dense, FitConfig, LstmCell, MLP, SgdMomentum,
+from tokembed.nn import (STEP_BLOCK, Dense, FitConfig, LstmCell, MLP, SgdMomentum,
                          TrainingDiverged, anchored_l2, dropout_mask, fit,
                          glorot_uniform, gradient_check, relu, sigmoid, softmax_logloss,
                          softmax_logloss_batch)
@@ -66,6 +66,39 @@ def test_dense_dimension_mismatch():
 def test_unknown_activation():
     with pytest.raises(ValueError):
         Dense(2, 2, "swish")
+
+
+def mlp_backward_pair(input_cols, dropout, dtype=np.float32):
+    """The full backward of a tagger-shaped MLP pass and the same pass's
+    backward with ``input_cols``: (full, limited, the pass's cache)."""
+    net = MLP([60, 32, 32, 5], ["relu", "relu", "linear"], rng_mod.stream(3, "init"), dtype)
+    r = np.random.default_rng(3)
+    X = r.normal(size=(64, 60)).astype(dtype)
+    rates = {"rng": rng_mod.stream(3, "dropout"), "input_rate": 0.3,
+             "hidden_rate": 0.2} if dropout else {}
+    Y, cache = net.forward(X, **rates)
+    dY = r.normal(size=Y.shape).astype(dtype)
+    return net.backward(dY, cache), net.backward(dY, cache, input_cols), cache
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_backward_without_input_gradient_gives_the_same_grads(dropout):
+    (_, full), (dX, grads), _ = mlp_backward_pair(None, dropout)
+    assert dX is None
+    assert grads.keys() == full.keys()
+    assert all(grads[k].tobytes() == full[k].tobytes() for k in full)
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+def test_backward_limited_to_input_columns_gives_those_columns(dropout):
+    # float64: a product with fewer columns may round otherwise in float32
+    cols = slice(0, 24)
+    (dX_full, full), (dX, grads), (_, masks) = mlp_backward_pair(cols, dropout, np.float64)
+    assert dX.shape == (64, 24)
+    assert np.allclose(dX, dX_full[:, cols], rtol=1e-6, atol=0)
+    if dropout:  # the input mask applies to the same columns
+        assert (masks[0][:, cols] == 0).any() and not dX[masks[0][:, cols] == 0].any()
+    assert all(grads[k].tobytes() == full[k].tobytes() for k in full)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=10))
@@ -238,6 +271,21 @@ def test_lstm_backward_without_previous_state_gives_the_same_grads():
     assert all(full[3][k].tobytes() == lean[3][k].tobytes() for k in full[3])
 
 
+def test_lstm_backward_without_dx_gives_the_same_gradients():
+    # the encoder's training shape: d=100, d'=256, 64 windows
+    cell = LstmCell(100, 256, rng=rng_mod.stream(7, "init"))
+    r = np.random.default_rng(7)
+    x = r.normal(size=(64, 100)).astype(np.float32)
+    h, c, dh, dc = (r.normal(size=(64, 256)).astype(np.float32) for _ in range(4))
+    _, _, cache = cell.step(x, h, c)
+    dx, *full = cell.step_backward(dh, dc, cache)
+    lean_dx, *lean = cell.step_backward(dh, dc, cache, need_dx=False)
+    assert dx.shape == (64, 100) and lean_dx is None
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(full[:2], lean[:2]))  # dh, dc
+    assert full[2].keys() == lean[2].keys()
+    assert all(full[2][k].tobytes() == lean[2][k].tobytes() for k in full[2])
+
+
 def test_lstm_step_needs_an_input_or_a_hidden_state():
     cell = LstmCell(2, 3)
     with pytest.raises(ValueError, match="needs an input or a hidden state"):
@@ -323,6 +371,51 @@ def test_sgd_zero_gradient_fixed_point():
     opt = SgdMomentum(p, learning_rate=0.1, momentum=0.9)
     opt.step({"w": np.zeros(1, dtype=np.float32)})
     assert np.array_equal(p["w"], np.array([1.5], dtype=np.float32))
+
+
+def reference_momentum_steps(p, grads, lr, mu):
+    """``p`` after the textbook rule, one whole-array pass per operation."""
+    p, v = p.copy(), np.zeros_like(p)
+    for g in grads:
+        v *= mu
+        v -= lr * g
+        p += v
+    return p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1000, STEP_BLOCK, 3 * STEP_BLOCK + 123])
+def test_sgd_blocked_step_equals_the_reference_rule_bitwise(dtype, size):
+    r = np.random.default_rng(size)
+    start = r.normal(size=size).astype(dtype)
+    grads = [r.normal(size=size).astype(dtype) for _ in range(3)]
+    kept = [g.copy() for g in grads]
+    p = start.copy()
+    opt = SgdMomentum({"w": p}, learning_rate=0.037, momentum=0.9)
+    for g in grads:
+        opt.step({"w": g})
+    assert p.tobytes() == reference_momentum_steps(start, grads, 0.037, 0.9).tobytes()
+    # the step never writes a caller's gradient
+    assert all(g.tobytes() == k.tobytes() for g, k in zip(grads, kept))
+
+
+def test_sgd_blocked_step_updates_lstm_gate_views_of_w():
+    cell = LstmCell(5, 7, rng=rng_mod.stream(8, "init"))
+    W, b = cell.W.copy(), cell.b.copy()
+    r = np.random.default_rng(8)
+    grads = [{name: r.normal(size=p.shape).astype(p.dtype)
+              for name, p in cell.params().items()} for _ in range(2)]
+    opt = SgdMomentum(cell.params(), learning_rate=0.1, momentum=0.5)
+    for g in grads:
+        opt.step(g)
+    for whole, start, name in ((cell.W, W, "W"), (cell.b, b, "b")):
+        stacked = [np.concatenate([g[name + gate] for gate in LstmCell.GATES]) for g in grads]
+        assert whole.tobytes() == reference_momentum_steps(start, stacked, 0.1, 0.5).tobytes()
+
+
+def test_sgd_rejects_a_parameter_that_is_not_c_contiguous():
+    with pytest.raises(ValueError, match="parameter 'w' is not C-contiguous"):
+        SgdMomentum({"b": np.zeros(3), "w": np.zeros((4, 6))[:, ::2]})
 
 
 def test_sgd_shape_mismatch():
