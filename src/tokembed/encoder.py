@@ -284,16 +284,14 @@ class Seq2SeqEncoder(WindowEncoder):
             cache, pcache = dec_caches[t]
             dh_proj, pgrads = self.proj.backward(dRec[:, t, :], pcache)
             add("proj", pgrads)
-            _, dh, dc, g = self.dec_cell.step_backward(dh + dh_proj, dc, cache)
+            dh, dc, g = self.dec_cell.step_backward(dh + dh_proj, dc, cache)
             add("dec", g)
         # dh now carries the gradient w.r.t. the decoder's initial hidden state,
         # which is the encoder output; the zero initial cell state absorbs dc.
-        # The first step's gradient w.r.t. the zero initial state is not used,
-        # nor any step's w.r.t. its input: type embeddings stay fixed.
+        # The first step's gradient w.r.t. the zero initial state is not used.
         dc = np.zeros_like(codes)
         for t in reversed(range(self.window_len)):
-            _, dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t],
-                                                        need_prev=t > 0, need_dx=False)
+            dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t], need_prev=t > 0)
             add("enc", g)
         return loss, grads
 

@@ -189,7 +189,7 @@ def test_lstm_sum_h_gradient_matches_finite_differences():
         dh = np.ones_like(hs[-1])
         dc = np.zeros_like(hs[-1])
         for t in reversed(range(2)):
-            _, dh_prev, dc, g = cell.step_backward(dh, dc, caches[t])
+            dh_prev, dc, g = cell.step_backward(dh, dc, caches[t])
             grads = g if grads is None else {k: grads[k] + g[k] for k in g}
             dh = dh_prev + (np.ones_like(dh_prev) if t > 0 else 0.0)
         return loss, grads
@@ -230,9 +230,8 @@ def test_lstm_step_with_a_zero_half_equals_explicit_zeros_bitwise(zero):
     h0, c0, cache0 = cell.step(*implicit, c)
     h1, c1, cache1 = cell.step(*explicit, c)
     assert h0.tobytes() == h1.tobytes() and c0.tobytes() == c1.tobytes()
-    dx0, dh0, dc0, g0 = cell.step_backward(dh, dc, cache0)
-    dx1, dh1, dc1, g1 = cell.step_backward(dh, dc, cache1)
-    assert dx0 is None if zero == "input" else dx0.tobytes() == dx1.tobytes()
+    dh0, dc0, g0 = cell.step_backward(dh, dc, cache0)
+    dh1, dc1, g1 = cell.step_backward(dh, dc, cache1)
     assert dh0.tobytes() == dh1.tobytes() and dc0.tobytes() == dc1.tobytes()
     for gate in LstmCell.GATES:
         assert not g0[f"W{gate}"][:, zero_cols].any()
@@ -250,9 +249,8 @@ def test_lstm_zero_state_and_zero_input_gradients_match_finite_differences():
     def loss_and_grads():
         h1, c1, cache1 = cell.step(x, None, np.zeros((2, 4)))
         h2, _, cache2 = cell.step(None, h1, c1)
-        dx, dh, dc, grads = cell.step_backward(np.ones_like(h2), np.zeros_like(h2), cache2)
-        assert dx is None
-        _, _, _, g = cell.step_backward(dh + 1.0, dc, cache1, need_prev=False)
+        dh, dc, grads = cell.step_backward(np.ones_like(h2), np.zeros_like(h2), cache2)
+        _, _, g = cell.step_backward(dh + 1.0, dc, cache1, need_prev=False)
         return float(h1.sum() + h2.sum()), {k: grads[k] + g[k] for k in g}
 
     report = gradient_check(loss_and_grads, cell.params(), eps=1e-5, tol=1e-4)
@@ -267,22 +265,7 @@ def test_lstm_backward_without_previous_state_gives_the_same_grads():
     _, _, cache = cell.step(x, h, c)
     full = cell.step_backward(dh, dc, cache)
     lean = cell.step_backward(dh, dc, cache, need_prev=False)
-    assert lean[:3] == (None, None, None)
-    assert all(full[3][k].tobytes() == lean[3][k].tobytes() for k in full[3])
-
-
-def test_lstm_backward_without_dx_gives_the_same_gradients():
-    # the encoder's training shape: d=100, d'=256, 64 windows
-    cell = LstmCell(100, 256, rng=rng_mod.stream(7, "init"))
-    r = np.random.default_rng(7)
-    x = r.normal(size=(64, 100)).astype(np.float32)
-    h, c, dh, dc = (r.normal(size=(64, 256)).astype(np.float32) for _ in range(4))
-    _, _, cache = cell.step(x, h, c)
-    dx, *full = cell.step_backward(dh, dc, cache)
-    lean_dx, *lean = cell.step_backward(dh, dc, cache, need_dx=False)
-    assert dx.shape == (64, 100) and lean_dx is None
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(full[:2], lean[:2]))  # dh, dc
-    assert full[2].keys() == lean[2].keys()
+    assert lean[:2] == (None, None)
     assert all(full[2][k].tobytes() == lean[2][k].tobytes() for k in full[2])
 
 
