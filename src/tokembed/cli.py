@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import rng as rng_mod
 from .analysis import METRICS, export_embeddings_tsv, index_corpus, nearest_neighbors
-from .embeddings import load_corpus, load_word2vec_text
+from .embeddings import load_corpus, load_table
 from .encoder import (ARCHS, SCHEME_NAMES, EncoderSizes, WeightScheme,
                       build_encoder, check_encoder_sizes, load_encoder,
                       train_encoder, window_weights)
@@ -172,7 +172,7 @@ def cmd_train_encoder(args):
     scheme = _config(WeightScheme, args, name=args.scheme)
     window_weights(scheme, args.w_prime)  # training needs w' >= 1, inference does not
     check_encoder_sizes(args.arch, token_dim=args.token_dim, hidden=args.hidden)
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     train = _nonempty_corpus(args.train, load_corpus)
     val = _nonempty_corpus(args.val, load_corpus)
     vocab = table.vocab
@@ -208,7 +208,7 @@ def _aligned_tags(args, sentences):
 
 
 def cmd_embed(args):
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     model, = _load_encoders([args.model], table)
     sentences = load_corpus(args.corpus)
     types = set(args.types.split(",")) if args.types else None
@@ -224,7 +224,7 @@ def cmd_embed(args):
 def cmd_knn(args):
     if args.k < 1:
         raise CliError(f"-k must be at least 1, got {args.k}")
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     model, = _load_encoders([args.model], table)
     sentences = load_corpus(args.corpus)
     if not 0 <= args.sentence < len(sentences):
@@ -271,7 +271,7 @@ def cmd_train_tagger(args):
     # with every block one wide, the input is empty only if no block is on
     if Tagger.input_width(config, 1, len(args.encoder or ()), {"extended_width": 1}) == 0:
         raise CliError("tagger input is empty: no embeddings, encoders, or features")
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     tagset = load_tagset(args.tagset)
     encoders = _load_encoders(args.encoder, table)
     resources = _load_resources(args)
@@ -304,7 +304,7 @@ def _load_model(args, cls):
     """The ``cls`` model saved at ``--model``, over the embedding table, the
     ``--encoder`` files and, for a command with ``--extended``, the resource
     bundle it was trained with."""
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     encoders = _load_encoders(args.encoder, table)
     context = {"resources": _load_resources(args)} if "extended" in args else {}
     return cls.load(args.model, table, encoders, **context)
@@ -348,7 +348,7 @@ def cmd_train_parser(args):
     cfg = _config(FitConfig, args, learning_rate=args.lr)
     config = _config(ParserConfig, args)
     Parser.check_lexical_input(config, args.encoder)
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(args.embeddings)
     encoders = _load_encoders(args.encoder, table)
     train = _nonempty_corpus(args.train, load_dep_corpus)
     check_gold_heads(train, args.train)

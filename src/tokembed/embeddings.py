@@ -9,8 +9,14 @@ start-of-sequence, end-of-sequence, and unknown.  Their rows are all-zero and
 are never trained anywhere in the package.
 """
 
+import hashlib
 import itertools
+import os
+import stat
+import tempfile
+import zlib
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -62,11 +68,13 @@ class EmbeddingTable:
     """Vocabulary plus a |V| x d float32 matrix of type vectors.
 
     Immutable after construction by convention; components that adapt type
-    embeddings keep their own rows.  Reserved rows are forced to zero.
+    embeddings keep their own rows.  Reserved rows are forced to zero.  The
+    table holds a copy of ``vectors``, or with ``copy=False`` the array itself
+    when it is already float32, as a loader that owns the array hands it over.
     """
 
-    def __init__(self, vocab, vectors):
-        vectors = np.array(vectors, dtype=np.float32)
+    def __init__(self, vocab, vectors, *, copy=True):
+        vectors = (np.array if copy else np.asarray)(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[0] != len(vocab):
             raise ValueError(
                 f"need one row per vocabulary entry: {vectors.shape} vs |V|={len(vocab)}"
@@ -417,6 +425,103 @@ def _raise_line_fault(path, lines, words, count, dim):
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable float for word {word!r}") from None
         first_line[word] = lineno
+
+
+TABLE_FORMAT = 1  # bumped whenever load_word2vec_text accepts or reads a table differently
+TABLE_CACHE_ENTRIES = 8
+_HASH_CHUNK = 1 << 16  # bytes per read while hashing: 64 KiB to 1 MiB hash a 17 MB table alike
+_ENTRY_FIELDS = {"words": [str], "source_sha256": str, "format": int, "crc32": int}
+
+
+def load_table(path):
+    """``load_word2vec_text(path)``, parsed once per file content.
+
+    The parsed table of a regular file is kept as a ``table`` container named
+    by the SHA-256 of the file's bytes, in ``tokembed/tables`` under
+    ``$XDG_CACHE_HOME`` (``~/.cache`` when that is unset).  An entry is read
+    only if its kind, config, crc32 and values check out, and is rewritten
+    from a parse otherwise.  Only a table that parses is written, and only if
+    the file still hashes the same after the parse; the newest
+    ``TABLE_CACHE_ENTRIES`` by mtime are kept, and a hit touches its entry.
+    A cache that cannot be used falls back to the parse, silently.  A path
+    that is not a regular file (a pipe, ``<(zcat ...)``) skips the cache,
+    since hashing would consume it.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+        digest = _sha256(path) if regular else None
+    except OSError:  # the parse reports it as it reports any input
+        digest = None
+    if digest is None:
+        return load_word2vec_text(path)
+    cache = _table_cache_dir()
+    entry = cache / f"{digest}.tkem"
+    try:
+        table = _read_entry(entry, digest)
+    except (OSError, ValueError):
+        table = None
+    if table is not None:
+        try:
+            os.utime(entry)
+        except OSError:
+            pass
+        return table
+    table = load_word2vec_text(path)
+    try:
+        _write_entry(cache, entry, path, digest, table)
+    except OSError:
+        pass
+    return table
+
+
+def _table_cache_dir():
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "tokembed", "tables")
+
+
+def _sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _read_entry(entry, digest):
+    """The table a cache entry holds; ``ValueError`` if it is not the
+    parsed table of the file of SHA-256 ``digest``."""
+    kind, cfg, tensors = load_model(entry)
+    check_config(entry, cfg, _ENTRY_FIELDS)
+    vectors = tensors.get("vectors")
+    if (kind != "table" or cfg["format"] != TABLE_FORMAT or cfg["source_sha256"] != digest
+            or len(tensors) != 1 or vectors is None or vectors.dtype != np.float32
+            or vectors.ndim != 2 or not vectors.shape[1]
+            or zlib.crc32(vectors) != cfg["crc32"] or not np.isfinite(vectors).all()):
+        raise ValueError(f"{entry}: not the parsed table {digest}")
+    return EmbeddingTable(Vocabulary(cfg["words"]), vectors, copy=False)
+
+
+def _write_entry(cache, entry, path, digest, table):
+    """Write ``table`` as the cache ``entry`` of ``path`` if the file still
+    has SHA-256 ``digest``: a temporary file in ``cache``, then a rename."""
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+    os.close(fd)
+    try:
+        if _sha256(path) != digest:  # it changed while it was parsed
+            return
+        cfg = {"words": table.vocab.corpus_words, "source_sha256": digest,
+               "format": TABLE_FORMAT, "crc32": zlib.crc32(table.vectors)}
+        save_model(tmp, "table", cfg, {"vectors": table.vectors})
+        os.replace(tmp, entry)
+        others = [p for p in cache.glob("*.tkem") if p != entry]
+        others.sort(key=lambda p: p.stat().st_mtime_ns, reverse=True)
+        for old in others[TABLE_CACHE_ENTRIES - 1:]:
+            old.unlink(missing_ok=True)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def save_word2vec_text(table, path):

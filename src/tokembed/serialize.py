@@ -74,7 +74,7 @@ def load_model(path):
         if name in tensors:
             raise ValueError(f"{path}: duplicate tensor {name!r}")
         nbytes = dt.itemsize * math.prod(shape)
-        raw = data[offset:offset + nbytes]
+        raw = memoryview(data)[offset:offset + nbytes]  # no copy before the array's own
         if len(raw) != nbytes:
             raise ValueError(f"{path}: truncated tensor {name!r}")
         tensors[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()

@@ -12,6 +12,15 @@ settings.register_profile("suite", deadline=None, max_examples=60,
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True, scope="session")
+def session_cache_home(tmp_path_factory):
+    """The table cache of every load in the suite, in process or in a
+    subprocess, under a session directory instead of the user's home."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache_home")))
+        yield
+
+
 @pytest.fixture
 def toy_table():
     """Six words, d=3, deterministic small-integer-ish vectors."""

@@ -103,6 +103,23 @@ def test_missing_required_option_exits_1(data, capsys):
     assert "--embeddings" in err
 
 
+def test_an_unusable_table_cache_changes_nothing(data, capsys, tmp_path, monkeypatch):
+    # the cache home is a regular file: nothing can be read or written under it
+    def train(out):
+        code, summary, err = run(
+            capsys, "train-encoder", "--embeddings", data["emb"], "--train", data["train"],
+            "--val", data["val"], "--out", tmp_path / out, *ENC_ARGS)
+        assert code == 0 and summary is not None
+        return (tmp_path / out).read_bytes(), err.replace(out, "OUT")
+
+    cached = train("cached.bin")
+    home = tmp_path / "home"
+    home.write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    assert train("uncached.bin") == cached  # the same model bits and log lines
+    assert home.read_bytes() == b""
+
+
 @pytest.mark.parametrize("corrupt, tensor", [
     (lambda t: t.pop("net.1.b"), "net.1.b"),
     (lambda t: t.update({"net.9.W": t["net.0.W"]}), "net.9.W"),

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from contextlib import ExitStack
@@ -11,18 +13,34 @@ from hypothesis import example, given
 
 from tokembed import embeddings, encoder, parser, rng as rng_mod, tagger
 from tokembed.analysis import index_corpus
-from tokembed.embeddings import (BOS, EOS, UNK, EmbeddingTable, Vocabulary,
-                                 load_corpus, load_word2vec_text,
-                                 save_corpus, save_word2vec_text)
+from tokembed.embeddings import (BOS, EOS, TABLE_CACHE_ENTRIES, UNK, EmbeddingTable,
+                                 Vocabulary, load_corpus, load_table,
+                                 load_word2vec_text, save_corpus, save_word2vec_text)
 from tokembed.features import windows
 from tokembed.nn import FitConfig, SgdMomentum, anchored_l2
-from tokembed.serialize import load_model
+from tokembed.serialize import load_model, save_model
 from tokembed.synthetic import toy_embedding_table
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def cache_files(home):
+    """Names of the files in the table cache under ``home``."""
+    return sorted(p.name for p in (home / "tokembed" / "tables").glob("*"))
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch):
+    """A cache home of this test's own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+def parse_refused(path):
+    raise AssertionError(f"parsed {path}")
 
 
 def test_load_basic(tmp_path):
@@ -96,8 +114,12 @@ def test_bad_float_named(tmp_path):
 def test_non_finite_value_named(tmp_path, value):
     # 1e39 is finite as text but overflows the float32 table
     f = write(tmp_path / "e.txt", f"3 2\na 1 2\nb 3 {value}\nc 5 6\n")
-    with pytest.raises(ValueError, match=r":3: non-finite value for word 'b'"):
-        load_word2vec_text(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        for load in (load_word2vec_text, load_table):
+            with pytest.raises(ValueError, match=r":3: non-finite value for word 'b'"):
+                load(f)
+    assert cache_files(tmp_path / "cache") == []
 
 
 @pytest.mark.parametrize("sep", [" ", "\t"])
@@ -109,11 +131,11 @@ def test_float32_overflow_warns_nothing(tmp_path, sep):
             load_word2vec_text(f)
 
 
-def load_outcome(path):
-    """What loading ``path`` gives: the error message, or the words and the
+def load_outcome(path, load=load_word2vec_text):
+    """What ``load(path)`` gives: the error message, or the words and the
     bits of the vectors."""
     try:
-        table = load_word2vec_text(path)
+        table = load(path)
     except ValueError as e:
         return str(e)
     return table.vocab.words, table.vectors.tobytes()
@@ -223,14 +245,26 @@ def reference_outcome(path):
 @example("3 1\na 1\nb 2\nc 3\nb 4\n")
 @example("3 1\na 1\nb 2\nc x\nb 4\n")
 @example("3 1\na 1\nb 2\x0cc 3\n")
+@example("2 3\r\n\xe9t\xe9\t-0.0\t1e-45\t3.4028235e38\r\n"
+         "\u0444\u0438\t-1.1754942e-38\t-3.4028234663852886e38\t0\r\n")
 def test_reader_matches_line_by_line_reference(tmp_path_factory, text):
-    # two-line blocks, so that lines of one file fall in several blocks
-    path = tmp_path_factory.mktemp("w2v") / "e.txt"
+    # two-line blocks, so that lines of one file fall in several blocks; the
+    # table cache gives the same cold and warm, and holds only a table that loads
+    root = tmp_path_factory.mktemp("w2v")
+    path = root / "e.txt"
     path.write_text(text, encoding="utf-8", newline="")
+    want = reference_outcome(str(path))
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("error")
         mp.setattr(embeddings, "_BLOCK_LINES", 2)
-        assert load_outcome(str(path)) == reference_outcome(str(path))
+        mp.setenv("XDG_CACHE_HOME", str(root / "cache"))
+        assert load_outcome(str(path)) == want
+        assert load_outcome(str(path), load_table) == want
+        entries = cache_files(root / "cache")
+        assert len(entries) == (0 if isinstance(want, str) else 1)
+        if entries:  # the warm load reads the entry alone
+            mp.setattr(embeddings, "load_word2vec_text", parse_refused)
+        assert load_outcome(str(path), load_table) == want
 
 
 def test_loader_peak_memory_is_below_the_file_size_and_a_half(tmp_path, monkeypatch):
@@ -240,14 +274,20 @@ def test_loader_peak_memory_is_below_the_file_size_and_a_half(tmp_path, monkeypa
     save_word2vec_text(toy_embedding_table([f"w{k}" for k in range(2000)], 100,
                                            np.random.default_rng(3)), path)
     monkeypatch.setattr(embeddings, "_BLOCK_LINES", 64)
-    tracemalloc.start()
-    try:
-        table = load_word2vec_text(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table.vocab) == 2003
-    assert peak < 1.5 * path.stat().st_size
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    load_table(str(path))
+    peaks = []
+    for load in (load_word2vec_text, load_table):  # a parse, then a cache hit
+        tracemalloc.start()
+        try:
+            table = load(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(table.vocab) == 2003
+    parse, hit = peaks
+    assert parse < 1.5 * path.stat().st_size
+    assert hit <= parse  # the entry is read into its array, with no second copy
 
 
 @pytest.mark.parametrize("seps", [[" "], ["\t"], [" ", "\t", "  ", " \t ", "\xa0", "\u3000"]],
@@ -270,6 +310,95 @@ def test_any_whitespace_is_read_in_blocks(tmp_path, monkeypatch, seps):
     table = load_word2vec_text(f)
     assert table.vocab.corpus_words == [f"w{k}" for k in range(7)]
     assert table.vectors[:7].tobytes() == rows.tobytes()
+
+
+def _truncated(entry):
+    entry.write_bytes(entry.read_bytes()[:100])
+
+
+def _flipped(entry):
+    data = bytearray(entry.read_bytes())
+    data[-5] ^= 0x01  # a payload byte: the crc32 no longer matches
+    entry.write_bytes(bytes(data))
+
+
+def _resaved(change):
+    def rewrite(entry):
+        kind, cfg, tensors = load_model(str(entry))
+        save_model(entry, *change(kind, cfg), tensors)
+    return rewrite
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncated, _flipped,
+    _resaved(lambda kind, cfg: (kind, {**cfg, "source_sha256": "0" * 64})),
+    _resaved(lambda kind, cfg: ("tagger", cfg)),
+    _resaved(lambda kind, cfg: (kind, {**cfg, "format": embeddings.TABLE_FORMAT + 1})),
+    lambda entry: entry.write_bytes(b"garbage"),
+], ids=["truncated", "flipped", "foreign-source", "wrong-kind", "old-format", "garbage"])
+def test_a_faulty_entry_is_parsed_and_rewritten(tmp_path, cache_home, corrupt):
+    f = write(tmp_path / "e.txt", "3 2\na 1 2\nb -0 1e-45\nc 5 6\n")
+    load_table(f)
+    entry, = (cache_home / "tokembed" / "tables").iterdir()
+    valid = entry.read_bytes()
+    corrupt(entry)
+    assert load_outcome(f, load_table) == load_outcome(f)
+    assert cache_files(cache_home) == [entry.name]
+    assert entry.read_bytes() == valid
+
+
+def test_a_pipe_is_parsed_and_never_cached(tmp_path, cache_home, monkeypatch):
+    text = "2 2\na 1 2\nb 3 4\n"
+    fifo = tmp_path / "e.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    monkeypatch.setattr(embeddings, "_sha256", parse_refused)  # hashing would drain it
+    outcome = load_outcome(str(fifo), load_table)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert outcome == load_outcome(write(tmp_path / "e.txt", text))
+    assert cache_files(cache_home) == []
+
+
+def test_a_table_that_changes_while_parsed_is_not_cached(tmp_path, cache_home, monkeypatch):
+    f = write(tmp_path / "e.txt", "2 1\na 1\nb 2\n")
+    parse = load_word2vec_text
+
+    def parse_then_edit(path):
+        table = parse(path)
+        write(tmp_path / "e.txt", "2 1\na 1\nb 3\n")
+        return table
+
+    monkeypatch.setattr(embeddings, "load_word2vec_text", parse_then_edit)
+    assert load_table(f).vectors[1, 0] == 2.0
+    assert cache_files(cache_home) == []
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, cache_home, monkeypatch):
+    def disk_full(path, *args):
+        with open(path, "wb") as fh:
+            fh.write(b"TKEM")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(embeddings, "save_model", disk_full)
+    f = write(tmp_path / "e.txt", "2 1\na 1\nb 2\n")
+    assert load_outcome(f, load_table) == load_outcome(f)
+    assert cache_files(cache_home) == []
+
+
+def test_the_cache_keeps_the_newest_entries(tmp_path, cache_home):
+    tables = cache_home / "tokembed" / "tables"
+    names = []
+    for k in range(TABLE_CACHE_ENTRIES + 1):
+        load_table(write(tmp_path / f"e{k}.txt", f"1 1\nw{k} 1\n"))
+        new, = set(cache_files(cache_home)) - set(names)
+        names.append(new)
+        if k < TABLE_CACHE_ENTRIES:  # distinct mtimes, long ago, in load order
+            os.utime(tables / new, (1e9 + k, 1e9 + k))
+        if k == TABLE_CACHE_ENTRIES - 1:  # a hit makes the oldest the newest
+            load_table(str(tmp_path / "e0.txt"))
+    assert cache_files(cache_home) == sorted(names[:1] + names[2:])
 
 
 def test_lookup_oov_is_unk_row(tmp_path):
