@@ -506,12 +506,12 @@ def _read_entry(entry, digest):
 def _write_entry(cache, entry, path, digest, table):
     """Write ``table`` as the cache ``entry`` of ``path`` if the file still
     has SHA-256 ``digest``: a temporary file in ``cache``, then a rename."""
+    if _sha256(path) != digest:  # it changed while it was parsed
+        return
     os.makedirs(cache, mode=0o700, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
     os.close(fd)
     try:
-        if _sha256(path) != digest:  # it changed while it was parsed
-            return
         cfg = {"words": table.vocab.corpus_words, "source_sha256": digest,
                "format": TABLE_FORMAT, "crc32": zlib.crc32(table.vectors)}
         save_model(tmp, "table", cfg, {"vectors": table.vectors})
