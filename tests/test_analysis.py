@@ -1,13 +1,14 @@
+import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tokembed import encoder
 from tokembed import rng as rng_mod
-from tokembed.analysis import (DISTANCE_BLOCK, TokenRecord, distances,
+from tokembed.analysis import (DISTANCE_BLOCK, EXPORT_BLOCK, TokenRecord, distances,
                                export_embeddings_tsv, index_corpus,
                                load_embeddings_tsv, nearest_neighbors)
 from tokembed.encoder import ENCODE_BLOCK, FfnEncoder, Seq2SeqEncoder
@@ -307,9 +308,69 @@ def token_records(draw):
             for _ in range(draw(st.integers(0, 4)))]
 
 
+# values at and across the edges of the writer's fixed-notation path
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, float(np.finfo(np.float32).max),
+               328969.625, -1341219.75, 9.99999e-05, 1e8]
+
+
 @given(token_records())
+@example([TokenRecord(0, 0, "a", np.array(EDGE_VALUES, dtype=np.float32))])
+# 0.100000005 * 1e8 rounds to the tie 10000000.5 in float64, but the value is
+# above it: only a float32 scales exactly
+@example([TokenRecord(0, 0, "a", np.array(EDGE_VALUES + [1.79769313e+301, 0.100000005])),
+          TokenRecord(1, 2, "\u00e9", np.array([-v for v in EDGE_VALUES] + [0.1, -0.1]))])
 def test_export_bytes_equal_per_element_writer(tmp_path_factory, index):
     root = tmp_path_factory.mktemp("tsv")
     export_embeddings_tsv(index, root / "got.tsv")
     per_element_tsv(index, root / "want.tsv")
     assert (root / "got.tsv").read_bytes() == (root / "want.tsv").read_bytes()
+
+
+def float32_probe_values():
+    """Every float32 within 40,000 ulps of each power of ten from 1e-5 to
+    1e8, both signs, then 2**20 random bit patterns and the non-finite
+    values."""
+    powers = np.array([10.0 ** k for k in range(-5, 9)], dtype=np.float32).view(np.int32)
+    near = (powers[:, None] + np.arange(-40000, 40001)).astype(np.int32).view(np.float32)
+    rng = np.random.default_rng(2017)
+    bits = rng.integers(0, 2 ** 32, size=2 ** 20, dtype=np.uint32).view(np.float32)
+    return np.concatenate([near.ravel(), -near.ravel(), bits,
+                           np.array([np.inf, -np.inf, np.nan], dtype=np.float32)])
+
+
+def test_export_formats_each_float32_as_percent_8g(tmp_path):
+    values = float32_probe_values()
+    dim = 256
+    values = np.concatenate([values, np.zeros(-len(values) % dim, dtype=np.float32)])
+    rows = values.reshape(-1, dim)
+    assert len(rows) % (EXPORT_BLOCK // dim) != 0  # the last block is a short one
+    index = [TokenRecord(k, 0, "t", row) for k, row in enumerate(rows)]
+    path = tmp_path / "probe.tsv"
+    export_embeddings_tsv(index, path)
+    with np.errstate(invalid="ignore"):  # signalling nan bit patterns
+        want = ["\t".join(["%.8g" % v for v in row.tolist()]) for row in rows]
+    got = [line.split("\t", 6)[6] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(got) == len(want)
+    bad = [(k, g, w) for k, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, bad[0]
+
+
+def export_peak_bytes(tmp_path, n_rows, dim=256):
+    """The traced peak of one export, beyond the records it is given."""
+    rng = np.random.default_rng(5)
+    index = [TokenRecord(k, k % 7, "tok", rng.normal(0.0, 2.0, dim).astype(np.float32),
+                         "left", "right", "T") for k in range(n_rows)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        export_embeddings_tsv(index, tmp_path / f"peak{n_rows}.tsv")
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_the_rows(tmp_path):
+    small = export_peak_bytes(tmp_path, 100)
+    large = export_peak_bytes(tmp_path, 1000)
+    assert large < 4 * 2 ** 20
+    assert large < 1.25 * small + 2 ** 16

@@ -15,11 +15,12 @@ from hypothesis import given
 
 from tokembed import cli
 from tokembed import rng as rng_mod
-from tokembed.analysis import nearest_neighbors
+from tokembed.analysis import index_corpus, nearest_neighbors
 from tokembed.cli import build_arg_parser, main
 from tokembed.embeddings import (load_corpus, load_word2vec_text, save_corpus,
                                  save_word2vec_text)
-from tokembed.encoder import FfnEncoder, WeightScheme, WindowEncoder, load_encoder
+from tokembed.encoder import (FfnEncoder, Seq2SeqEncoder, WeightScheme, WindowEncoder,
+                             load_encoder)
 from tokembed.nn import Dense, LstmCell
 from tokembed.parser import (DepSentence, Parser, ParserConfig, load_dep_corpus,
                              save_dep_corpus)
@@ -28,6 +29,7 @@ from tokembed.synthetic import (chain_dep_corpus, pivot_tag_corpus,
                                 toy_embedding_table)
 from tokembed.tagger import (Tagger, TaggerConfig, load_tagged_corpus,
                              save_tagged_corpus)
+from test_analysis import per_element_tsv
 
 
 def run(capsys, *argv):
@@ -431,6 +433,34 @@ def test_embed_types_admitting_no_token_names_corpus_and_types(data, capsys, tmp
     assert err.strip().splitlines() == [
         f"error: {data['val']}: no token is one of --types zzzz,yyyy"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("arch", ["ffn", "seq2seq"])
+@pytest.mark.parametrize("select", ["--tags", "--types"])
+def test_embed_writes_the_per_element_bytes(data, capsys, tmp_path, arch, select):
+    tagged = load_tagged_corpus(data["val_tags"])
+    tagged[0] = (["caf\u00e9"] + tagged[0][0][1:], tagged[0][1])
+    corpus, tags, enc = tmp_path / "val.txt", tmp_path / "val.tags", tmp_path / "enc.bin"
+    save_corpus([tokens for tokens, _ in tagged], corpus)
+    save_tagged_corpus(tagged, tags)
+    if arch == "ffn":
+        train_encoder_file(data, capsys, enc)
+    else:
+        Seq2SeqEncoder(6, 1, token_dim=4, rng=rng_mod.stream(8, "init")).save(enc, WeightScheme())
+    types = {"caf\u00e9", tagged[1][0][0]}
+    out, want = tmp_path / "tokens.tsv", tmp_path / "want.tsv"
+    code, summary, _ = run(capsys, "embed", "--embeddings", data["emb"], "--model", enc,
+                           "--corpus", corpus, "--out", out,
+                           *(["--tags", tags] if select == "--tags" else
+                             ["--types", ",".join(sorted(types))]))
+    assert code == 0
+    index = index_corpus(load_encoder(enc)[0], load_word2vec_text(str(data["emb"])),
+                         load_corpus(corpus), types if select == "--types" else None,
+                         [t for _, t in tagged] if select == "--tags" else None)
+    per_element_tsv(index, want)
+    assert summary["metrics"]["n_records"] == len(index) > 0
+    assert "caf\u00e9" in out.read_text(encoding="utf-8")
+    assert out.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["embed", "knn", "train-tagger"])
