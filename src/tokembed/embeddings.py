@@ -164,7 +164,9 @@ class Predictor:
     embeddings of ``table`` (trained ones in ``AdaptedEmbeddings`` with
     ``config.update_embeddings``) and frozen ``encoders``.  Both read one
     *position row* per token, whose block widths only ``position_widths``
-    states; ``token_features`` and ``position_rows`` compose it.
+    states; ``type_rows`` writes its type block and ``token_codes`` computes
+    its token embeddings, and for the parser ``token_features`` and
+    ``position_rows`` compose it.
 
     A subclass sets its model ``kind``, which is also the header key of its
     ``config_class`` dataclass, and any further header fields: their kinds in
@@ -212,27 +214,42 @@ class Predictor:
     def position_rows(self, wins, fixed):
         """In the network's dtype, the type embeddings of the window ids
         ``wins``, then ``fixed``: ``token_features`` and any later columns."""
-        typ = (self.table.vectors[wins] if self.adapted is None
-               else self.adapted.lookup(wins)).reshape(len(wins), self.widths[0])
-        return np.concatenate([typ, fixed], axis=1, dtype=self.net.layers[0].W.dtype)
+        X = np.empty((len(wins), self.widths[0] + fixed.shape[1]),
+                     dtype=self.net.layers[0].W.dtype)
+        self.type_rows(wins, X[:, :self.widths[0]])
+        X[:, self.widths[0]:] = fixed
+        return X
 
-    def token_features(self, sentences, wins, extra=0):
-        """(N, width + ``extra``) frozen block of the N tokens of ``sentences``,
-        in corpus order, whose ``encoder.corpus_windows`` of radius
-        ``self.radius`` are ``wins``: one ``encode`` per encoder of its 2w'+1
-        center columns, then the word-shape bits when ``config.word_features``
-        is on, one row per distinct string.  The last ``extra`` columns are
-        left for the caller to write."""
+    def type_rows(self, wins, out):
+        """Write the type embeddings of the window ids ``wins`` into the
+        (N, ``widths[0]``) array ``out``."""
+        out[:] = (self.table.vectors[wins] if self.adapted is None
+                  else self.adapted.lookup(wins)).reshape(len(wins), self.widths[0])
+
+    def token_codes(self, wins, extra=0):
+        """(N, ``widths[1]`` + ``extra``) block of the N tokens whose
+        ``encoder.corpus_windows`` of radius ``self.radius`` are ``wins``:
+        their token embeddings, from one ``encode`` per encoder of its 2w'+1
+        center columns.  The last ``extra`` columns are left for the caller
+        to write."""
         r = self.radius
-        out = np.empty((len(wins), self.widths[1] + self.widths[2] + extra),
+        out = np.empty((len(wins), self.widths[1] + extra),
                        dtype=np.result_type(np.float32, *(e.dtype for e in self.encoders)))
         k = 0
         for enc in self.encoders:
-            out[:, k:k + enc.token_dim] = enc.encode(
-                self.table, wins[:, r - enc.w_prime:r + enc.w_prime + 1])
+            enc.encode(self.table, wins[:, r - enc.w_prime:r + enc.w_prime + 1],
+                       out[:, k:k + enc.token_dim])
             k += enc.token_dim
+        return out
+
+    def token_features(self, sentences, wins):
+        """(N, width) frozen block of the N tokens of ``sentences``, in
+        corpus order, whose windows are ``wins``: their ``token_codes``, then
+        the word-shape bits when ``config.word_features`` is on, one row per
+        distinct string."""
+        out = self.token_codes(wins, self.widths[2])
         if self.config.word_features:
-            word_feature_matrix(sentences, out[:, k:k + WORD_FEATURE_COUNT])
+            word_feature_matrix(sentences, out[:, self.widths[1]:])
         return out
 
     @staticmethod

@@ -127,11 +127,12 @@ class WindowEncoder:
             raise ValueError(f"need {self.window_len} weights, got {weights.shape}")
         return self._embed(table, np.atleast_2d(np.asarray(windows))), weights
 
-    def encode(self, table, windows):
+    def encode(self, table, windows, out=None):
         """Token embeddings for an (B, 2w'+1) id matrix (or a single window),
-        ``ENCODE_BLOCK`` windows per forward pass."""
+        ``ENCODE_BLOCK`` windows per forward pass; written into the
+        (B, ``token_dim``) array ``out`` when one is given."""
         rows = np.atleast_2d(windows)
-        codes = np.empty((len(rows), self.token_dim), dtype=self.dtype)
+        codes = np.empty((len(rows), self.token_dim), dtype=self.dtype) if out is None else out
         for k in range(0, len(rows), ENCODE_BLOCK):
             codes[k:k + ENCODE_BLOCK] = self._codes(self._embed(table, rows[k:k + ENCODE_BLOCK]))
         return codes[0] if np.ndim(windows) == 1 else codes

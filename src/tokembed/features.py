@@ -13,10 +13,12 @@ Three families live here:
   capitalization).
 
 ``word_features`` and ``extended_features`` depend on words only, so the
-corpus forms ``word_feature_matrix`` and ``extended_feature_matrix`` compute
-one row per distinct token string (``word_types``) and gather them per token.
+corpus forms compute one row per distinct token string and gather them per
+token: ``word_feature_matrix`` over one corpus (``word_types``), and
+``StringRows`` over every corpus a tagger reads, keeping the rows.
 """
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -281,26 +283,51 @@ def _center_block(center, res):
     return out
 
 
-def extended_feature_matrix(sentences, resources, out):
-    """Write the ``extended_features`` row of every token of ``sentences``,
-    in corpus order, into the (N, ``extended_feature_width``) array ``out``.
+class StringRows:
+    """The per-string rows of the tagger's input, one per distinct token
+    string seen, each built once: the ``word_features`` bits when ``shape``
+    is set, then with ``resources`` the ``extended_features`` word block and
+    center block.  The three blocks are kept as ``shapes``, ``words`` and
+    ``centers``, one row each per string.
 
-    Each distinct string gets one word block and one center block; a
-    trailing zero word block stands for a missing neighbor.  Every token
-    then gathers its center's blocks and its neighbors' word blocks, the
-    sentence bounds selecting the zero block."""
-    types, of = word_types(sentences)
-    near = windows(of, [len(toks) for toks in sentences], (-1, 1), len(types), len(types))
-    width = resources.word_block_width()
-    words = np.zeros((len(types) + 1, width), dtype=np.float32)
-    centers = np.zeros((len(types), len(resources.name_lists) + len(resources.char_ngrams)),
-                       dtype=np.float32)
-    for k, word in enumerate(types):
-        words[k] = _word_block(word, resources)
-        centers[k] = _center_block(word, resources)
-    for k, ids in enumerate((of, near[:, 0], near[:, 1])):
-        out[:, k * width:(k + 1) * width] = words[ids]
-    out[:, 3 * width:] = centers[of]
+    Row 0 is all zero and stands for a missing neighbour; strings take rows
+    1, 2, ... in order of first occurrence, so the table grows with the
+    distinct strings seen, not with the tokens."""
+
+    def __init__(self, shape, resources=None):
+        widths = (WORD_FEATURE_COUNT if shape else 0,
+                  resources.word_block_width() if resources else 0,
+                  len(resources.name_lists) + len(resources.char_ngrams) if resources else 0)
+        self.resources = resources
+        self.index = {}
+        self.shapes, self.words, self.centers = (np.zeros((1, w), np.float32) for w in widths)
+
+    def ids(self, sentences):
+        """(N, 3) row ids of the N tokens of ``sentences``, in corpus order:
+        the token's string, its left neighbour's and its right neighbour's,
+        row 0 past a sentence bound.  Rows of strings not seen before are
+        built first."""
+        index = self.index
+        seen = len(index)
+        of = np.fromiter((index.setdefault(t, len(index) + 1) for toks in sentences for t in toks),
+                         dtype=np.int64)
+        if len(index) > seen:
+            self._build(list(itertools.islice(index, seen, None)))
+        return windows(of, [len(toks) for toks in sentences], (0, -1, 1), 0, 0)
+
+    def _build(self, strings):
+        res = self.resources
+        blocks = (self.shapes, self.words, self.centers)
+        shapes, words, centers = (np.zeros((len(strings), b.shape[1]), np.float32)
+                                  for b in blocks)
+        for k, word in enumerate(strings):
+            if shapes.shape[1]:
+                shapes[k] = word_features(word)
+            if res is not None:
+                words[k] = _word_block(word, res)
+                centers[k] = _center_block(word, res)
+        self.shapes, self.words, self.centers = (
+            np.concatenate(pair) for pair in zip(blocks, (shapes, words, centers)))
 
 
 def build_char_ngram_index(sentences, min_count=3):

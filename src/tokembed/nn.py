@@ -75,7 +75,8 @@ class Dense:
             raise ValueError(
                 f"dense layer expects input of width {self.n_in}, got shape {X.shape}"
             )
-        A = X @ self.W.T + self.b
+        A = X @ self.W.T
+        A += self.b  # in place: no second (B, n_out) array
         Y = relu(A, out=A) if self.activation == "relu" else A
         return Y, (X, Y)
 

@@ -436,7 +436,9 @@ def batch_loss_and_grads(model, caches):
     net = model.net
     first = net.layers[0]
     n_children = sum(c.n_children for c in caches)
-    grads = {f"net.{k}": np.zeros_like(v) for k, v in net.params().items()}
+    # net.0.W is written in full after the loop when some sentence has a child
+    grads = {f"net.{k}": (np.empty_like if k == "0.W" and n_children else np.zeros_like)(v)
+             for k, v in net.params().items()}
     window_grads = []
     total = 0.0
     first_rows, pair_grad = [], 0.0  # per sentence: X and its projections' gradients

@@ -129,6 +129,7 @@ def _tensor_entry(path, k, entry):
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string"}
+_KIND_TYPES = {bool: {bool}, int: {int}, float: {float, int}, str: {str}}
 
 
 def check_config(path, value, kind, optional=(), field="config"):
@@ -154,9 +155,16 @@ def check_config(path, value, kind, optional=(), field="config"):
     elif isinstance(kind, list):
         if not isinstance(value, list):
             raise ValueError(f"{path}: {field} is not a list")
-        for k, item in enumerate(value):
-            check_config(path, item, kind[0], field=f"{field}[{k}]")
-    elif not (type(value) is kind or kind is float and type(value) is int):
+        sub = kind[0]
+        if isinstance(sub, type):  # one pass; a field name only for the first bad item
+            if not set(map(type, value)) <= _KIND_TYPES[sub]:
+                bad = next(k for k, item in enumerate(value)
+                           if type(item) not in _KIND_TYPES[sub])
+                raise ValueError(f"{path}: {field}[{bad}] is not {_KIND_NAMES[sub]}")
+        else:
+            for k, item in enumerate(value):
+                check_config(path, item, sub, field=f"{field}[{k}]")
+    elif type(value) not in _KIND_TYPES[kind]:
         raise ValueError(f"{path}: {field} is not {_KIND_NAMES[kind]}")
 
 

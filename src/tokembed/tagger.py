@@ -14,20 +14,28 @@ here; they are precomputed with one ``encode`` per encoder for a whole
 training corpus, and for each block of whole sentences of about
 ``ENCODE_BLOCK`` tokens when tagging (``predict_corpus``), which enforces the
 freeze structurally.  The word-shape and extended features depend on a word
-alone, so they are computed once per distinct token string.  Optionally the
-type embeddings of the rows training reaches are trained, with an anchored
-L2 penalty pulling them back toward the pretrained values; reserved rows stay
-zero either way.
+alone, so they are not kept per token: the model's ``StringRows`` holds one
+row per distinct string seen, built once and kept for the model's lifetime.
+Per token the tagger keeps only ``TokenInputs``: its type-window ids, its
+token embeddings and three row ids, its string's and its two neighbours'.
+``compose`` gathers a minibatch's, a validation pass's or a tagging block's
+network input from them into one array.  At the benchmark's sizes (one
+256-wide encoder, window 1, word-shape bits and a 1090-wide extended stack)
+a token keeps 256 floats and 6 ids of its 1656-float input row, and a
+distinct string 574 floats.  Optionally the type embeddings of the rows
+training reaches are trained, with an anchored L2 penalty pulling them back
+toward the pretrained values; reserved rows stay zero either way.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rng_mod
 from .embeddings import Predictor
 from .encoder import ENCODE_BLOCK, corpus_windows
-from .features import extended_feature_matrix, extended_feature_width
+from .features import StringRows, extended_feature_width
 from .nn import fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
 
@@ -104,9 +112,23 @@ def corpus_tag_ids(sentences, tagset, source="corpus"):
     return out
 
 
+class TokenInputs(NamedTuple):
+    """What a tagger keeps of N tokens: the (N, ``win_len``) type-window ids,
+    the (N, ``widths[1]``) token embeddings and the (N, 3) ``StringRows``
+    ids of each token's string and of its left and right neighbours'."""
+
+    wins: np.ndarray
+    codes: np.ndarray
+    rows: np.ndarray
+
+    def take(self, sel):
+        """The inputs of the tokens ``sel``."""
+        return TokenInputs(*(a[sel] for a in self))
+
+
 class Tagger(Predictor):
     """Classifier over a fixed tagset; a token's input is its position row
-    (``Predictor.position_rows``), then the extended stack."""
+    (``Predictor.position_widths``), then the extended stack."""
 
     kind = "tagger"
     config_class = TaggerConfig
@@ -119,6 +141,8 @@ class Tagger(Predictor):
         self.tagset = list(tagset)  # header() reads both
         self.resources = resources
         super().__init__(config, table, encoders, len(self.tagset), rng, dtype)
+        self.strings = StringRows(config.word_features,
+                                  resources if config.extended else None)
 
     @staticmethod
     def offsets(config):
@@ -129,28 +153,42 @@ class Tagger(Predictor):
     # -- input composition ------------------------------------------------
 
     def const_features(self, sentences, wins):
-        """Features of every token of ``sentences`` that do not depend on
-        trainable state: the frozen ``token_features`` of their windows
-        ``wins``, then the extended stack when enabled, both in one array
-        and from one row per distinct string."""
-        width = self.header()["extended_width"]
-        out = self.token_features(sentences, wins, width)
-        if self.config.extended:
-            extended_feature_matrix(sentences, self.resources, out[:, out.shape[1] - width:])
-        return out
+        """What the tokens of ``sentences`` keep that does not depend on
+        trainable state: the ``token_codes`` of their windows ``wins``, and
+        their ``StringRows`` ids, which build the rows of strings not seen
+        before."""
+        return self.token_codes(wins), self.strings.ids(sentences)
 
     def features(self, sentences):
-        """Type-window ids and constant features of every token of
-        ``sentences``, in corpus order, from one window per token;
-        ``position_rows`` composes them into the network input."""
+        """The ``TokenInputs`` of every token of ``sentences``, in corpus
+        order, from one window per token; ``compose`` makes them the network
+        input."""
         wins = corpus_windows(self.table, sentences, self.radius)
-        return wins[:, self._cols], self.const_features(sentences, wins)
+        return TokenInputs(wins[:, self._cols], *self.const_features(sentences, wins))
+
+    def compose(self, inputs):
+        """The network input of the tokens ``inputs``, in the network's dtype:
+        their type embeddings and token embeddings, then from the string rows
+        the word-shape bits of the center, the word blocks of the center and
+        its left and right neighbours and the center block."""
+        wins, codes, rows = inputs
+        strings = self.strings
+        X = np.empty((len(wins), self.input_dim), dtype=self.net.layers[0].W.dtype)
+        a, b, c = np.cumsum(self.widths)
+        self.type_rows(wins, X[:, :a])
+        X[:, a:b] = codes
+        X[:, b:c] = strings.shapes[rows[:, 0]]
+        d = c + 3 * strings.words.shape[1]
+        X[:, c:d] = strings.words[rows].reshape(len(rows), d - c)
+        X[:, d:] = strings.centers[rows[:, 0]]
+        return X
 
     # -- prediction --------------------------------------------------------
 
-    def predict(self, wins, consts):
-        """Predicted tag id of each row; argmax ties go to the lowest id."""
-        logits, _ = self.net.forward(self.position_rows(wins, consts))
+    def predict(self, inputs):
+        """Predicted tag id of each token of ``inputs``; argmax ties go to
+        the lowest id."""
+        logits, _ = self.net.forward(self.compose(inputs))
         return np.argmax(logits, axis=1)
 
     def predict_corpus(self, sentences):
@@ -158,7 +196,7 @@ class Tagger(Predictor):
         from one ``features`` and one ``predict`` per block of whole
         sentences of about ``ENCODE_BLOCK`` tokens."""
         for block in self._sentence_blocks(sentences, len, ENCODE_BLOCK):
-            ids = self.predict(*self.features(block))
+            ids = self.predict(self.features(block))
             yield from np.split(ids, np.cumsum([len(tokens) for tokens in block])[:-1])
 
     def tag_corpus(self, sentences):
@@ -196,12 +234,12 @@ class Tagger(Predictor):
         return cls(config, header["tagset"], table, encoders, resources)
 
 
-def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
-    """Mean log loss of one minibatch plus, when embedding updates are on,
-    the anchored penalty; gradients cover the network and (scattered
-    through the window ids) the rows of the embedding table that
-    ``AdaptedEmbeddings`` has reached."""
-    X = model.position_rows(wins, consts)
+def batch_loss_and_grads(model, inputs, golds, dropout_rng=None):
+    """Mean log loss of the minibatch of tokens ``inputs`` plus, when
+    embedding updates are on, the anchored penalty; gradients cover the
+    network and (scattered through the window ids) the rows of the embedding
+    table that ``AdaptedEmbeddings`` has reached."""
+    X = model.compose(inputs)
     if dropout_rng is not None:
         logits, cache = model.net.forward(
             X, rng=dropout_rng, input_rate=model.config.dropout_input,
@@ -215,7 +253,7 @@ def batch_loss_and_grads(model, wins, consts, golds, dropout_rng=None):
     grads = {f"net.{k}": g for k, g in net_grads.items()}
     if model.adapted is not None:
         dTyp = dTyp.reshape(len(X), model.win_len, -1)
-        penalty, grads["embeddings"] = model.adapted.gradient([(wins, dTyp)])
+        penalty, grads["embeddings"] = model.adapted.gradient([(inputs.wins, dTyp)])
         loss += penalty
     return loss, grads
 
@@ -235,22 +273,22 @@ def train_tagger(model, train_corpus, val_corpus, cfg):
         golds = np.concatenate([np.asarray(g, dtype=np.int64) for _, g in corpus])
         if np.any(golds < 0) or np.any(golds >= len(model.tagset)):
             raise ValueError("gold tag id outside the tagset")
-        return (*model.features([tokens for tokens, _ in corpus]), golds)
+        return model.features([tokens for tokens, _ in corpus]), golds
 
-    t_wins, t_consts, t_golds = flatten(train_corpus)
-    v_wins, v_consts, v_golds = flatten(val_corpus)
+    t_inputs, t_golds = flatten(train_corpus)
+    v_inputs, v_golds = flatten(val_corpus)
     if model.adapted is not None:
-        model.adapted.add_rows(t_wins)
+        model.adapted.add_rows(t_inputs.wins)
 
     dropout_rng = rng_mod.stream(cfg.seed, "dropout")
     use_dropout = model.config.dropout_input > 0 or model.config.dropout_hidden > 0
 
     def batch_loss(sel):
-        return batch_loss_and_grads(model, t_wins[sel], t_consts[sel], t_golds[sel],
+        return batch_loss_and_grads(model, t_inputs.take(sel), t_golds[sel],
                                     dropout_rng if use_dropout else None)
 
     def evaluate():
-        return 100.0 * float(np.mean(model.predict(v_wins, v_consts) == v_golds))
+        return 100.0 * float(np.mean(model.predict(v_inputs) == v_golds))
 
     # -1 is below any accuracy, so the first epoch always takes a snapshot
     return fit(model.params(), len(t_golds), batch_loss, evaluate, cfg,

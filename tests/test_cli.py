@@ -207,7 +207,7 @@ def test_tag_runs_in_blocks_of_whole_sentences(data, capsys, tmp_path, monkeypat
     want = [[(tok, tagset[k]) for tok, k in zip(sent, ids)]
             for _, sents in blocks
             for sent, ids in zip(sents, np.split(
-                model.predict(*features(model, sents)),
+                model.predict(features(model, sents)),
                 np.cumsum(list(map(len, sents)))[:-1]))]
     assert [list(zip(*pair)) for pair in load_tagged_corpus(str(tmp_path / "p.tags"))] == want
 

@@ -575,12 +575,12 @@ def _tagger_setup(table, words, rng):
         return tagger.Tagger(cfg, ["A", "B", "C"], table, rng=rng_mod.stream(71, "init"))
 
     def batches(model):
-        wins, consts = model.features([toks for toks, _ in sents])
+        inputs = model.features([toks for toks, _ in sents])
         golds = np.concatenate([g for _, g in sents])
-        return [(wins[k:k + 7], consts[k:k + 7], golds[k:k + 7])
+        return [(inputs.take(slice(k, k + 7)), golds[k:k + 7])
                 for k in range(0, len(golds), 7)]
 
-    return build, batches, tagger.batch_loss_and_grads, lambda batch: batch[0]
+    return build, batches, tagger.batch_loss_and_grads, lambda batch: batch[0].wins
 
 
 def _parser_setup(table, words, rng):
@@ -798,7 +798,7 @@ def test_tagger_and_parser_compose_the_same_position_rows(window, dtype):
     par = parser.Parser(parser.ParserConfig(window=window, hidden=4, word_features=True),
                         table, encoders, dtype=dtype)
     sents = [parser.DepSentence(toks, [-1] * len(toks), [True] * len(toks)) for toks in CORPUS]
-    want = tag.position_rows(*tag.features(CORPUS))
+    want = tag.compose(tag.features(CORPUS))
     got = [par.position_rows(c.wins, c.fixed) for c in par._caches(sents)]
     assert all(rows.dtype == dtype for rows in [want, *got])
     assert want.shape[1] == sum(tag.widths) == sum(par.widths)
@@ -830,8 +830,8 @@ def test_tagger_features_encode_the_corpus_in_blocks(monkeypatch, block):
     n = sum(len(toks) for toks in CORPUS)
     log = []
     with count_passes(encoders, log):
-        wins, consts = model.features(CORPUS)
-    assert len(wins) == len(consts) == n
+        inputs = model.features(CORPUS)
+    assert all(len(a) == n for a in inputs)
     for rows in passes_per_encoder(log, len(encoders)):
         assert sum(rows) == n
         assert len(rows) <= math.ceil(n / block)

@@ -22,8 +22,7 @@ from tokembed import rng as rng_mod
 from tokembed.embeddings import EmbeddingTable, Vocabulary
 from tokembed.encoder import (WeightScheme, build_encoder, corpus_windows,
                               train_encoder)
-from tokembed.features import (ResourceBundle, extended_feature_matrix,
-                               extended_feature_width, word_feature_matrix)
+from tokembed.features import ResourceBundle, word_feature_matrix
 from tokembed.nn import FitConfig
 from tokembed.parser import DepSentence, Parser, ParserConfig, train_parser
 from tokembed.tagger import Tagger, TaggerConfig, train_tagger
@@ -122,25 +121,31 @@ RESOURCES = ResourceBundle(
     char_ngrams={"th": 0, "he": 1, "the": 2, "at": 3})
 
 
-def rows_of(sentences):
-    """A corpus's window ids at radius 2 and its two feature matrices."""
-    table = table_over(["the", "cat", "alice"], 0)
+def rows_of(sentences, model):
+    """A corpus's window ids at radius 2, its word-shape rows and the input
+    rows ``model`` composes for it."""
     n = sum(map(len, sentences))
     words = np.empty((n, 10), dtype=np.float32)
     word_feature_matrix(sentences, words)
-    extended = np.empty((n, extended_feature_width(RESOURCES)), dtype=np.float32)
-    extended_feature_matrix(sentences, RESOURCES, extended)
-    return {"corpus_windows": corpus_windows(table, sentences, 2),
-            "word_feature_matrix": words, "extended_feature_matrix": extended}
+    return {"corpus_windows": corpus_windows(model.table, sentences, 2),
+            "word_feature_matrix": words, "tagger_input": model.compose(model.features(sentences))}
 
 
 @given(st.lists(st.lists(st.sampled_from(["the", "cat", "CAT", "alice", "zz", "@x", "12", ".."]),
                          max_size=5), max_size=6))
 @example([["the"], [], ["cat", "zz"], ["alice"]])
 def test_a_sentence_has_its_own_rows_wherever_it_sits(sentences):
-    whole = rows_of(sentences)
+    # one tagger reads the corpus, then each sentence again with its string
+    # rows already built, and a fresh tagger reads each sentence alone
+    def tagger():
+        return Tagger(TaggerConfig(window=2, hidden=2, word_features=True, extended=True),
+                      TAGSET, table_over(["the", "cat", "alice"], 0), resources=RESOURCES)
+
+    model = tagger()
+    whole = rows_of(sentences, model)
     start = 0
     for k, sent in enumerate(sentences):
         rows = {name: value[start:start + len(sent)] for name, value in whole.items()}
-        assert_bits(f"sentence {k} of {len(sentences)}", rows, rows_of([sent]))
+        for again in (model, tagger()):
+            assert_bits(f"sentence {k} of {len(sentences)}", rows, rows_of([sent], again))
         start += len(sent)

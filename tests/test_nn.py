@@ -57,6 +57,21 @@ def test_dense_relu_output_is_its_own_mask():
         assert grads["b"].tobytes() == dA.sum(axis=0).tobytes()
 
 
+@pytest.mark.parametrize("activation", ["linear", "relu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_forward_is_the_affine_map_bit_for_bit(activation, dtype):
+    # the bias is added in place; the output must be X @ W.T + b, then the activation
+    rng = rng_mod.stream(6, "data")
+    layer = Dense(37, 19, activation, rng, dtype)
+    layer.b[:] = rng.normal(size=19)
+    X = rng.normal(size=(23, 37)).astype(dtype)
+    want = X @ layer.W.T + layer.b
+    if activation == "relu":
+        want = np.maximum(want, 0)
+    Y, _ = layer.forward(X)
+    assert Y.dtype == dtype and Y.tobytes() == want.tobytes()
+
+
 def test_dense_dimension_mismatch():
     layer = Dense(3, 2)
     with pytest.raises(ValueError, match="width 3"):

@@ -604,6 +604,25 @@ def test_train_requires_gold_heads():
         train_parser(model, sents, sents, cfg)
 
 
+@pytest.mark.parametrize("window, word_feats", [(-1, True), (0, False), (1, True)])
+def test_first_layer_gradient_is_written_in_full(monkeypatch, window, word_feats):
+    # net.0.W's gradient starts uninitialised; filled with nan, it must come
+    # out as the zero-started one, bit for bit, a childless sentence included
+    table = small_table()
+    enc = FfnEncoder(4, 1, token_dim=3, hidden=5, rng=rng_mod.stream(57, "init"))
+    model = Parser(ParserConfig(window=window, hidden=6, word_features=word_feats), table,
+                   [enc], rng=rng_mod.stream(57, "init"))
+    sents = [full_sentence(4), DepSentence(["t1", "t2"], [-1, -1], [False, False]),
+             full_sentence(2)]
+    caches = model._caches(sents)
+    _, want = batch_loss_and_grads(model, caches)
+    monkeypatch.setattr(parser_mod.np, "empty_like", lambda a: np.full_like(a, np.nan))
+    _, got = batch_loss_and_grads(model, caches)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert got[name].tobytes() == value.tobytes(), name
+
+
 def test_update_embeddings_gradients_match_finite_differences():
     # exercises the scatter-add through child and parent windows (wall
     # parents use the pinned unknown row) plus the anchored penalty;

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from tokembed.serialize import (MAGIC, VERSION, load_model, read_tsv, restore_params,
-                                save_model, tsv_int)
+from tokembed.serialize import (MAGIC, VERSION, check_config, load_model, read_tsv,
+                                restore_params, save_model, tsv_int)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -188,3 +188,24 @@ def test_read_tsv_rejects_malformed_line(tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{message}") + "$"):
         list(read_tsv(str(path), 2))
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    (str, 7, "is not a string"),
+    (str, None, "is not a string"),
+    (int, True, "is not an integer"),
+    (int, 2.0, "is not an integer"),
+    (float, "1", "is not a number"),
+    (bool, 0, "is not true or false"),
+])
+def test_check_config_names_the_first_bad_item_of_a_long_list(kind, bad, message):
+    good = {str: "w", int: 3, float: 0.5, bool: False}[kind]
+    words = [good] * 20000
+    check_config("t.bin", {"words": words, "x": [1, 2.5]}, {"words": [kind], "x": [float]})
+    words[12345] = words[15000] = bad
+    with pytest.raises(ValueError, match="^" + re.escape(f"t.bin: config.words[12345] {message}")
+                       + "$"):
+        check_config("t.bin", {"words": words}, {"words": [kind]})
+    # a list of objects still names the item and its field
+    with pytest.raises(ValueError, match=re.escape("t.bin: config.e[1].n is not an integer")):
+        check_config("t.bin", {"e": [{"n": 1}, {"n": "1"}]}, {"e": [{"n": int}]})

@@ -27,7 +27,7 @@ def big_table(seed=20, n_words=8, dim=100):
 
 def input_rows(model, tokens):
     """The network input rows of one sentence, composed as training does."""
-    return model.position_rows(*model.features([tokens]))
+    return model.compose(model.features([tokens]))
 
 
 def test_compose_width_window_only():
@@ -115,7 +115,7 @@ def test_const_features_per_type_rows_equal_the_per_token_references(sentences):
     model = Tagger(TaggerConfig(window=1, hidden=4, word_features=True, extended=True),
                    TAGSET, table, encoders=[enc], resources=resources)
     wins = corpus_windows(table, sentences, model.radius)
-    out = model.const_features(sentences, wins)
+    out = model.compose(model.features(sentences))[:, model.widths[0]:]
     tokens = [(toks, j) for toks in sentences for j in range(len(toks))]
     width = 2 + 10 + extended_feature_width(resources)
     ref = np.concatenate([
@@ -126,6 +126,75 @@ def test_const_features_per_type_rows_equal_the_per_token_references(sentences):
                  dtype=np.float32).reshape(len(tokens), width - 12)], axis=1)
     assert out.dtype == np.float32 and out.shape == (len(tokens), width)
     assert out.tobytes() == ref.tobytes()
+
+
+ROW_WORDS = [f"w{k}" for k in range(8)] + ["W3", "@w", "12", "oov"]
+ROW_RESOURCES = ResourceBundle(
+    brown_clusters={w: format(k, "04b") for k, w in enumerate(ROW_WORDS[:8])},
+    tag_dictionary={w: {"T0": 1, "T1": k} for k, w in enumerate(ROW_WORDS[:8])},
+    name_lists=[frozenset(ROW_WORDS[:3])],
+    char_ngrams={"w1": 0, "w2": 1, "w3": 2, "@w": 3})
+
+
+def row_tagger(token_dim=2):
+    enc = FfnEncoder(4, 1, token_dim=token_dim, hidden=4, rng=rng_mod.stream(43, "init"))
+    return Tagger(TaggerConfig(window=1, hidden=4, word_features=True, extended=True),
+                  TAGSET, big_table(dim=4), [enc], ROW_RESOURCES, rng_mod.stream(44, "init"))
+
+
+def test_predict_corpus_builds_each_string_row_once(monkeypatch):
+    # strings repeat across at least three tagging blocks; each string's word
+    # block and center block are built once, in the block that first holds it
+    from tokembed import features
+    monkeypatch.setattr("tokembed.tagger.ENCODE_BLOCK", 6)
+    rng = rng_mod.stream(42, "data")
+    sentences = [[ROW_WORDS[int(k)] for k in rng.integers(0, len(ROW_WORDS), size=n)]
+                 for n in (3, 4, 2, 5, 3, 4, 1, 6)]
+    model = row_tagger()
+    built, blocks = [], []
+    for name in ("_word_block", "_center_block"):
+        monkeypatch.setattr(features, name, lambda word, res, f=getattr(features, name):
+                            built.append(word) or f(word, res))
+    features_of = Tagger.features
+    monkeypatch.setattr(Tagger, "features",
+                        lambda self, sents: blocks.append(sents) or features_of(self, sents))
+    got = list(model.tag_corpus(sentences))
+    def strings(sents):
+        return {t for toks in sents for t in toks}
+
+    distinct = strings(sentences)
+    assert len(blocks) >= 3 and all(strings(blocks[0]) & strings(b) for b in blocks[1:])
+    assert sorted(built) == sorted(2 * list(distinct))
+    assert len(model.strings.words) == len(distinct) + 1
+    # the same tags as a fresh model per sentence, which builds its rows again
+    for toks, tags in zip(sentences, got):
+        assert row_tagger().tag_sentence(toks) == tags
+
+
+def test_training_inputs_grow_by_the_codes_and_ids_per_token():
+    # four times the training tokens over the same strings: the traced peak
+    # grows by the token embeddings (256 float32) and a few int64 ids per
+    # token, not by the word-shape and extended columns of its input row
+    import tracemalloc
+    rng = rng_mod.stream(45, "data")
+    base = [([ROW_WORDS[int(k)] for k in rng.integers(0, len(ROW_WORDS), size=10)],
+             rng.integers(0, len(TAGSET), size=10)) for _ in range(60)]
+    cfg = FitConfig(epochs=1, batch_size=64, learning_rate=0.01, momentum=0.9, seed=46)
+
+    def peak(copies):
+        model = row_tagger(token_dim=256)
+        tracemalloc.start()
+        try:
+            train_tagger(model, base * copies, base[:5], cfg)
+            return tracemalloc.get_traced_memory()[1], model
+        finally:
+            tracemalloc.stop()
+
+    (small, model), (large, _) = peak(1), peak(4)
+    per_token = (large - small) / (3 * 600)
+    # the per-string columns, kept per token, would add more than the margin
+    assert (model.input_dim - sum(model.widths[:2])) * 4 > 4 * 16 * 8
+    assert per_token <= 256 * 4 + 16 * 8, per_token
 
 
 def test_empty_input_rejected():
@@ -304,14 +373,14 @@ def test_update_embeddings_gradients_match_finite_differences():
     model.adapted.vectors += rng.normal(scale=0.1, size=(6, 3))  # off the anchor
     corpus = [([words[int(rng.integers(6))] for _ in range(4)],
                rng.integers(0, len(TAGSET), size=4)) for _ in range(3)]
-    wins, consts = model.features([toks for toks, _ in corpus])
+    inputs = model.features([toks for toks, _ in corpus])
     golds = np.concatenate([g for _, g in corpus])
 
     params = model.params()  # rows 0-5 of the table: probes mutate the model
     assert params["embeddings"] is model.adapted.vectors
 
     def loss_and_grads():
-        return batch_loss_and_grads(model, wins, consts, golds)
+        return batch_loss_and_grads(model, inputs, golds)
 
     report = gradient_check(loss_and_grads, params, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
