@@ -26,7 +26,7 @@ from .analysis import METRICS, export_embeddings_tsv, index_corpus, nearest_neig
 from .embeddings import load_corpus, load_table
 from .encoder import (ARCHS, SCHEME_NAMES, EncoderSizes, WeightScheme,
                       build_encoder, check_encoder_sizes, load_encoder,
-                      train_encoder, window_weights)
+                      train_encoder)
 from .features import (ResourceBundle, build_char_ngram_index,
                        load_brown_clusters, load_char_ngram_index,
                        load_name_list, load_tag_dictionary,
@@ -170,7 +170,8 @@ def _subsample(sentences, fraction, seed):
 def cmd_train_encoder(args):
     cfg = _config(FitConfig, args, learning_rate=args.lr, eval_every=args.val_every)
     scheme = _config(WeightScheme, args, name=args.scheme)
-    window_weights(scheme, args.w_prime)  # training needs w' >= 1, inference does not
+    if args.w_prime < 1:  # training needs w' >= 1, inference does not
+        raise CliError(f"window radius --w-prime must be at least 1 to train, got {args.w_prime}")
     check_encoder_sizes(args.arch, token_dim=args.token_dim, hidden=args.hidden)
     table = load_table(args.embeddings)
     train = _nonempty_corpus(args.train, load_corpus)

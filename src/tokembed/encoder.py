@@ -219,7 +219,9 @@ class Seq2SeqEncoder(WindowEncoder):
     final hidden vector is the token embedding.  The decoder LSTM starts with
     hidden state equal to that code (cell state zero), consumes a zero input
     at every step, and each hidden vector is affinely projected to one
-    reconstructed type vector, in original window order.
+    reconstructed type vector, in original window order.  Each LSTM runs
+    over the whole window in one ``LstmCell.forward``, and the projection
+    maps all the decoder's hidden vectors in one product each way.
     """
 
     arch = "seq2seq"
@@ -230,71 +232,38 @@ class Seq2SeqEncoder(WindowEncoder):
         self.dec_cell = LstmCell(dim, token_dim, rng, dtype)
         self.proj = Dense(token_dim, dim, "linear", rng, dtype)
 
-    def _encode_seq(self, E, caches=None):
-        """Codes of a (B, 2w'+1, d) array; each step's cache is appended to
-        ``caches`` when a list is given."""
-        _, c = self.enc_cell.zero_state(len(E))
-        h = None  # the zero initial state: the first step multiplies x alone
-        for t in range(E.shape[1]):
-            h, c, cache = self.enc_cell.step(E[:, t, :], h, c)
-            if caches is not None:
-                caches.append(cache)
-        return h
-
-    def _decode_seq(self, codes, caches=None):
-        """Reconstructions from codes; each step's (cell, projection) caches
-        are appended to ``caches`` when a list is given."""
-        h, c = codes, np.zeros_like(codes)
-        rec = np.empty((len(codes), self.window_len, self.dim), dtype=codes.dtype)
-        for t in range(self.window_len):
-            h, c, cache = self.dec_cell.step(None, h, c)
-            rec[:, t, :], pcache = self.proj.forward(h)
-            if caches is not None:
-                caches.append((cache, pcache))
-        return rec
-
     def _codes(self, E):
-        return self._encode_seq(E)
+        H, _ = self.enc_cell.forward(E.transpose(1, 0, 2))
+        return H[-1]
+
+    def _decode(self, codes, keep=False):
+        """(2w'+1, B, d) reconstructions of (B, d') codes, one product for
+        all steps, and with ``keep`` the caches of the decoder and of the
+        projection."""
+        H, cache = self.dec_cell.forward(h0=codes, steps=self.window_len, keep=keep)
+        T, B, h = H.shape
+        flat, pcache = self.proj.forward(H.reshape(T * B, h))
+        return flat.reshape(T, B, self.dim), cache, pcache
 
     def decode(self, codes):
-        return self._decode_seq(np.atleast_2d(np.asarray(codes, dtype=self.dtype)))
+        codes = np.atleast_2d(np.asarray(codes, dtype=self.dtype))
+        return self._decode(codes)[0].transpose(1, 0, 2)
 
     def loss_and_grads(self, table, windows, weights):
         targets, weights = self._targets(table, windows, weights)
-        B = len(targets)
-        enc_caches, dec_caches = [], []
-        codes = self._encode_seq(targets, enc_caches)
-        rec = self._decode_seq(codes, dec_caches)
-        loss = wre_value(rec, targets, weights)
-        diff = rec - targets
-        dRec = ((2.0 / B) * weights[None, :, None] * diff).astype(self.dtype)
-
-        grads = {}
-
-        def add(prefix, g):
-            for k, v in g.items():
-                key = f"{prefix}.{k}"
-                if key in grads:
-                    grads[key] += v
-                else:
-                    grads[key] = v
-
-        dh = np.zeros_like(codes)
-        dc = np.zeros_like(codes)
-        for t in reversed(range(self.window_len)):
-            cache, pcache = dec_caches[t]
-            dh_proj, pgrads = self.proj.backward(dRec[:, t, :], pcache)
-            add("proj", pgrads)
-            dh, dc, g = self.dec_cell.step_backward(dh + dh_proj, dc, cache)
-            add("dec", g)
-        # dh now carries the gradient w.r.t. the decoder's initial hidden state,
-        # which is the encoder output; the zero initial cell state absorbs dc.
-        # The first step's gradient w.r.t. the zero initial state is not used.
-        dc = np.zeros_like(codes)
-        for t in reversed(range(self.window_len)):
-            dh, dc, g = self.enc_cell.step_backward(dh, dc, enc_caches[t], need_prev=t > 0)
-            add("enc", g)
-        return loss, grads
+        B, T = targets.shape[:2]
+        E = targets.transpose(1, 0, 2)  # (T, B, d), one block per step
+        H, enc_cache = self.enc_cell.forward(E, keep=True)
+        rec, dec_cache, pcache = self._decode(H[-1], keep=True)
+        loss = wre_value(rec.transpose(1, 0, 2), targets, weights)
+        dRec = (2.0 / B) * weights[:, None, None] * (rec - E)
+        dH, pgrads = self.proj.backward(dRec.astype(self.dtype).reshape(T * B, -1), pcache)
+        # the decoder's initial hidden state is the code, the encoder's last
+        # hidden state; the zero initial cell states absorb no gradient
+        dcodes, dec_grads = self.dec_cell.backward(dH.reshape(T, B, -1), dec_cache)
+        _, enc_grads = self.enc_cell.backward(dcodes[None], enc_cache)
+        parts = {"enc": enc_grads, "dec": dec_grads, "proj": pgrads}
+        return loss, {f"{part}.{k}": v for part, g in parts.items() for k, v in g.items()}
 
     def params(self):
         parts = {"enc": self.enc_cell, "dec": self.dec_cell, "proj": self.proj}
@@ -326,7 +295,7 @@ def build_encoder(arch, dim, w_prime, token_dim=EncoderSizes.token_dim,
     return Seq2SeqEncoder(dim, w_prime, token_dim, rng, dtype)
 
 
-# Header config of an encoder file; seq2seq files may omit "hidden", any may omit "scheme".
+# Header config of an encoder file; only ffn files hold "hidden", any may omit "scheme".
 _CONFIG_FIELDS = {"arch": str, "dim": int, "w_prime": int, "token_dim": int,
                  "hidden": int, "scheme": {"name": str, "center_weight": float}}
 
@@ -336,8 +305,8 @@ def load_encoder(path):
     kind, cfg, tensors = load_model(path)
     if kind not in ARCHS:
         raise ValueError(f"{path}: not an encoder model (kind={kind!r})")
-    check_config(path, cfg, _CONFIG_FIELDS,
-                 optional=("scheme",) if kind == "ffn" else ("hidden", "scheme"))
+    fields = {k: v for k, v in _CONFIG_FIELDS.items() if kind == "ffn" or k != "hidden"}
+    check_config(path, cfg, fields, optional=("scheme",))
     if kind == "ffn":
         width = cfg["dim"] * (2 * cfg["w_prime"] + 1)
         sizes = {"config.hidden": ("enc.0.b", (cfg["hidden"],)),

@@ -153,16 +153,18 @@ class LstmCell:
 
     The gates are stacked in one matrix ``W`` of shape (4*n_hidden,
     n_in + n_hidden) and one bias ``b`` of length 4*n_hidden, in the row
-    blocks i, f, o, g, so a step takes one product with the concatenation
-    [x; h_prev].  ``Wi``..``Wg`` and ``bi``..``bg`` are views of those
-    blocks; ``params()`` names them, so the optimizer and the model file
-    see four gates.  With ``rng`` given, each gate block is drawn in that
-    order and the forget-gate bias starts at ``FORGET_BIAS``; with
-    ``rng=None`` every parameter is zero.
+    blocks i, f, o, g; the first ``n_in`` columns of ``W`` meet the input
+    and the others the previous hidden state.  ``Wi``..``Wg`` and
+    ``bi``..``bg`` are views of those blocks; ``params()`` names them, so
+    the optimizer and the model file see four gates.  With ``rng`` given,
+    each gate block is drawn in that order and the forget-gate bias starts
+    at ``FORGET_BIAS``; with ``rng=None`` every parameter is zero.
 
-    ``step`` takes ``x=None`` as a zero input and ``h_prev=None`` as a zero
-    hidden state, and then multiplies only by the columns of ``W`` that
-    meet the other half of [x; h_prev].
+    The cell runs over a whole window at once (Appleyard et al.,
+    arXiv:1604.01946): ``forward`` projects every step's input in one
+    product and ``backward`` forms the weight gradient of each column block
+    in one product over all steps, so ``step`` and ``step_backward``
+    multiply only by the hidden columns.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -182,83 +184,132 @@ class LstmCell:
         if rng is not None:
             self.bf[:] = FORGET_BIAS
 
-    def zero_state(self, batch, dtype=None):
-        dtype = dtype or self.W.dtype
-        return (
-            np.zeros((batch, self.n_hidden), dtype=dtype),
-            np.zeros((batch, self.n_hidden), dtype=dtype),
-        )
+    def forward(self, X=None, h0=None, steps=None, keep=False):
+        """Run the cell over a window from a zero cell state; (H, cache).
 
-    def step(self, x, h_prev, c_prev):
-        """One step from input ``x`` and state (``h_prev``, ``c_prev``);
-        returns (h, c, cache for ``step_backward``)."""
-        n = self.n_in
-        if x is not None:
-            x = np.asarray(x, dtype=self.W.dtype)
-            if x.ndim != 2 or x.shape[1] != n:
-                raise ValueError(f"lstm expects input width {n}, got {x.shape}")
-        if x is None and h_prev is None:
-            raise ValueError("lstm step needs an input or a hidden state")
-        batch = len(h_prev) if x is None else len(x)
-        state = (batch, self.n_hidden)
-        if c_prev.shape != state or (h_prev is not None and h_prev.shape != state):
-            raise ValueError("state shape mismatch")
-        if x is None:
-            z = h_prev
-        elif h_prev is None:
-            z = x
+        ``X`` holds the (T, B, n_in) inputs of the T steps, or is ``None``
+        for ``steps`` zero inputs; ``h0`` is the (B, n_hidden) initial
+        hidden state, ``None`` for zero.  ``H`` is the (T, B, n_hidden)
+        hidden state of every step.  Each step's gates overwrite its block
+        of the (T, B, 4*n_hidden) input projection, or of the bias alone
+        without an input.  With ``keep`` the cache is what ``backward``
+        reads; without it the cache is ``None``, a window without input
+        holds one step's gates, and no step's cell state outlives the next
+        step.
+        """
+        h, dtype = self.n_hidden, self.W.dtype
+        if X is None:
+            if h0 is None:
+                raise ValueError("lstm window needs an input or a hidden state")
+            T, B = int(steps), len(h0)
+            # a zero input projects to the bias alone, written in at each step
+            G = np.empty((T if keep else 1, B, 4 * h), dtype=dtype)
         else:
-            z = np.concatenate([x, h_prev], axis=1)
-        cols = slice(n if x is None else 0, n if h_prev is None else n + self.n_hidden)
-        A = z @ self.W[:, cols].T
-        A += self.b
-        # A now holds the gate activations: sigmoid on i, f, o and tanh on g
+            X = np.asarray(X, dtype=dtype)
+            if X.ndim != 3 or X.shape[2] != self.n_in:
+                raise ValueError(f"lstm expects input width {self.n_in}, got {X.shape}")
+            T, B = X.shape[:2]
+            X = X.reshape(T * B, self.n_in)
+            G = (X @ self.W[:, :self.n_in].T).reshape(T, B, 4 * h)
+            G += self.b
+        if h0 is not None and np.shape(h0) != (B, h):
+            raise ValueError("state shape mismatch")
+        S = np.empty((T + 1, B, h), dtype=dtype)  # h0 when given, then each step's h
+        h_prev = c = None
+        if h0 is not None:
+            S[0] = h0
+            h_prev = S[0]
+        C, TC = [], []
+        for t in range(T):
+            if X is None:
+                A = G[t if keep else 0]
+                A[...] = self.b
+            else:
+                A = G[t]
+            S[t + 1], c, tc = self.step(A, h_prev, c)
+            h_prev = S[t + 1]
+            if keep:
+                C.append(c)
+                TC.append(tc)
+        return S[1:], ((X, h0 is not None, G, S, C, TC) if keep else None)
+
+    def step(self, A, h_prev, c_prev):
+        """One step from state (``h_prev``, ``c_prev``), ``None`` for a zero
+        state; returns (h, c, tanh(c)).  ``A`` is the step's (B, 4*n_hidden)
+        input projection, bias included: the hidden columns' product with
+        ``h_prev`` is added to it, and it is overwritten with the gate
+        activations."""
+        if h_prev is not None:
+            A += h_prev @ self.W[:, self.n_in:].T
+        # sigmoid on i, f, o and tanh on g
         h3 = 3 * self.n_hidden
         sigmoid(A[:, :h3], out=A[:, :h3])
         np.tanh(A[:, h3:], out=A[:, h3:])
         i, f, o, g = self._gates(A)
-        c = f * c_prev
-        c += i * g
+        c = i * g
+        if c_prev is not None:
+            c += f * c_prev
         tc = np.tanh(c)
-        return o * tc, c, (cols, z, A, c_prev, tc)
+        return o * tc, c, tc
 
-    def step_backward(self, dh, dc, cache, need_prev=True):
-        """Gradients of one step: (dh_prev, dc_prev, grads).  No gradient
-        w.r.t. the input is formed, since no caller reads it: only the
-        hidden columns of ``W`` are multiplied.  The columns of each ``W``
-        gradient that met a zero input or a zero hidden state are zero.
-        With ``need_prev=False`` only ``grads`` is computed and the other
-        two are ``None``."""
-        cols, z, A, c_prev, tc = cache
+    def step_backward(self, dh, dc, A, h_prev, c_prev, tc, dA):
+        """Gradients of one step from those w.r.t. its h (``dh``) and its c
+        (``dc``, ``None`` for zero); ``A`` holds the step's gate activations
+        and ``h_prev``, ``c_prev`` and ``tc`` are what ``step`` took and
+        returned.  The gradients of the gate pre-activations are written
+        into the (B, 4*n_hidden) array ``dA``; returns (dh_prev, dc_prev),
+        each ``None``, and not formed, for a zero state.  ``dh_prev`` is one
+        product with the hidden columns of ``W``."""
         i, f, o, g = self._gates(A)
         do = dh * tc
-        dct = dc + dh * o * (1.0 - tc * tc)
-        # gradients of the gate pre-activations, written into one (B, 4h) array
-        dA = np.empty_like(A)
+        dct = dh * o * (1.0 - tc * tc)
+        if dc is not None:
+            dct += dc
         dai, daf, dao, dag = self._gates(dA)
         np.multiply(dct * g * i, 1.0 - i, out=dai)
-        np.multiply(dct * c_prev * f, 1.0 - f, out=daf)
+        if c_prev is None:
+            daf[...] = 0
+        else:
+            np.multiply(dct * c_prev * f, 1.0 - f, out=daf)
         np.multiply(do * o, 1.0 - o, out=dao)
         np.multiply(dct * i, 1.0 - g * g, out=dag)
-        dW = np.empty_like(self.W)
-        dW[:, : cols.start] = 0
-        dW[:, cols.stop:] = 0
-        np.matmul(dA.T, z, out=dW[:, cols])
-        db = dA.sum(axis=0)
-        h = self.n_hidden
-        grads = {f"{name}{gate}": d[k * h:(k + 1) * h] for k, gate in enumerate(self.GATES)
-                 for name, d in (("W", dW), ("b", db))}
-        if not need_prev:
-            return None, None, grads
-        # four per-gate products summed in gate order, as the bits require;
-        # accumulating in place spares three temporaries
+        dh_prev = None if h_prev is None else dA @ self.W[:, self.n_in:]
+        dc_prev = None if c_prev is None else np.multiply(dct, f, out=dct)
+        return dh_prev, dc_prev
+
+    def backward(self, dH, cache):
+        """Gradients of a window run by ``forward`` with ``keep``: (dh0,
+        grads).  ``dH`` holds the gradients w.r.t. the hidden states of the
+        window's last ``len(dH)`` steps; those of earlier steps are zero.
+        ``dh0`` is the gradient w.r.t. ``h0``, ``None`` when that was zero.
+        No gradient w.r.t. the input is formed, since no caller reads it.
+        The steps' gate gradients fill one (T, B, 4*n_hidden) array, so each
+        column block of ``dW`` is one product over all steps and ``db`` one
+        sum; a block that met only zeros is zero."""
+        X, has_h0, G, S, C, TC = cache
+        T, B, width = G.shape
+        dA = np.empty_like(G)
+        skip = T - len(dH)
+        dh = dc = None
+        for t in reversed(range(T)):
+            if t >= skip:
+                dh = dH[t - skip] if dh is None else dh + dH[t - skip]
+            dh, dc = self.step_backward(dh, dc, G[t], S[t] if t or has_h0 else None,
+                                        C[t - 1] if t else None, TC[t], dA[t])
+        dA = dA.reshape(T * B, width)
         n = self.n_in
-        dh_prev = dai @ self.Wi[:, n:]
-        dh_prev += daf @ self.Wf[:, n:]
-        dh_prev += dao @ self.Wo[:, n:]
-        dh_prev += dag @ self.Wg[:, n:]
-        dct *= f
-        return dh_prev, dct, grads
+        dW = np.empty_like(self.W)
+        if X is None:
+            dW[:, :n] = 0
+        else:
+            np.matmul(dA.T, X, out=dW[:, :n])
+        k = 0 if has_h0 else 1  # the first step whose previous hidden state is not zero
+        h = self.n_hidden
+        np.matmul(dA[k * B:].T, S[k:T].reshape((T - k) * B, h), out=dW[:, n:])
+        db = dA.sum(axis=0)
+        grads = {f"{name}{gate}": d[j * h:(j + 1) * h] for j, gate in enumerate(self.GATES)
+                 for name, d in (("W", dW), ("b", db))}
+        return dh, grads
 
     def _gates(self, M):
         """The i, f, o, g column blocks of a (B, 4*n_hidden) array."""

@@ -184,9 +184,10 @@ def check_sizes(path, tensors, sizes):
 def restore_params(params, tensors, path):
     """Copy loaded ``tensors`` into a model's live ``params`` arrays.
 
-    The names must match exactly, every shape must equal its parameter's and
-    every value must be finite; otherwise a ``ValueError`` names the file and
-    the tensor and no parameter is touched.
+    The names must match exactly, every shape and dtype must equal its
+    parameter's (a cast would change what a re-save writes) and every value
+    must be finite; otherwise a ``ValueError`` names the file and the tensor
+    and no parameter is touched.
     """
     for name, arr in params.items():
         if name not in tensors:
@@ -199,6 +200,10 @@ def restore_params(params, tensors, path):
     for name in tensors:
         if name not in params:
             raise ValueError(f"{path}: unknown tensor {name!r}")
+    for name, arr in params.items():
+        if tensors[name].dtype != arr.dtype:
+            raise ValueError(f"{path}: tensor {name!r} has dtype "
+                             f"{tensors[name].dtype.str}, expected {arr.dtype.str}")
     for name, arr in params.items():
         arr[...] = tensors[name]
 

@@ -625,7 +625,10 @@ CONFIG_ERRORS = [
     ("train-encoder", "--center-weight", "inf", "center weight inf is not finite"),
     ("train-encoder", "--epochs", "0", "epochs must be at least 1, got 0"),
     ("train-encoder", "--seed", "-1", "seed must be at least 0, got -1"),
-    ("train-encoder", "--w-prime", "0", "window radius must be at least 1"),
+    ("train-encoder", "--w-prime", "0",
+     "window radius --w-prime must be at least 1 to train, got 0"),
+    ("train-encoder", "--w-prime", "-2",
+     "window radius --w-prime must be at least 1 to train, got -2"),
     ("train-encoder", "--token-dim", "0", "token_dim must be positive, got 0"),
     ("train-encoder", "--hidden", "0", "hidden must be positive, got 0"),
 ]

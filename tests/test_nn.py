@@ -174,42 +174,29 @@ def test_sigmoid_bitwise_on_the_gate_columns_of_a_step(dtype, bits):
 
 def test_lstm_zero_parameters_fixed_point():
     cell = LstmCell(3, 4)
-    h, c, _ = cell.step(np.array([[5.0, -2.0, 1.0]]), *cell.zero_state(1))
-    assert np.array_equal(h, np.zeros((1, 4)))
-    assert np.array_equal(c, np.zeros((1, 4)))
+    H, _ = cell.forward(np.array([[[5.0, -2.0, 1.0]], [[0.5, 3.0, -1.0]]]))
+    assert np.array_equal(H, np.zeros((2, 1, 4)))
 
 
 def test_lstm_deterministic():
     cell = LstmCell(2, 3, rng=rng_mod.stream(0, "init"))
-    x = np.array([[0.3, -0.7]])
-    a = cell.step(x, *cell.zero_state(1))
-    b = cell.step(x, *cell.zero_state(1))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    x = np.array([[[0.3, -0.7]], [[0.1, 0.2]]])
+    assert np.array_equal(cell.forward(x)[0], cell.forward(x)[0])
 
 
 def test_lstm_sum_h_gradient_matches_finite_differences():
+    # both halves of [x; h] in every step: an input and a given h0
     rng = rng_mod.stream(1, "init")
     cell = LstmCell(3, 4, rng=rng, dtype=np.float64)
     xs = rng.normal(size=(2, 1, 3))  # two steps, batch 1
+    h0 = rng.normal(size=(1, 4))
 
     def loss_and_grads():
-        h, c = cell.zero_state(1, np.float64)
-        caches, hs = [], []
-        for t in range(2):
-            h, c, cache = cell.step(xs[t], h, c)
-            caches.append(cache)
-            hs.append(h)
-        loss = float(sum(h.sum() for h in hs))
-        grads = None
-        dh = np.ones_like(hs[-1])
-        dc = np.zeros_like(hs[-1])
-        for t in reversed(range(2)):
-            dh_prev, dc, g = cell.step_backward(dh, dc, caches[t])
-            grads = g if grads is None else {k: grads[k] + g[k] for k in g}
-            dh = dh_prev + (np.ones_like(dh_prev) if t > 0 else 0.0)
-        return loss, grads
+        H, cache = cell.forward(xs, h0, keep=True)
+        dh0, grads = cell.backward(np.ones_like(H), cache)
+        return float(H.sum()), {**grads, "h0": dh0}
 
-    report = gradient_check(loss_and_grads, cell.params(), eps=1e-5, tol=1e-4)
+    report = gradient_check(loss_and_grads, {**cell.params(), "h0": h0}, eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
 
 
@@ -233,69 +220,123 @@ def test_lstm_gates_are_views_of_the_stacked_parameters():
 
 @pytest.mark.parametrize("zero", ["input", "hidden"])
 def test_lstm_step_with_a_zero_half_equals_explicit_zeros_bitwise(zero):
-    # the encoder's training shape: d=100, d'=256, 64 windows
+    # the encoder's training shape: d=100, d'=256, 64 windows of 3 steps
     cell = LstmCell(100, 256, rng=rng_mod.stream(2, "init"))
     r = np.random.default_rng(5)
-    x = r.normal(size=(64, 100)).astype(np.float32)
-    h, c, dh, dc = (r.normal(size=(64, 256)).astype(np.float32) for _ in range(4))
+    X = r.normal(size=(3, 64, 100)).astype(np.float32)
+    h0, dH = (r.normal(size=shape).astype(np.float32) for shape in ((64, 256), (3, 64, 256)))
+    if zero == "input":  # the decoder's window
+        implicit, explicit = {"h0": h0, "steps": 3}, {"X": 0 * X, "h0": h0}
+    else:  # the encoder's window: no product with the first step's hidden state
+        implicit, explicit = {"X": X}, {"X": X, "h0": 0 * h0}
+    H0, cache0 = cell.forward(**implicit, keep=True)
+    H1, cache1 = cell.forward(**explicit, keep=True)
+    assert H0.tobytes() == H1.tobytes()
+    dh0, g0 = cell.backward(dH, cache0)
+    dh1, g1 = cell.backward(dH, cache1)
     if zero == "input":
-        implicit, explicit, zero_cols = (None, h), (np.zeros_like(x), h), slice(None, 100)
+        assert dh0.tobytes() == dh1.tobytes()
+        assert not any(g0[f"W{gate}"][:, :100].any() for gate in LstmCell.GATES)
     else:
-        implicit, explicit, zero_cols = (x, None), (x, np.zeros_like(h)), slice(100, None)
-    h0, c0, cache0 = cell.step(*implicit, c)
-    h1, c1, cache1 = cell.step(*explicit, c)
-    assert h0.tobytes() == h1.tobytes() and c0.tobytes() == c1.tobytes()
-    dh0, dc0, g0 = cell.step_backward(dh, dc, cache0)
-    dh1, dc1, g1 = cell.step_backward(dh, dc, cache1)
-    assert dh0.tobytes() == dh1.tobytes() and dc0.tobytes() == dc1.tobytes()
-    for gate in LstmCell.GATES:
-        assert not g0[f"W{gate}"][:, zero_cols].any()
+        assert dh0 is None and dh1 is not None
     assert g0.keys() == g1.keys()
     assert all(g0[k].tobytes() == g1[k].tobytes() for k in g0)
 
 
 def test_lstm_zero_state_and_zero_input_gradients_match_finite_differences():
-    # an encoder's first step (zero hidden state), then a decoder's step
-    # (zero input)
+    # an encoder's window (zero initial state), then a decoder's window (zero
+    # inputs) from its last hidden state, as in the seq2seq encoder
     rng = rng_mod.stream(4, "init")
     cell = LstmCell(3, 4, rng=rng, dtype=np.float64)
-    x = rng.normal(size=(2, 3))
+    x = rng.normal(size=(2, 2, 3))
 
     def loss_and_grads():
-        h1, c1, cache1 = cell.step(x, None, np.zeros((2, 4)))
-        h2, _, cache2 = cell.step(None, h1, c1)
-        dh, dc, grads = cell.step_backward(np.ones_like(h2), np.zeros_like(h2), cache2)
-        _, _, g = cell.step_backward(dh + 1.0, dc, cache1, need_prev=False)
-        return float(h1.sum() + h2.sum()), {k: grads[k] + g[k] for k in g}
+        H1, cache1 = cell.forward(x, keep=True)
+        H2, cache2 = cell.forward(h0=H1[-1], steps=2, keep=True)
+        dh, grads = cell.backward(np.ones_like(H2), cache2)
+        dH1 = np.ones_like(H1)
+        dH1[-1] += dh
+        _, g = cell.backward(dH1, cache1)
+        return float(H1.sum() + H2.sum()), {k: grads[k] + g[k] for k in g}
 
     report = gradient_check(loss_and_grads, cell.params(), eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
 
 
-def test_lstm_backward_without_previous_state_gives_the_same_grads():
-    cell = LstmCell(3, 4, rng=rng_mod.stream(6, "init"))
-    r = np.random.default_rng(6)
-    x = r.normal(size=(5, 3)).astype(np.float32)
-    h, c, dh, dc = (r.normal(size=(5, 4)).astype(np.float32) for _ in range(4))
-    _, _, cache = cell.step(x, h, c)
-    full = cell.step_backward(dh, dc, cache)
-    lean = cell.step_backward(dh, dc, cache, need_prev=False)
-    assert lean[:2] == (None, None)
-    assert all(full[2][k].tobytes() == lean[2][k].tobytes() for k in full[2])
+def reference_window(cell, X, h0, dH):
+    """An LSTM window step by step from the textbook equations, one [x; h]
+    product per step and per-step weight gradients summed: (H, dh0, dW, db)
+    for the gradients ``dH`` w.r.t. every step's hidden state."""
+    W, b, n, h = cell.W, cell.b, cell.n_in, cell.n_hidden
+    hs, cs, zs, acts = [h0], [np.zeros_like(h0)], [], []
+    for x in X:
+        z = np.concatenate([x, hs[-1]], axis=1)
+        a = z @ W.T + b
+        i, f, o = (1.0 / (1.0 + np.exp(-a[:, k * h:(k + 1) * h])) for k in range(3))
+        g = np.tanh(a[:, 3 * h:])
+        cs.append(f * cs[-1] + i * g)
+        hs.append(o * np.tanh(cs[-1]))
+        zs.append(z)
+        acts.append((i, f, o, g))
+    dW, db = np.zeros_like(W), np.zeros_like(b)
+    dh, dc = np.zeros_like(h0), np.zeros_like(h0)
+    for t in reversed(range(len(X))):
+        i, f, o, g = acts[t]
+        dh = dh + dH[t]
+        tc = np.tanh(cs[t + 1])
+        dc = dc + dh * o * (1.0 - tc ** 2)
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g ** 2)], axis=1)
+        dW += da.T @ zs[t]
+        db += da.sum(axis=0)
+        dh, dc = (da @ W)[:, n:], dc * f
+    return np.stack(hs[1:]), dh, dW, db
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])  # 2w'+1 steps: w' = 0 at T = 1
+@pytest.mark.parametrize("case", ["encoder", "decoder"])
+def test_lstm_window_matches_the_step_by_step_reference(case, steps):
+    rng = rng_mod.stream(steps, "init")
+    cell = LstmCell(3, 5, rng=rng, dtype=np.float64)
+    cell.W[...] = rng.normal(size=cell.W.shape)
+    cell.b[...] = rng.normal(size=cell.b.shape)
+    X, h0 = rng.normal(size=(steps, 4, 3)), rng.normal(size=(4, 5))
+    dH = rng.normal(size=(steps, 4, 5))
+    if case == "encoder":  # a zero initial state, and only the last state's gradient
+        H, cache = cell.forward(X, keep=True)
+        dh0, grads = cell.backward(dH[-1:], cache)
+        dH[:-1] = 0
+        want = reference_window(cell, X, 0 * h0, dH)
+        assert dh0 is None
+    else:  # no input, a given initial hidden state
+        H, cache = cell.forward(h0=h0, steps=steps, keep=True)
+        dh0, grads = cell.backward(dH, cache)
+        want = reference_window(cell, 0 * X, h0, dH)
+        assert relative_error(dh0, want[1]) <= 1e-12
+    assert relative_error(H, want[0]) <= 1e-12
+    for name, whole in (("W", want[2]), ("b", want[3])):
+        got = np.concatenate([grads[name + gate] for gate in LstmCell.GATES])
+        assert relative_error(got, whole) <= 1e-12, name
+    assert np.array_equal(cell.forward(X if case == "encoder" else None,
+                                       None if case == "encoder" else h0, steps)[0], H)
 
 
 def test_lstm_step_needs_an_input_or_a_hidden_state():
     cell = LstmCell(2, 3)
     with pytest.raises(ValueError, match="needs an input or a hidden state"):
-        cell.step(None, None, np.zeros((1, 3)))
+        cell.forward(steps=2)
     with pytest.raises(ValueError, match="state shape mismatch"):
-        cell.step(np.zeros((2, 2)), None, np.zeros((1, 3)))
+        cell.forward(np.zeros((1, 2, 2)), np.zeros((1, 3)))
 
 
 def test_lstm_shape_validation():
     cell = LstmCell(2, 3)
     with pytest.raises(ValueError):
-        cell.step(np.zeros((1, 5)), *cell.zero_state(1))
+        cell.forward(np.zeros((1, 1, 5)))
 
 
 # -- losses -----------------------------------------------------------------

@@ -81,7 +81,8 @@ def live_params():
 
 def test_restore_params_copies_every_tensor():
     params = live_params()
-    stored = {"a.b": np.array([1.0, 2.0]), "a.W": np.arange(6.0).reshape(2, 3)}
+    stored = {"a.b": np.array([1.0, 2.0], dtype=np.float32),
+              "a.W": np.arange(6.0, dtype=np.float32).reshape(2, 3)}
     restore_params(params, stored, "m.bin")
     assert np.array_equal(params["a.W"], stored["a.W"])
     assert np.array_equal(params["a.b"], stored["a.b"])
@@ -95,6 +96,10 @@ def test_restore_params_copies_every_tensor():
      r"tensor 'a.b' has shape \(1,\), expected \(2,\)"),
     ({"a.W": np.ones((3, 2)), "a.b": np.ones(2)},
      r"tensor 'a.W' has shape \(3, 2\), expected \(2, 3\)"),
+    ({"a.W": np.ones((2, 3), np.float32), "a.b": np.ones(2)},
+     "tensor 'a.b' has dtype <f8, expected <f4"),
+    ({"a.W": np.ones((2, 3), ">f4"), "a.b": np.ones(2, np.float32)},
+     "tensor 'a.W' has dtype >f4, expected <f4"),
 ])
 def test_restore_params_rejects_mismatches_untouched(tensors, message):
     params = live_params()
