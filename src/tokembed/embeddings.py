@@ -1,7 +1,7 @@
 """Vocabulary management, fixed type-embedding storage, and word2vec-text IO,
 plus what every model built over a table shares: the anchored trainable rows
-of the table, and the set-up and persistence common to the tagger and the
-parser.
+of the table, and the set-up, input composition and persistence common to the
+tagger and the parser.
 
 Type embeddings are one vector per word type, pretrained elsewhere and kept
 fixed here.  Three reserved symbols are appended after the corpus entries:
@@ -17,10 +17,12 @@ import tempfile
 import zlib
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .features import WORD_FEATURE_COUNT, word_feature_matrix
+from .encoder import corpus_windows
+from .features import WORD_FEATURE_COUNT, StringRows
 from .nn import MLP, anchored_l2
 from .serialize import (check_config, check_sizes, load_model, open_text,
                         restore_params, save_model)
@@ -159,14 +161,33 @@ def _fingerprint(encoders):
     return [{name: getattr(e, name) for name in _ENCODER_FIELDS} for e in encoders]
 
 
+class TokenInputs(NamedTuple):
+    """What a predictor keeps of N tokens: the (N, ``win_len``) type-window
+    ids, the (N, ``widths[1]``) token embeddings and the (N, 3) ``StringRows``
+    ids of each token's string and of its left and right neighbours'."""
+
+    wins: np.ndarray
+    codes: np.ndarray
+    rows: np.ndarray
+
+    def take(self, sel):
+        """The inputs of the tokens ``sel``."""
+        return TokenInputs(*(a[sel] for a in self))
+
+    @staticmethod
+    def join(parts):
+        """The inputs of every token of ``parts``, in order."""
+        return TokenInputs(*map(np.concatenate, zip(*parts)))
+
+
 class Predictor:
     """Base of the tagger and the parser: a network ``self.net`` over the type
     embeddings of ``table`` (trained ones in ``AdaptedEmbeddings`` with
     ``config.update_embeddings``) and frozen ``encoders``.  Both read one
     *position row* per token, whose block widths only ``position_widths``
-    states; ``type_rows`` writes its type block and ``token_codes`` computes
-    its token embeddings, and for the parser ``token_features`` and
-    ``position_rows`` compose it.
+    states, followed by the extended stack when ``resources`` are given.
+    ``features`` keeps a corpus's ``TokenInputs`` and ``compose`` turns them
+    into input rows: it is the only code that writes one.
 
     A subclass sets its model ``kind``, which is also the header key of its
     ``config_class`` dataclass, and any further header fields: their kinds in
@@ -177,7 +198,7 @@ class Predictor:
     config_class = None
     header_fields = {}
 
-    def __init__(self, config, table, encoders, n_out, rng, dtype):
+    def __init__(self, config, table, encoders, n_out, rng, dtype, resources=None):
         for enc in encoders:
             if enc.dim != table.dim:
                 raise ValueError(f"encoder dim {enc.dim} does not match table dim {table.dim}")
@@ -198,6 +219,7 @@ class Predictor:
             raise ValueError(f"{self.kind} input is empty: no embeddings, encoders, or features")
         self.net = MLP([self.input_dim, config.hidden, config.hidden, n_out],
                        ["relu", "relu", "linear"], rng, dtype)
+        self.strings = StringRows(config.word_features, resources)
 
     @staticmethod
     def offsets(config):
@@ -211,29 +233,18 @@ class Predictor:
         return (len(cls.offsets(config)) * dim, token_dim,
                 WORD_FEATURE_COUNT if config.word_features else 0)
 
-    def position_rows(self, wins, fixed):
-        """In the network's dtype, the type embeddings of the window ids
-        ``wins``, then ``fixed``: ``token_features`` and any later columns."""
-        X = np.empty((len(wins), self.widths[0] + fixed.shape[1]),
-                     dtype=self.net.layers[0].W.dtype)
-        self.type_rows(wins, X[:, :self.widths[0]])
-        X[:, self.widths[0]:] = fixed
-        return X
-
     def type_rows(self, wins, out):
         """Write the type embeddings of the window ids ``wins`` into the
         (N, ``widths[0]``) array ``out``."""
         out[:] = (self.table.vectors[wins] if self.adapted is None
                   else self.adapted.lookup(wins)).reshape(len(wins), self.widths[0])
 
-    def token_codes(self, wins, extra=0):
-        """(N, ``widths[1]`` + ``extra``) block of the N tokens whose
-        ``encoder.corpus_windows`` of radius ``self.radius`` are ``wins``:
-        their token embeddings, from one ``encode`` per encoder of its 2w'+1
-        center columns.  The last ``extra`` columns are left for the caller
-        to write."""
+    def token_codes(self, wins):
+        """(N, ``widths[1]``) token embeddings of the N tokens whose
+        ``encoder.corpus_windows`` of radius ``self.radius`` are ``wins``, from
+        one ``encode`` per encoder of its 2w'+1 center columns."""
         r = self.radius
-        out = np.empty((len(wins), self.widths[1] + extra),
+        out = np.empty((len(wins), self.widths[1]),
                        dtype=np.result_type(np.float32, *(e.dtype for e in self.encoders)))
         k = 0
         for enc in self.encoders:
@@ -242,15 +253,39 @@ class Predictor:
             k += enc.token_dim
         return out
 
-    def token_features(self, sentences, wins):
-        """(N, width) frozen block of the N tokens of ``sentences``, in
-        corpus order, whose windows are ``wins``: their ``token_codes``, then
-        the word-shape bits when ``config.word_features`` is on, one row per
-        distinct string."""
-        out = self.token_codes(wins, self.widths[2])
-        if self.config.word_features:
-            word_feature_matrix(sentences, out[:, self.widths[1]:])
-        return out
+    # -- input composition ------------------------------------------------
+
+    def const_features(self, sentences, wins):
+        """What the tokens of ``sentences`` keep that does not depend on
+        trainable state: the ``token_codes`` of their windows ``wins``, and
+        their ``StringRows`` ids, which build the rows of strings not seen
+        before."""
+        return self.token_codes(wins), self.strings.ids(sentences)
+
+    def features(self, sentences):
+        """The ``TokenInputs`` of every token of ``sentences``, in corpus
+        order, from one window per token; ``compose`` makes them the network
+        input."""
+        wins = corpus_windows(self.table, sentences, self.radius)
+        return TokenInputs(wins[:, self._cols], *self.const_features(sentences, wins))
+
+    def compose(self, inputs):
+        """The input rows of the tokens ``inputs``, in the network's dtype:
+        their type embeddings and token embeddings, then from the string rows
+        the word-shape bits of the center, and with resources the word blocks
+        of the center and its left and right neighbours and the center block."""
+        wins, codes, rows = inputs
+        strings = self.strings
+        a, b, c = np.cumsum(self.widths)
+        d = c + 3 * strings.words.shape[1]
+        X = np.empty((len(wins), d + strings.centers.shape[1]),
+                     dtype=self.net.layers[0].W.dtype)
+        self.type_rows(wins, X[:, :a])
+        X[:, a:b] = codes
+        X[:, b:c] = strings.shapes[rows[:, 0]]
+        X[:, c:d] = strings.words[rows].reshape(len(rows), d - c)
+        X[:, d:] = strings.centers[rows[:, 0]]
+        return X
 
     @staticmethod
     def _sentence_blocks(sentences, rows, limit):

@@ -270,11 +270,6 @@ class Seq2SeqEncoder(WindowEncoder):
         return {f"{part}.{k}": v for part, net in parts.items() for k, v in net.params().items()}
 
 
-def wre_loss(model, table, windows, weights):
-    """Weighted reconstruction error and gradients for every model parameter."""
-    return model.loss_and_grads(table, windows, weights)
-
-
 ARCHS = (FfnEncoder.arch, Seq2SeqEncoder.arch)
 
 

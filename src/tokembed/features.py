@@ -12,10 +12,11 @@ Three families live here:
   (Brown cluster prefixes, a tag dictionary, name lists, character n-grams,
   capitalization).
 
-``word_features`` and ``extended_features`` depend on words only, so the
-corpus forms compute one row per distinct token string and gather them per
-token: ``word_feature_matrix`` over one corpus (``word_types``), and
-``StringRows`` over every corpus a tagger reads, keeping the rows.
+``word_features`` and ``extended_features`` depend on words only, so
+``StringRows`` computes one row per distinct token string over every corpus a
+tagger or parser reads, keeps the rows, and gives each token the ids of its
+rows.  ``word_types`` gives a corpus's distinct strings, so the window
+gather looks each up in the vocabulary once.
 """
 
 import itertools
@@ -124,15 +125,6 @@ def windows(ids, lengths, offsets, bos_id, eos_id):
         out[:, k] = ids[near]
         out[sentence[near] != sentence[r:r + n], k] = bos_id if o < 0 else eos_id
     return out
-
-
-def word_feature_matrix(sentences, out):
-    """Write the ``word_features`` of every token of ``sentences``, in corpus
-    order, into the (N, ``WORD_FEATURE_COUNT``) array ``out``."""
-    types, of = word_types(sentences)
-    rows = np.array([word_features(t) for t in types],
-                    dtype=np.float32).reshape(len(types), WORD_FEATURE_COUNT)
-    out[:] = rows[of]
 
 
 # Upper edges of the arc-distance buckets: 1, 2, [3..5], [6..10], 11+.
@@ -284,7 +276,7 @@ def _center_block(center, res):
 
 
 class StringRows:
-    """The per-string rows of the tagger's input, one per distinct token
+    """The per-string rows of a predictor's input, one per distinct token
     string seen, each built once: the ``word_features`` bits when ``shape``
     is set, then with ``resources`` the ``extended_features`` word block and
     center block.  The three blocks are kept as ``shapes``, ``words`` and

@@ -17,16 +17,18 @@ Head prediction picks the argmax candidate independently per token, ties
 going to the wall and then to lower positions; no tree constraint is applied.
 Inference (``predict_heads``, ``export_arc_scores``) scores blocks of whole
 sentences of about ``SCORE_BLOCK`` arc rows in one pass each; training runs
-one pass per sentence.  The frozen token features come from one
-``token_features`` call per scoring block, and one for the training corpus.
+one pass per sentence.  A sentence keeps the ``TokenInputs`` of its wall and
+its selected tokens, from one ``Predictor.features`` call per scoring block
+and one for the training corpus, and ``Predictor.compose`` writes their
+position rows as it writes the tagger's input rows.  The word-shape bits come
+from the model's ``StringRows``, built once per distinct string.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Predictor
-from .encoder import corpus_windows
+from .embeddings import Predictor, TokenInputs
 from .features import PAIR_FEATURE_COUNT, pair_feature_matrix
 from .nn import fit, relu, softmax_logloss, softmax_logloss_rows
 from .serialize import read_tsv, tsv_int
@@ -142,10 +144,11 @@ class _SentenceCache:
     """Per-position inputs and arc indices for one sentence.
 
     Slot 0 is the wall and slots 1..k are the selected tokens in order;
-    ``positions`` maps slots to sentence positions.  Per slot, ``wins`` holds
-    type-window ids into the embedding table (the wall uses the zero unknown
-    row) and ``fixed`` the token-embedding and word-shape blocks, which never
-    change during training (zero for the wall).  Every child has the same k
+    ``positions`` maps slots to sentence positions.  ``inputs`` holds the
+    ``TokenInputs`` of the k+1 slots, which ``Predictor.compose`` turns into
+    position rows: the type-window ids, the token embeddings and the string
+    row ids.  The wall's are the window of the zero unknown row, zero codes
+    and string row 0, so its position row is zero.  Every child has the same k
     candidates, the wall and then the other selected tokens in order, so the
     k*k arcs form k contiguous spans of length k, one per child.  Per arc only
     the ``parent`` slot and the ``pair`` features are kept, so no per-arc
@@ -154,8 +157,7 @@ class _SentenceCache:
     """
 
     positions: np.ndarray
-    wins: np.ndarray
-    fixed: np.ndarray
+    inputs: TokenInputs
     parent: np.ndarray
     pair: np.ndarray
     gold: np.ndarray
@@ -216,26 +218,25 @@ class Parser(Predictor):
     # -- input composition ---------------------------------------------------
 
     def _caches(self, sentences):
-        """The ``_SentenceCache`` of each of ``sentences``, from one window
-        per token and one ``token_features`` call for them all."""
-        tokens = [sent.tokens for sent in sentences]
-        wins = corpus_windows(self.table, tokens, self.radius)
-        ends = np.cumsum([len(sent) for sent in sentences])[:-1]
-        return list(map(self._cache_sentence, sentences, np.split(wins, ends),
-                        np.split(self.token_features(tokens, wins), ends)))
+        """The ``_SentenceCache`` of each of ``sentences``, from one
+        ``features`` call for them all."""
+        inputs = self.features([sent.tokens for sent in sentences])
+        # the wall reads the all-zero unknown row, zero codes and string row 0
+        wall = TokenInputs(np.full((1, self.win_len), self.table.vocab.unk_id),
+                           np.zeros((1, inputs.codes.shape[1]), inputs.codes.dtype),
+                           np.zeros((1, 3), dtype=np.int64))
+        starts = np.cumsum([0] + [len(sent) for sent in sentences])
+        return [self._cache_sentence(sent, wall, inputs, start)
+                for sent, start in zip(sentences, starts.tolist())]
 
-    def _cache_sentence(self, sent, wins, token_rows):
-        """Position rows and arc indices for every selected child of a
-        sentence, from its tokens' rows of the window matrix (radius
-        ``self.radius``) and of ``token_features`` that ``_caches`` made."""
+    def _cache_sentence(self, sent, wall, inputs, start):
+        """Slot inputs and arc indices for every selected child of a
+        sentence whose tokens' ``TokenInputs`` start at row ``start`` of
+        ``inputs``; ``wall`` holds the wall slot's."""
         n = len(sent)
-        dtype = self.net.layers[0].W.dtype
         positions = np.array([0] + sent.selected_positions(), dtype=np.int64)
         tokens = positions[1:]
         k = len(tokens)
-
-        fixed = np.zeros((k + 1, token_rows.shape[1]), dtype=dtype)
-        fixed[1:] = token_rows[tokens - 1]
 
         slots = np.arange(1, k + 1)
         grid = np.concatenate([np.zeros((k, 1), dtype=np.int64),
@@ -249,10 +250,9 @@ class Parser(Predictor):
         gold_slot = np.where(heads >= 0, slot_of[np.maximum(heads, 0)], -1)
         # a child's own slot is missing from its candidates, shifting later ones
         gold = np.where(gold_slot > slots, gold_slot - 1, gold_slot)
-        # the wall's window reads the all-zero unknown row
-        wins = np.concatenate([np.full((1, self.win_len), self.table.vocab.unk_id),
-                               wins[np.ix_(tokens - 1, self._cols)]])
-        return _SentenceCache(positions, wins, fixed, parent, pair.astype(dtype), gold)
+        slot_inputs = TokenInputs.join([wall, inputs.take(start + tokens - 1)])
+        return _SentenceCache(positions, slot_inputs, parent,
+                              pair.astype(self.net.layers[0].W.dtype), gold)
 
     def _forward(self, caches):
         """Scores of the k*k arcs of every sentence in ``caches``, one flat
@@ -270,8 +270,7 @@ class Parser(Predictor):
         ks = [c.n_children for c in caches]
         rows = np.cumsum([0] + [k * k for k in ks])   # each sentence's first arc
         slots = np.cumsum([0] + [k + 1 for k in ks])  # and its wall's position row
-        X = self.position_rows(np.concatenate([c.wins for c in caches]),
-                               np.concatenate([c.fixed for c in caches]))
+        X = self.compose(TokenInputs.join([c.inputs for c in caches]))
         child = sum(X[:, pos] @ first.W[:, cols].T for pos, cols, _ in self._blocks)
         parent = sum(X[:, pos] @ first.W[:, cols].T for pos, _, cols in self._blocks)
         A = np.concatenate([c.pair for c in caches]) @ first.W[:, -PAIR_FEATURE_COUNT:].T
@@ -311,8 +310,7 @@ class Parser(Predictor):
         first-layer product the factored scorer computes."""
         self._check_arc(sent, i, j)
         cache, = self._caches([sent])
-        child, parent = self.position_rows(cache.wins, cache.fixed)[
-            np.searchsorted(cache.positions, [i, j])]
+        child, parent = self.compose(cache.inputs)[np.searchsorted(cache.positions, [i, j])]
         row = np.zeros(self.input_dim, dtype=child.dtype)
         for pos, child_cols, parent_cols in self._blocks:
             row[child_cols], row[parent_cols] = child[pos], parent[pos]
@@ -466,7 +464,7 @@ def batch_loss_and_grads(model, caches):
         if model.adapted is not None:
             _, child_cols, parent_cols = model._blocks[0]  # the type window
             dwin = dparent @ first.W[:, parent_cols] + dchild @ first.W[:, child_cols]
-            window_grads.append((cache.wins, dwin.reshape(k + 1, model.win_len, -1)))
+            window_grads.append((cache.inputs.wins, dwin.reshape(k + 1, model.win_len, -1)))
     if first_rows:
         X, dchild, dparent = map(np.concatenate, zip(*first_rows))
         dW = grads["net.0.W"]
@@ -494,7 +492,7 @@ def train_parser(model, train_sents, val_sents, cfg):
     if not usable:
         raise ValueError("no selected tokens in the training corpus")
     if model.adapted is not None:
-        model.adapted.add_rows(np.concatenate([c.wins for c in caches]))
+        model.adapted.add_rows(np.concatenate([c.inputs.wins for c in caches]))
 
     def batch_loss(sel):
         return batch_loss_and_grads(model, [caches[usable[q]] for q in sel])

@@ -18,24 +18,24 @@ alone, so they are not kept per token: the model's ``StringRows`` holds one
 row per distinct string seen, built once and kept for the model's lifetime.
 Per token the tagger keeps only ``TokenInputs``: its type-window ids, its
 token embeddings and three row ids, its string's and its two neighbours'.
-``compose`` gathers a minibatch's, a validation pass's or a tagging block's
-network input from them into one array.  At the benchmark's sizes (one
-256-wide encoder, window 1, word-shape bits and a 1090-wide extended stack)
-a token keeps 256 floats and 6 ids of its 1656-float input row, and a
-distinct string 574 floats.  Optionally the type embeddings of the rows
-training reaches are trained, with an anchored L2 penalty pulling them back
-toward the pretrained values; reserved rows stay zero either way.
+``Predictor.compose``, which writes the parser's position rows too, gathers a
+minibatch's, a validation pass's or a tagging block's network input from them
+into one array.  At the benchmark's sizes (one 256-wide encoder, window 1,
+word-shape bits and a 1090-wide extended stack) a token keeps 256 floats and
+6 ids of its 1656-float input row, and a distinct string 574 floats.
+Optionally the type embeddings of the rows training reaches are trained, with
+an anchored L2 penalty pulling them back toward the pretrained values;
+reserved rows stay zero either way.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rng_mod
 from .embeddings import Predictor
-from .encoder import ENCODE_BLOCK, corpus_windows
-from .features import StringRows, extended_feature_width
+from .encoder import ENCODE_BLOCK
+from .features import extended_feature_width
 from .nn import fit, softmax_logloss_batch
 from .serialize import open_text, read_tsv
 
@@ -112,20 +112,6 @@ def corpus_tag_ids(sentences, tagset, source="corpus"):
     return out
 
 
-class TokenInputs(NamedTuple):
-    """What a tagger keeps of N tokens: the (N, ``win_len``) type-window ids,
-    the (N, ``widths[1]``) token embeddings and the (N, 3) ``StringRows``
-    ids of each token's string and of its left and right neighbours'."""
-
-    wins: np.ndarray
-    codes: np.ndarray
-    rows: np.ndarray
-
-    def take(self, sel):
-        """The inputs of the tokens ``sel``."""
-        return TokenInputs(*(a[sel] for a in self))
-
-
 class Tagger(Predictor):
     """Classifier over a fixed tagset; a token's input is its position row
     (``Predictor.position_widths``), then the extended stack."""
@@ -140,48 +126,14 @@ class Tagger(Predictor):
             raise ValueError("extended features enabled but no resources supplied")
         self.tagset = list(tagset)  # header() reads both
         self.resources = resources
-        super().__init__(config, table, encoders, len(self.tagset), rng, dtype)
-        self.strings = StringRows(config.word_features,
-                                  resources if config.extended else None)
+        super().__init__(config, table, encoders, len(self.tagset), rng, dtype,
+                         resources if config.extended else None)
 
     @staticmethod
     def offsets(config):
         """-w..w, without 0 when the center is omitted."""
         w = config.window
         return [o for o in range(-w, w + 1) if not (config.omit_center and o == 0)]
-
-    # -- input composition ------------------------------------------------
-
-    def const_features(self, sentences, wins):
-        """What the tokens of ``sentences`` keep that does not depend on
-        trainable state: the ``token_codes`` of their windows ``wins``, and
-        their ``StringRows`` ids, which build the rows of strings not seen
-        before."""
-        return self.token_codes(wins), self.strings.ids(sentences)
-
-    def features(self, sentences):
-        """The ``TokenInputs`` of every token of ``sentences``, in corpus
-        order, from one window per token; ``compose`` makes them the network
-        input."""
-        wins = corpus_windows(self.table, sentences, self.radius)
-        return TokenInputs(wins[:, self._cols], *self.const_features(sentences, wins))
-
-    def compose(self, inputs):
-        """The network input of the tokens ``inputs``, in the network's dtype:
-        their type embeddings and token embeddings, then from the string rows
-        the word-shape bits of the center, the word blocks of the center and
-        its left and right neighbours and the center block."""
-        wins, codes, rows = inputs
-        strings = self.strings
-        X = np.empty((len(wins), self.input_dim), dtype=self.net.layers[0].W.dtype)
-        a, b, c = np.cumsum(self.widths)
-        self.type_rows(wins, X[:, :a])
-        X[:, a:b] = codes
-        X[:, b:c] = strings.shapes[rows[:, 0]]
-        d = c + 3 * strings.words.shape[1]
-        X[:, c:d] = strings.words[rows].reshape(len(rows), d - c)
-        X[:, d:] = strings.centers[rows[:, 0]]
-        return X
 
     # -- prediction --------------------------------------------------------
 

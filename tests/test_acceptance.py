@@ -19,8 +19,7 @@ from tokembed.cli import main as cli_main
 from tokembed.embeddings import (load_word2vec_text, save_corpus,
                                  save_word2vec_text)
 from tokembed.encoder import (FfnEncoder, WeightScheme, build_encoder,
-                              load_encoder, train_encoder, window_weights,
-                              wre_loss, wre_value)
+                              load_encoder, train_encoder, window_weights, wre_value)
 from tokembed.features import pair_features, word_features
 from tokembed.nn import MLP, FitConfig, gradient_check, softmax_logloss
 from tokembed.parser import (DepSentence, Parser, ParserConfig, arc_loss,
@@ -77,7 +76,7 @@ def _check_encoder_wre(arch, seed):
     _jitter(model.params(), dims)
     windows = dims.integers(0, 8, size=(2, 2 * w_prime + 1))
     weights = window_weights(WeightScheme("tapered"), w_prime)
-    return gradient_check(lambda: wre_loss(model, table, windows, weights),
+    return gradient_check(lambda: model.loss_and_grads(table, windows, weights),
                           model.params(), eps=1e-5, tol=1e-4)
 
 

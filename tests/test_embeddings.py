@@ -597,7 +597,7 @@ def _parser_setup(table, words, rng):
         return [(caches[k:k + 2],) for k in range(0, len(caches), 2)]
 
     def window_ids(batch):
-        return np.concatenate([c.wins for c in batch[0]])
+        return np.concatenate([c.inputs.wins for c in batch[0]])
 
     return build, batches, parser.batch_loss_and_grads, window_ids
 
@@ -765,7 +765,7 @@ def corpus_predictors(table, encoders):
 
 
 @pytest.mark.parametrize("which", [0, 1])
-def test_token_features_are_the_index_embeddings(monkeypatch, which):
+def test_token_codes_are_the_index_embeddings(monkeypatch, which):
     # one encoder, no word features: the rows a predictor trains on are the
     # rows ``embed`` exports, bit for bit
     monkeypatch.setattr(encoder, "ENCODE_BLOCK", 8)
@@ -774,14 +774,13 @@ def test_token_features_are_the_index_embeddings(monkeypatch, which):
     want = np.stack([r.embedding for r in index_corpus(enc, table, CORPUS)])
     predictors = corpus_predictors(table, [enc])
     for model in predictors:
-        wins = encoder.corpus_windows(table, CORPUS, model.radius)
-        got = model.token_features(CORPUS, wins)
+        got = model.features(CORPUS).codes
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
     # the parser's training caches keep the rows of their selected tokens
     sents = [parser.DepSentence(toks, [-1] * len(toks), [k % 2 == 0 for k in range(len(toks))])
              for toks in CORPUS]
-    fixed = np.concatenate([c.fixed[1:] for c in predictors[1]._caches(sents)])
+    fixed = np.concatenate([c.inputs.codes[1:] for c in predictors[1]._caches(sents)])
     selected = [flag for s in sents for flag in s.selected]
     assert np.array_equal(fixed.view(np.uint32), want[selected].view(np.uint32))
 
@@ -799,7 +798,7 @@ def test_tagger_and_parser_compose_the_same_position_rows(window, dtype):
                         table, encoders, dtype=dtype)
     sents = [parser.DepSentence(toks, [-1] * len(toks), [True] * len(toks)) for toks in CORPUS]
     want = tag.compose(tag.features(CORPUS))
-    got = [par.position_rows(c.wins, c.fixed) for c in par._caches(sents)]
+    got = [par.compose(c.inputs) for c in par._caches(sents)]
     assert all(rows.dtype == dtype for rows in [want, *got])
     assert want.shape[1] == sum(tag.widths) == sum(par.widths)
     assert np.array_equal(np.concatenate([rows[1:] for rows in got]), want)

@@ -9,7 +9,7 @@ from hypothesis import given
 from tokembed import rng as rng_mod
 from tokembed.encoder import (ENCODE_BLOCK, FfnEncoder, Seq2SeqEncoder,
                               WeightScheme, build_encoder, corpus_windows, load_encoder,
-                              train_encoder, window_weights, wre_loss, wre_value)
+                              train_encoder, window_weights, wre_value)
 from tokembed.features import windows
 from tokembed.nn import FitConfig, TrainingDiverged, gradient_check
 from tokembed.serialize import load_model, save_model
@@ -273,7 +273,7 @@ def test_wre_gradients_pass_check(arch):
                           dtype=np.float64)
     windows = np.array([[0, 1, 2], [3, 4, 5]])
     weights = window_weights(WeightScheme("tapered"), 1)
-    report = gradient_check(lambda: wre_loss(model, table, windows, weights),
+    report = gradient_check(lambda: model.loss_and_grads(table, windows, weights),
                             model.params(), eps=1e-5, tol=1e-4)
     assert report.ok, report.failures[:3]
 
@@ -284,8 +284,8 @@ def test_wre_weight_doubling_doubles_loss_and_grads(arch, toy_table):
                           rng=rng_mod.stream(4, "init"))
     windows = np.array([[0, 1, 2], [3, 4, 5]])
     w1 = window_weights(WeightScheme("focused", 2.0), 1)
-    loss1, g1 = wre_loss(model, toy_table, windows, w1)
-    loss2, g2 = wre_loss(model, toy_table, windows, 2.0 * w1)
+    loss1, g1 = model.loss_and_grads(toy_table, windows, w1)
+    loss2, g2 = model.loss_and_grads(toy_table, windows, 2.0 * w1)
     assert loss2 == 2.0 * loss1
     for k in g1:
         assert np.array_equal(g2[k], 2.0 * g1[k])
@@ -300,7 +300,7 @@ def test_encode_decode_compose_equals_wre(arch, toy_table):
     codes = model.encode(toy_table, windows)
     rec = model.decode(codes)
     manual = wre_value(rec, toy_table.vectors[windows], weights)
-    loss, _ = wre_loss(model, toy_table, windows, weights)
+    loss, _ = model.loss_and_grads(toy_table, windows, weights)
     assert abs(loss - manual) <= 1e-12
 
 
@@ -317,7 +317,7 @@ def test_decode_window_zero_decoder(toy_table):
 def test_wre_weight_length_mismatch(toy_table):
     model = FfnEncoder(3, 1, token_dim=4, hidden=5)
     with pytest.raises(ValueError):
-        wre_loss(model, toy_table, np.array([[0, 1, 2]]), [1.0, 2.0])
+        model.loss_and_grads(toy_table, np.array([[0, 1, 2]]), [1.0, 2.0])
 
 
 # -- training loop ---------------------------------------------------------------

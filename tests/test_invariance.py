@@ -22,7 +22,7 @@ from tokembed import rng as rng_mod
 from tokembed.embeddings import EmbeddingTable, Vocabulary
 from tokembed.encoder import (WeightScheme, build_encoder, corpus_windows,
                               train_encoder)
-from tokembed.features import ResourceBundle, word_feature_matrix
+from tokembed.features import ResourceBundle
 from tokembed.nn import FitConfig
 from tokembed.parser import DepSentence, Parser, ParserConfig, train_parser
 from tokembed.tagger import Tagger, TaggerConfig, train_tagger
@@ -121,31 +121,39 @@ RESOURCES = ResourceBundle(
     char_ngrams={"th": 0, "he": 1, "the": 2, "at": 3})
 
 
-def rows_of(sentences, model):
-    """A corpus's window ids at radius 2, its word-shape rows and the input
-    rows ``model`` composes for it."""
-    n = sum(map(len, sentences))
-    words = np.empty((n, 10), dtype=np.float32)
-    word_feature_matrix(sentences, words)
-    return {"corpus_windows": corpus_windows(model.table, sentences, 2),
-            "word_feature_matrix": words, "tagger_input": model.compose(model.features(sentences))}
+def rows_of(sentences, models):
+    """A corpus's window ids at radius 2, the input rows the tagger of
+    ``models`` composes for it, and the position rows its parser composes
+    for each token of the corpus, every token selected."""
+    tagger, parser = models
+    caches = parser._caches([DepSentence(toks, [-1] * len(toks), [True] * len(toks))
+                             for toks in sentences])
+    # without the wall rows; the empty block keeps the width of an empty corpus
+    slots = [parser.compose(c.inputs)[1:] for c in caches]
+    return {"corpus_windows": corpus_windows(tagger.table, sentences, 2),
+            "tagger_input": tagger.compose(tagger.features(sentences)),
+            "parser_input": np.concatenate(slots + [np.empty((0, sum(parser.widths)),
+                                                             np.float32)])}
 
 
 @given(st.lists(st.lists(st.sampled_from(["the", "cat", "CAT", "alice", "zz", "@x", "12", ".."]),
                          max_size=5), max_size=6))
 @example([["the"], [], ["cat", "zz"], ["alice"]])
 def test_a_sentence_has_its_own_rows_wherever_it_sits(sentences):
-    # one tagger reads the corpus, then each sentence again with its string
-    # rows already built, and a fresh tagger reads each sentence alone
-    def tagger():
-        return Tagger(TaggerConfig(window=2, hidden=2, word_features=True, extended=True),
-                      TAGSET, table_over(["the", "cat", "alice"], 0), resources=RESOURCES)
+    # one tagger and parser read the corpus, then each sentence again with
+    # their string rows already built, and a fresh pair reads each sentence
+    # alone
+    def predictors():
+        table = table_over(["the", "cat", "alice"], 0)
+        return (Tagger(TaggerConfig(window=2, hidden=2, word_features=True, extended=True),
+                       TAGSET, table, resources=RESOURCES),
+                Parser(ParserConfig(window=2, hidden=2, word_features=True), table))
 
-    model = tagger()
-    whole = rows_of(sentences, model)
+    models = predictors()
+    whole = rows_of(sentences, models)
     start = 0
     for k, sent in enumerate(sentences):
         rows = {name: value[start:start + len(sent)] for name, value in whole.items()}
-        for again in (model, tagger()):
+        for again in (models, predictors()):
             assert_bits(f"sentence {k} of {len(sentences)}", rows, rows_of([sent], again))
         start += len(sent)

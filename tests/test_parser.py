@@ -170,25 +170,33 @@ def test_cache_windows_are_wall_row_plus_selected_windows(window, selected):
     expected = [[v.unk_id] * len(offsets)] + [
         reference_window(ids, p - 1, offsets, v.bos_id, v.eos_id)
         for p in sent.selected_positions()]
-    wins = model._caches([sent])[0].wins
+    wins = model._caches([sent])[0].inputs.wins
     assert wins.shape == (len(expected), len(offsets))
     assert wins.tolist() == expected
 
 
 def test_fixed_rows_are_token_blocks_of_selected_positions():
-    # per selected token: its encoder row, computed over the whole sentence,
-    # then the shape bits of its own token; the wall row stays zero
+    # per selected token, after the type block: its encoder row, computed
+    # over the whole sentence, then the shape bits of its own token; the
+    # wall row stays zero
     table = small_table(dim=3)
     enc = FfnEncoder(3, 1, token_dim=2, hidden=4, rng=rng_mod.stream(44, "init"))
     model = Parser(ParserConfig(window=0, hidden=2), table, encoders=[enc])
     sent = DepSentence(["t0", "@you", "42", "t3", "#tag"], [-1, 0, -1, 2, 4],
                        [False, True, False, True, True])
-    fixed = model._caches([sent])[0].fixed
+    fixed = model.compose(model._caches([sent])[0].inputs)[:, model.widths[0]:]
     embs = enc.encode_sentence(table, table.vocab.to_ids(sent.tokens))
     assert np.array_equal(fixed[0], np.zeros(12, np.float32))
     for slot, p in enumerate(sent.selected_positions(), start=1):
         want = np.concatenate([embs[p - 1], word_features(sent.tokens[p - 1])])
         assert np.array_equal(fixed[slot], want)
+
+
+def slot_shape_bits(sent, cache):
+    """The word-shape bits of each slot of ``cache``: zero for the wall, then
+    those of each selected token of ``sent``."""
+    return np.stack([np.zeros(10, np.float32)]
+                    + [word_features(sent.tokens[p - 1]) for p in cache.positions[1:]])
 
 
 def test_forward_keeps_one_position_row_per_slot():
@@ -204,8 +212,9 @@ def test_forward_keeps_one_position_row_per_slot():
     _, (X, A, tail) = model._forward(caches)
     width = (model.input_dim - PAIR_FEATURE_COUNT) // 2
     assert X.shape == (sum(c.n_children + 1 for c in caches), width)
-    expected = [np.concatenate([table.vectors[c.wins].reshape(len(c.wins), -1),
-                                c.fixed], axis=1) for c in caches]
+    expected = [np.concatenate([table.vectors[c.inputs.wins].reshape(len(c.positions), -1),
+                                c.inputs.codes, slot_shape_bits(sent, c)], axis=1)
+                for sent, c in zip(sents, caches)]
     assert np.array_equal(X, np.concatenate(expected))
     assert A.shape == (sum(c.n_children ** 2 for c in caches), 6)
     arrays = [X, A] + [a for layer_cache in tail for a in layer_cache]
@@ -428,6 +437,32 @@ def test_scoring_blocks_stay_within_their_bound(monkeypatch, tmp_path):
     sizes = {sum(s.selected) ** 2 for s in corpus}
     assert seen and max(seen) <= block - 1 + max(sizes)
     assert set(seen) - sizes  # some product spans several sentences
+
+
+def test_predict_heads_builds_each_string_row_once(monkeypatch):
+    # strings repeat across at least three scoring blocks; each string's
+    # word-shape bits are built once, in the block that first holds it, and
+    # a second pass over the corpus builds none
+    from tokembed import features
+    model, corpus = block_corpus()
+    monkeypatch.setattr(parser_mod, "SCORE_BLOCK", 8)
+    built, blocks = [], []
+    monkeypatch.setattr(features, "word_features",
+                        lambda word, f=features.word_features: built.append(word) or f(word))
+    caches_of = Parser._caches
+    monkeypatch.setattr(Parser, "_caches",
+                        lambda self, sents: blocks.append(sents) or caches_of(self, sents))
+    heads = model.predict_heads(corpus)
+
+    def strings(sents):
+        return {t for s in sents for t in s.tokens}
+
+    distinct = strings(corpus)
+    assert len(blocks) >= 3 and all(strings(blocks[0]) & strings(b) for b in blocks[1:])
+    assert sorted(built) == sorted(distinct)
+    assert len(model.strings.shapes) == len(distinct) + 1
+    assert model.predict_heads(corpus) == heads
+    assert len(built) == len(distinct)
 
 
 # -- attachment F1 ----------------------------------------------------------------
