@@ -39,21 +39,19 @@ def main():
     print(f"validation WRE {res.history[0][2]:.4f} -> {res.best:.4f}\n")
 
     index = index_corpus(model, table, train_sents, type_filter={SENSE_PIVOT})
-    sense_of = {k: s for k, (_, s, _) in enumerate(train_ex)}
+    sense_of = [s for _, s, _ in train_ex]
     queries = index_corpus(model, table, [toks for toks, _, _ in held_ex],
                            type_filter={SENSE_PIVOT})
-    for q in queries:
-        q.sentence_id += 10 ** 6
 
     hits = 0
-    for qi, (q, (_, sense, _)) in enumerate(zip(queries, held_ex)):
-        neighbors = nearest_neighbors(q, index, k=4)
-        hits += sense_of[neighbors[0][0].sentence_id] == sense
+    for qi, (q, (_, sense, _)) in enumerate(zip(queries.codes, held_ex)):
+        neighbors = nearest_neighbors(q, index.codes, k=4)
+        hits += sense_of[index.sentence[neighbors[0][0]]] == sense
         if qi < args.queries:
-            print(f"Q  (template {sense})  {q.snippet()}")
-            for r, (rec, d) in enumerate(neighbors):
-                print(f"{r + 1}  (template {sense_of[rec.sentence_id]}, "
-                      f"d={d:.3f})  {rec.snippet()}")
+            print(f"Q  (template {sense})  {queries.snippet(qi)}")
+            for r, (row, d) in enumerate(neighbors):
+                print(f"{r + 1}  (template {sense_of[index.sentence[row]]}, "
+                      f"d={d:.3f})  {index.snippet(row)}")
             print()
     print(f"1-NN template accuracy over {len(queries)} held-out pivots: "
           f"{100.0 * hits / len(queries):.1f}%")

@@ -1,8 +1,10 @@
 """Nearest-neighbor token queries and embedding export.
 
-A token index is a flat list of records, one per corpus occurrence, each
-carrying the token embedding and enough context to render a readable snippet.
-Neighbor search is an exact linear scan (corpora here are small enough that
+A token index holds a corpus's admitted tokens as columns: each row's
+sentence id and position, and all rows' token embeddings in one (N, d′)
+array, beside the sentences and tags they came from.  A row's token, context
+and snippet are built only when the row is written or reported.  Neighbor
+search is an exact linear scan (corpora here are small enough that
 approximate structures would be overkill) under euclidean or cosine distance.
 """
 
@@ -26,34 +28,48 @@ DISTANCE_BLOCK = 1024
 EXPORT_BLOCK = 8192
 
 
-@dataclass
-class TokenRecord:
-    """One token occurrence with its embedding and window context."""
+@dataclass(frozen=True, eq=False)
+class TokenIndex:
+    """Admitted tokens of a corpus: row r is token ``position[r]`` of
+    ``sentences[sentence[r]]`` and its embedding is ``codes[r]``.  The
+    sentences and their gold ``tags`` (or None) are the caller's lists; a
+    context reaches ``w_prime`` tokens to each side."""
 
-    sentence_id: int
-    position: int
-    token: str
-    embedding: np.ndarray
-    left: str = ""
-    right: str = ""
-    tag: str | None = None
+    sentence: np.ndarray
+    position: np.ndarray
+    codes: np.ndarray
+    sentences: list
+    tags: list | None
+    w_prime: int
 
-    @property
-    def identity(self):
-        return (self.sentence_id, self.position)
+    def __len__(self):
+        return len(self.sentence)
 
-    def snippet(self):
-        """Window text with the target marked: "[ left <token> right ]"."""
-        inner = f"<{self.token}>"
-        if self.left:
-            inner = f"{self.left} {inner}"
-        if self.right:
-            inner = f"{inner} {self.right}"
-        return f"[ {inner} ]"
+    def find(self, sentence, position):
+        """The row of token ``position`` of sentence ``sentence``, or None."""
+        rows = np.flatnonzero((self.sentence == sentence) & (self.position == position))
+        return int(rows[0]) if len(rows) else None
+
+    def fields(self, start, stop):
+        """(sentence_id, position, token, left, right, tag) of the rows
+        ``start`` to ``stop`` - 1, the tag None without tags."""
+        w, out = self.w_prime, []
+        for si, j in zip(self.sentence[start:stop].tolist(), self.position[start:stop].tolist()):
+            tokens = self.sentences[si]
+            out.append((si, j, tokens[j], " ".join(tokens[max(0, j - w):j]),
+                        " ".join(tokens[j + 1:j + 1 + w]),
+                        None if self.tags is None else self.tags[si][j]))
+        return out
+
+    def snippet(self, row):
+        """Window text of ``row`` with the target marked: "[ left <token> right ]"."""
+        _, _, token, left, right, _ = self.fields(row, row + 1)[0]
+        return " ".join(part for part in ("[", left, f"<{token}>", right, "]") if part)
 
 
 def index_corpus(model, table, sentences, type_filter=None, tags=None):
-    """One TokenRecord per token whose string is in ``type_filter`` (or all).
+    """The ``TokenIndex`` of the tokens whose string is in ``type_filter`` (or
+    all), in corpus order.
 
     ``tags`` optionally supplies a gold tag sequence per sentence, aligned
     with ``sentences``.  The admitted tokens' windows are encoded in one
@@ -65,20 +81,7 @@ def index_corpus(model, table, sentences, type_filter=None, tags=None):
     sentence = np.repeat(np.arange(len(lengths)), lengths)
     position = np.arange(len(of)) - (np.cumsum(lengths) - lengths)[sentence]
     codes = model.encode(table, corpus_windows(table, sentences, model.w_prime)[keep])
-    records = []
-    w = model.w_prime
-    for si, j, emb in zip(sentence[keep].tolist(), position[keep].tolist(), codes):
-        tokens = sentences[si]
-        records.append(TokenRecord(
-            sentence_id=si,
-            position=j,
-            token=tokens[j],
-            embedding=emb,
-            left=" ".join(tokens[max(0, j - w):j]),
-            right=" ".join(tokens[j + 1:j + 1 + w]),
-            tag=tags[si][j] if tags is not None else None,
-        ))
-    return records
+    return TokenIndex(sentence[keep], position[keep], codes, sentences, tags, model.w_prime)
 
 
 def _normalized(M):
@@ -104,54 +107,42 @@ def distances(query_embedding, M, metric="euclidean"):
     return 0.5 * (d * d).sum(axis=1)
 
 
-def nearest_neighbors(query, index, k=4, metric="euclidean"):
-    """The ``k`` records closest to ``query``, with distances.
+def nearest_neighbors(query, codes, k=4, metric="euclidean", exclude=None):
+    """The ``k`` rows of ``codes`` closest to the embedding ``query``, as
+    (row, distance) pairs, without the row ``exclude`` (None excludes none).
 
-    The query's own (sentence, position) identity is excluded; distance ties
-    break by index order.  If fewer than ``k`` records remain, all are
-    returned, sorted.
+    Distance ties break by row order.  If fewer than ``k`` rows remain, all
+    are returned, sorted.
     """
     if k < 1:
         raise ValueError(f"-k must be at least 1, got {k}")
-    if not index:
+    if not len(codes):
         raise ValueError("empty index")
-    dists = np.concatenate([
-        distances(query.embedding,
-                  np.stack([r.embedding for r in index[s:s + DISTANCE_BLOCK]]), metric)
-        for s in range(0, len(index), DISTANCE_BLOCK)])
-    order = np.argsort(dists, kind="stable")
-    out = []
-    for idx in order:
-        rec = index[idx]
-        if rec.identity == query.identity:
-            continue
-        out.append((rec, float(dists[idx])))
-        if len(out) == k:
-            break
-    return out
+    dists = np.concatenate([distances(query, codes[s:s + DISTANCE_BLOCK], metric)
+                            for s in range(0, len(codes), DISTANCE_BLOCK)])
+    order = np.argsort(dists, kind="stable")[:k + 1]
+    return [(int(row), float(dists[row])) for row in order if row != exclude][:k]
 
 
 def export_embeddings_tsv(index, path):
-    """Write the index as a TSV suitable for external projection tools.
+    """Write a ``TokenIndex`` as a TSV suitable for external projection tools.
 
     Columns: sentence_id, position, token, left_context, right_context, tag
     (empty when absent), then the embedding coordinates, each written as
     ``"%.8g" % float(v)`` writes it.  Rows are formatted a block at a time.
     """
-    dim = len(index[0].embedding) if index else 0
+    dim = index.codes.shape[1]
     header = ["sentence_id", "position", "token", "left_context",
               "right_context", "tag"] + [f"e{k}" for k in range(dim)]
     per_block = max(1, EXPORT_BLOCK // max(dim, 1))
     with open(path, "wb") as fh:
         fh.write(("\t".join(header) + "\n").encode("utf-8"))
         for s in range(0, len(index), per_block):
-            block = index[s:s + per_block]
-            lines = _format_coordinates([rec.embedding for rec in block], dim)
+            lines = _format_coordinates(index.codes[s:s + per_block])
             fh.write(b"".join(
-                ("%s\t%s\t%s\t%s\t%s\t%s" % (rec.sentence_id, rec.position, rec.token,
-                                          rec.left, rec.right, rec.tag or "")
-                 ).encode("utf-8") + line + b"\n"
-                for rec, line in zip(block, lines)))
+                ("%s\t%s\t%s\t%s\t%s\t%s" % (*fields[:5], fields[5] or "")).encode("utf-8")
+                + line + b"\n"
+                for fields, line in zip(index.fields(s, s + per_block), lines)))
 
 
 @functools.cache
@@ -199,9 +190,9 @@ _POW2_DECADES = np.searchsorted(_DECADE_ENDS, 2.0 ** np.arange(-14, 27), side="r
 _SCALES = np.array([float(f"1e{k}") for k in range(12, -1, -1)])  # 10**(12 - e)
 
 
-def _format_coordinates(rows, dim):
-    """The ``dim`` coordinates of each of ``rows``, each preceded by a tab, as
-    ``"%.8g" % float(v)`` formats them: one bytes object per row.
+def _format_coordinates(rows):
+    """The coordinates of each row of the 2-D array ``rows``, each preceded by
+    a tab, as ``"%.8g" % float(v)`` formats them: one bytes object per row.
 
     A value v that is exactly a float32 with 1e-4 <= |v| < 1e8 prints in
     fixed notation with 8 significant digits.  Its decade e (10**(e - 5) <=
@@ -217,7 +208,7 @@ def _format_coordinates(rows, dim):
     """
     hi_words, lo_words, dot_words, frac_words = _digit_words()
     with np.errstate(over="ignore", invalid="ignore"):  # the casts of nan and of huge values
-        x = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+        x = rows.astype(np.float64)
         fast = x == x.astype(np.float32)
     a = np.abs(x)
     fast &= (a >= 1e-4) & (a < 1e8)
@@ -236,6 +227,7 @@ def _format_coordinates(rows, dim):
     f2 = np.floor(rest / 1e4)
     hi, lo, f1, f2, f3 = (v.astype(np.intp) for v in
                           (hi, whole - hi * 1e4, f1, f2, rest - f2 * 1e4))
+    dim = x.shape[1]
     buf = np.empty((len(rows), 6 * dim + 1), np.uint32)
     buf[:, -1] = _NEWLINE_WORD
     words = buf[:, :-1].reshape(len(rows), dim, 6)  # a view: the rows' words
@@ -252,8 +244,10 @@ def _format_coordinates(rows, dim):
 
 
 def load_embeddings_tsv(path):
-    """Reload an exported TSV into TokenRecords (embeddings as float32)."""
-    records = []
+    """Reload an exported TSV: each row's (sentence_id, position, token, left,
+    right, tag), as ``TokenIndex.fields`` gives them, and the (N, dim) float32
+    embeddings."""
+    rows, coords = [], []
     with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         dim = len(header) - 6
@@ -263,21 +257,13 @@ def load_embeddings_tsv(path):
                 raise ValueError(f"{path}:{lineno}: wrong column count")
             try:
                 sentence_id, position = int(parts[0]), int(parts[1])
-                coords = [float(x) for x in parts[6:]]
+                coords.append(np.array([float(x) for x in parts[6:]], dtype=np.float32))
             except ValueError:
                 raise _field_error(path, lineno, header, parts) from None
-            records.append(TokenRecord(
-                sentence_id=sentence_id,
-                position=position,
-                token=parts[2],
-                embedding=np.array(coords, dtype=np.float32),
-                left=parts[3],
-                right=parts[4],
-                tag=parts[5] or None,
-            ))
-            if len(records[-1].embedding) != dim:
+            if len(coords[-1]) != dim:
                 raise ValueError(f"{path}:{lineno}: wrong embedding width")
-    return records
+            rows.append((sentence_id, position, *parts[2:5], parts[5] or None))
+    return rows, np.array(coords, dtype=np.float32).reshape(len(rows), max(dim, 0))
 
 
 def _field_error(path, lineno, header, parts):

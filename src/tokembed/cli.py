@@ -211,7 +211,7 @@ def _aligned_tags(args, sentences):
 def cmd_embed(args):
     table = load_table(args.embeddings)
     model, = _load_encoders([args.model], table)
-    sentences = load_corpus(args.corpus)
+    sentences = _nonempty_corpus(args.corpus, load_corpus)
     types = set(args.types.split(",")) if args.types else None
     index = index_corpus(model, table, sentences, types, _aligned_tags(args, sentences))
     if types and not index:
@@ -227,7 +227,7 @@ def cmd_knn(args):
         raise CliError(f"-k must be at least 1, got {args.k}")
     table = load_table(args.embeddings)
     model, = _load_encoders([args.model], table)
-    sentences = load_corpus(args.corpus)
+    sentences = _nonempty_corpus(args.corpus, load_corpus)
     if not 0 <= args.sentence < len(sentences):
         raise CliError(f"sentence index {args.sentence} out of range")
     tokens = sentences[args.sentence]
@@ -241,26 +241,24 @@ def cmd_knn(args):
     index = index_corpus(model, table, sentences, types, tags)
     if not index:  # only --types can reject every token of a corpus
         raise CliError(f"{args.corpus}: no token is one of --types {args.types}")
-    identity = (args.sentence, args.position)
-    query = next((r for r in index if r.identity == identity), None)
-    if query is None:  # the type filter rejects the query token
-        query = index_corpus(model, table, [tokens])[args.position]
-        query.sentence_id = args.sentence
-    neighbors = nearest_neighbors(query, index, args.k, args.metric)
-    lines = [f"Q  {query.snippet()}"]
-    lines += [f"{r + 1}  (d={d:.4f}) {rec.snippet()}"
-              for r, (rec, d) in enumerate(neighbors)]
+    exclude = index.find(args.sentence, args.position)
+    query, row = index, exclude
+    if exclude is None:  # the type filter rejects the query token
+        query, row = index_corpus(model, table, [tokens]), args.position
+    neighbors = []
+    for r, d in nearest_neighbors(query.codes[row], index.codes, args.k, args.metric, exclude):
+        sentence_id, position, token, _, _, tag = index.fields(r, r + 1)[0]
+        neighbors.append({"sentence_id": sentence_id, "position": position, "token": token,
+                          "tag": tag, "distance": d, "snippet": index.snippet(r)})
+    lines = [f"Q  {query.snippet(row)}"]
+    lines += [f"{n + 1}  (d={nb['distance']:.4f}) {nb['snippet']}"
+              for n, nb in enumerate(neighbors)]
     for line in lines:
         log(line)
     _emit(args, {"report": lines, "query": {
         "sentence_id": args.sentence, "position": args.position,
         "token": query_token,
-    }, "neighbors": [
-        {"sentence_id": rec.sentence_id, "position": rec.position,
-         "token": rec.token, "tag": rec.tag, "distance": d,
-         "snippet": rec.snippet()}
-        for rec, d in neighbors
-    ]})
+    }, "neighbors": neighbors})
     return 0
 
 

@@ -132,8 +132,11 @@ class AdaptedEmbeddings:
         return out
 
     def restore(self, full):
-        """Reach the rows of a whole table ``full`` that differ from the anchor, at its values."""
-        self.add_rows(np.flatnonzero((full != self.anchor).any(axis=1)))
+        """Reach the rows of a whole table ``full`` whose bits differ from
+        ``anchor + 0.0``'s, at its values, so ``full()`` gives its bits back."""
+        bits = f"u{full.dtype.itemsize}"
+        plain = self.anchor + 0.0
+        self.add_rows(np.flatnonzero((full.view(bits) != plain.view(bits)).any(axis=1)))
         self.vectors[...] = full[self.rows]
 
     def gradient(self, window_grads):

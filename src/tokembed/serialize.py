@@ -14,6 +14,9 @@ The header object is::
      "config": {...},                         # model hyperparameters
      "tensors": [{"name": ..., "shape": [...], "dtype": "<f4"}, ...]}
 
+spelled one way only: sorted keys, no spaces, non-ASCII escaped, as
+``json.dumps(header, sort_keys=True, separators=(",", ":"))`` writes it.
+
 Tensor payloads are raw C-order bytes of the declared (little-endian) dtype,
 so save followed by load reproduces every array bit for bit.  The layout is
 stable across releases; incompatible changes bump the version integer.
@@ -34,6 +37,12 @@ MAGIC = b"TKEM"
 VERSION = 1
 
 
+def _header_bytes(header):
+    """The one spelling of a header that ``save_model`` writes and
+    ``load_model`` accepts: sorted keys, no spaces."""
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def save_model(path, kind, config, tensors):
     """Write ``tensors`` (an ordered name -> array dict) with a JSON header."""
     entries = []
@@ -44,7 +53,7 @@ def save_model(path, kind, config, tensors):
         entries.append({"name": name, "shape": list(arr.shape), "dtype": dt.str})
         payload.append(arr.astype(dt, copy=False).tobytes())
     header = {"kind": kind, "config": config, "tensors": entries}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = _header_bytes(header)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
@@ -66,21 +75,26 @@ def load_model(path):
         raise ValueError(f"{path}: unsupported container version {version}")
     if 12 + hlen > len(data):
         raise ValueError(f"{path}: truncated header")
-    header = _parse_header(path, data[12:12 + hlen])
-    tensors = {}
+    blob = data[12:12 + hlen]
+    header = _parse_header(path, blob)
+    entries = {}  # name -> (shape, dtype, offset)
     offset = 12 + hlen
     for k, entry in enumerate(header["tensors"]):
         name, shape, dt = _tensor_entry(path, k, entry)
-        if name in tensors:
+        if name in entries:
             raise ValueError(f"{path}: duplicate tensor {name!r}")
-        nbytes = dt.itemsize * math.prod(shape)
-        raw = memoryview(data)[offset:offset + nbytes]  # no copy before the array's own
-        if len(raw) != nbytes:
+        entries[name] = shape, dt, offset
+        offset += dt.itemsize * math.prod(shape)
+        if offset > len(data):
             raise ValueError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-        offset += nbytes
     if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after tensors")
+    # last, so that a file failing any check above is named by that check
+    if _header_bytes(header) != blob:
+        raise ValueError(f"{path}: header is not in the canonical spelling "
+                         "(sorted keys, no spaces)")
+    tensors = {name: np.frombuffer(data, dt, math.prod(shape), start).reshape(shape).copy()
+               for name, (shape, dt, start) in entries.items()}
     return header["kind"], header["config"], tensors
 
 

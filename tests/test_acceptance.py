@@ -238,21 +238,19 @@ def test_criterion_5_sense_separation():
                   WeightScheme("focused", 2.0), cfg)
 
     index = index_corpus(model, table, train_sents, type_filter={SENSE_PIVOT})
-    sense_of = {k: sense for k, (_, sense, _) in enumerate(train_ex)}
+    sense_of = [sense for _, sense, _ in train_ex]
     queries = index_corpus(model, table, [toks for toks, _, _ in held_ex],
                            type_filter={SENSE_PIVOT})
-    for q in queries:
-        q.sentence_id += 10 ** 6  # held-out identities never collide
 
     one_nn_hits = 0
     shared = 0
     total = 0
-    for q, (_, sense, _) in zip(queries, held_ex):
-        neighbors = nearest_neighbors(q, index, k=4)
-        one_nn_hits += sense_of[neighbors[0][0].sentence_id] == sense
-        for rec, _ in neighbors:
+    for q, (_, sense, _) in zip(queries.codes, held_ex):
+        neighbors = nearest_neighbors(q, index.codes, k=4)
+        one_nn_hits += sense_of[index.sentence[neighbors[0][0]]] == sense
+        for row, _ in neighbors:
             total += 1
-            shared += sense_of[rec.sentence_id] == sense
+            shared += sense_of[index.sentence[row]] == sense
     assert 100.0 * one_nn_hits / len(queries) >= 95.0
     assert 100.0 * shared / total >= 95.0
 
@@ -486,8 +484,8 @@ def test_criterion_9_io_round_trips(tmp_path):
     sentences = [[f"w{k}" for k in range(6)], ["w0", "w3", "w5"]]
     index = index_corpus(model, table, sentences)
     export_embeddings_tsv(index, tmp_path / "emb.tsv")
-    records = load_embeddings_tsv(str(tmp_path / "emb.tsv"))
-    assert len(records) == len(index)
-    for a, b in zip(index, records):
-        assert a.identity == b.identity
-        assert np.allclose(a.embedding, b.embedding, atol=1e-5)
+    rows, codes = load_embeddings_tsv(str(tmp_path / "emb.tsv"))
+    assert len(rows) == len(index)
+    assert [row[:2] for row in rows] == list(zip(index.sentence.tolist(),
+                                                 index.position.tolist()))
+    assert np.allclose(index.codes, codes, atol=1e-5)

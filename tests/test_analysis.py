@@ -8,7 +8,7 @@ from hypothesis import example, given
 
 from tokembed import encoder
 from tokembed import rng as rng_mod
-from tokembed.analysis import (DISTANCE_BLOCK, EXPORT_BLOCK, TokenRecord, distances,
+from tokembed.analysis import (DISTANCE_BLOCK, EXPORT_BLOCK, TokenIndex, distances,
                                export_embeddings_tsv, index_corpus,
                                load_embeddings_tsv, nearest_neighbors)
 from tokembed.encoder import ENCODE_BLOCK, FfnEncoder, Seq2SeqEncoder
@@ -26,10 +26,10 @@ def setup():
 def test_index_counts_with_filter(setup):
     table, model = setup
     sents = [["2", "w0", "2"], ["w1", "2"], ["2", "2"]]
-    # "2" is out of vocabulary here, which is fine: it still gets records
+    # "2" is out of vocabulary here, which is fine: it still gets rows
     index = index_corpus(model, table, sents, type_filter={"2"})
     assert len(index) == 5
-    assert all(r.token == "2" for r in index)
+    assert all(token == "2" for _, _, token, _, _, _ in index.fields(0, len(index)))
 
 
 def test_index_counts_without_filter(setup):
@@ -42,21 +42,21 @@ def test_index_embeddings_match_direct_encoding(setup):
     table, model = setup
     sents = [["w0", "w1", "w2"], ["w3", "w4"]]
     index = index_corpus(model, table, sents)
-    for rec in index:
-        ids = table.vocab.to_ids(sents[rec.sentence_id])
-        direct = model.encode_sentence(table, ids)[rec.position]
-        assert np.allclose(rec.embedding, direct, atol=1e-12)
+    for si, j, code in zip(index.sentence, index.position, index.codes):
+        ids = table.vocab.to_ids(sents[si])
+        direct = model.encode_sentence(table, ids)[j]
+        assert np.allclose(code, direct, atol=1e-12)
 
 
 def test_index_context_and_tags(setup):
     table, model = setup
     sents = [["w0", "w1", "w2", "w3"]]
     index = index_corpus(model, table, sents, tags=[["A", "B", "C", "D"]])
-    rec = index[1]
-    assert rec.left == "w0" and rec.right == "w2"
-    assert rec.tag == "B"
-    assert rec.snippet() == "[ w0 <w1> w2 ]"
-    assert index[0].snippet() == "[ <w0> w1 ]"
+    _, _, _, left, right, tag = index.fields(1, 2)[0]
+    assert left == "w0" and right == "w2"
+    assert tag == "B"
+    assert index.snippet(1) == "[ w0 <w1> w2 ]"
+    assert index.snippet(0) == "[ <w0> w1 ]"
 
 
 # -- batched index against a per-sentence reference ---------------------------
@@ -70,8 +70,8 @@ ENCODERS = {
 
 
 def per_sentence_index(model, table, sentences, type_filter, tags):
-    """(identity, token, left, right, tag, embedding) of every admitted token,
-    each sentence encoded on its own."""
+    """((sentence, position), token, left, right, tag, embedding) of every
+    admitted token, each sentence encoded on its own."""
     w = model.w_prime
     out = []
     for si, toks in enumerate(sentences):
@@ -95,11 +95,10 @@ def check_index_against_reference(model, sentences, type_filter, tags):
     with mock.patch.object(model, "_codes", counting_codes):
         index = index_corpus(model, TABLE, sentences, type_filter, tags)
     want = per_sentence_index(model, TABLE, sentences, type_filter, tags)
-    assert [(r.identity, r.token, r.left, r.right, r.tag) for r in index] == \
-        [w[:5] for w in want]
-    for rec, w in zip(index, want):
-        assert rec.embedding.dtype == w[5].dtype
-        np.testing.assert_allclose(rec.embedding, w[5], rtol=1e-5, atol=1e-6)
+    assert index.fields(0, len(index)) == [(*w[0], *w[1:5]) for w in want]
+    for code, w in zip(index.codes, want):
+        assert code.dtype == w[5].dtype
+        np.testing.assert_allclose(code, w[5], rtol=1e-5, atol=1e-6)
     assert sum(rows) == len(index)
     assert all(0 < n <= encoder.ENCODE_BLOCK for n in rows)
     return index
@@ -128,35 +127,59 @@ def test_index_across_the_encode_block_boundary(arch):
     check_index_against_reference(ENCODERS[arch], sentences, {"w1", "oov"}, None)
 
 
-def make_index(embs):
-    return [TokenRecord(k, 0, "q", np.asarray(e, dtype=np.float64))
-            for k, e in enumerate(embs)]
+def index_peak_per_token(n_sentences):
+    """The traced peak of ``index_corpus`` over ``n_sentences`` of 10 tokens,
+    beyond the codes it returns, per token.  The corpus is built outside the
+    trace."""
+    rng = np.random.default_rng(5)
+    words = [f"w{k}" for k in range(100)]
+    table = toy_embedding_table(words, 4, rng_mod.stream(66, "data"))
+    model = FfnEncoder(4, 1, token_dim=16, hidden=8, rng=rng_mod.stream(66, "init"))
+    sentences = [[words[k] for k in row] for row in rng.integers(0, 100, size=(n_sentences, 10))]
+    tracemalloc.start()
+    try:
+        index = index_corpus(model, table, sentences)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 10 * n_sentences
+    return (peak - index.codes.nbytes) / len(index)
+
+
+def test_index_memory_beyond_the_codes_per_token():
+    # The window ids (24 bytes per token at w' 1) and the admitted rows' copy
+    # of them set the peak: 50-56 bytes per token here.  One record object
+    # per token, with its code view and two joined context strings, cost
+    # 320-330.
+    assert index_peak_per_token(1_000) < 80
+    assert index_peak_per_token(10_000) < 80
 
 
 def test_nn_excludes_self():
-    index = make_index([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    out = nearest_neighbors(index[0], index, k=2)
-    assert [rec.sentence_id for rec, _ in out] == [1, 2]
+    codes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    out = nearest_neighbors(codes[0], codes, k=2, exclude=0)
+    assert [row for row, _ in out] == [1, 2]
     assert out[0][1] >= 0.0
+    assert nearest_neighbors(codes[0], codes, k=2) == [(0, 0.0), (1, 1.0)]
 
 
 def test_nn_duplicate_at_distance_zero():
-    index = make_index([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-    out = nearest_neighbors(index[0], index, k=1)
-    assert out[0][0].sentence_id == 1
+    codes = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
+    out = nearest_neighbors(codes[0], codes, k=1, exclude=0)
+    assert out[0][0] == 1
     assert out[0][1] == 0.0
 
 
 def test_nn_ties_break_by_index_order():
-    index = make_index([[0.0], [1.0], [-1.0], [1.0]])
-    out = nearest_neighbors(index[0], index, k=3)
-    assert [rec.sentence_id for rec, _ in out] == [1, 2, 3]
+    codes = np.array([[0.0], [1.0], [-1.0], [1.0]])
+    out = nearest_neighbors(codes[0], codes, k=3, exclude=0)
+    assert [row for row, _ in out] == [1, 2, 3]
 
 
 def test_nn_k_larger_than_index_returns_all_sorted():
-    index = make_index([[0.0], [3.0], [1.0], [2.0]])
-    out = nearest_neighbors(index[0], index, k=99)
-    assert [rec.sentence_id for rec, _ in out] == [2, 3, 1]
+    codes = np.array([[0.0], [3.0], [1.0], [2.0]])
+    out = nearest_neighbors(codes[0], codes, k=99, exclude=0)
+    assert [row for row, _ in out] == [2, 3, 1]
     dists = [d for _, d in out]
     assert dists == sorted(dists)
 
@@ -167,20 +190,18 @@ def test_blocked_nn_equals_unblocked_reference(metric):
     embs = rng.normal(size=(2 * DISTANCE_BLOCK + 37, 5)).astype(np.float32)
     embs[DISTANCE_BLOCK + 3] = embs[5]  # a tie across a block boundary
     embs[7] = 0.0
-    index = [TokenRecord(k, 0, "q", e) for k, e in enumerate(embs)]
-    query = index[5]
-    got = nearest_neighbors(query, index, k=len(index), metric=metric)
-    dists = distances(query.embedding, np.stack(embs), metric)
+    got = nearest_neighbors(embs[5], embs, k=len(embs), metric=metric, exclude=5)
+    dists = distances(embs[5], embs, metric)
     order = [k for k in np.argsort(dists, kind="stable") if k != 5]
-    assert [rec.sentence_id for rec, _ in got] == order
+    assert [row for row, _ in got] == order
     assert np.array_equal(np.array([d for _, d in got]).view(np.uint64),
                           dists[order].view(np.uint64))
-    assert got[0][0] is index[DISTANCE_BLOCK + 3] and got[0][1] == 0.0
+    assert got[0] == (DISTANCE_BLOCK + 3, 0.0)
 
 
 def test_nn_empty_index_rejected():
     with pytest.raises(ValueError):
-        nearest_neighbors(make_index([[0.0]])[0], [], k=1)
+        nearest_neighbors(np.zeros(1), np.zeros((0, 1)), k=1)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -188,12 +209,11 @@ def test_nn_matches_brute_force(metric):
     for size in (1, 5, 100, 1000):
         rng = rng_mod.stream(size, "data")
         embs = rng.normal(size=(size, 6))
-        index = make_index(embs)
-        query = TokenRecord(10 ** 9, 0, "q", rng.normal(size=6))
-        got = nearest_neighbors(query, index, k=size, metric=metric)
-        dists = distances(query.embedding, embs, metric)
+        query = rng.normal(size=6)
+        got = nearest_neighbors(query, embs, k=size, metric=metric)
+        dists = distances(query, embs, metric)
         expected = sorted(range(size), key=lambda k: (dists[k], k))
-        assert [rec.sentence_id for rec, _ in got] == expected
+        assert [row for row, _ in got] == expected
         got_d = [d for _, d in got]
         assert got_d == sorted(got_d)
 
@@ -234,13 +254,11 @@ def test_export_reload_round_trip(setup, tmp_path):
     index = index_corpus(model, table, sents, tags=[["A", "B", "C"], ["D", "E", "F"]])
     path = tmp_path / "emb.tsv"
     export_embeddings_tsv(index, path)
-    reloaded = load_embeddings_tsv(str(path))
-    assert len(reloaded) == len(index)
-    for a, b in zip(index, reloaded):
-        assert a.identity == b.identity
-        assert a.token == b.token and a.tag == b.tag
-        assert a.left == b.left and a.right == b.right
-        assert np.allclose(a.embedding, b.embedding, atol=1e-5)
+    rows, codes = load_embeddings_tsv(str(path))
+    assert len(rows) == len(index)
+    assert rows == index.fields(0, len(index))
+    assert codes.dtype == np.float32
+    assert np.allclose(index.codes, codes, atol=1e-5)
 
 
 def test_reload_rejects_bytes_that_are_not_utf8(setup, tmp_path):
@@ -272,40 +290,64 @@ def test_reload_names_the_malformed_field(setup, tmp_path, column, value, messag
     assert str(e.value) == str(path) + message
 
 
-def test_export_empty_index_header_only(tmp_path):
+def test_export_empty_index_header_only(setup, tmp_path):
+    table, model = setup
     path = tmp_path / "emb.tsv"
-    export_embeddings_tsv([], path)
+    export_embeddings_tsv(index_corpus(model, table, []), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("sentence_id\tposition\ttoken")
 
 
+def token_index(codes, sentences=None, at=None, tags=None, w_prime=1):
+    """A ``TokenIndex`` of ``codes`` whose row k is the token at ``at[k]``, a
+    (sentence, position) pair; by default token 0 of sentence k, of one-token
+    sentences "t"."""
+    codes = np.asarray(codes)
+    if sentences is None:
+        sentences = [["t"]] * len(codes)
+    if at is None:
+        at = [(k, 0) for k in range(len(codes))]
+    sentence, position = np.array(at, dtype=np.int64).reshape(len(codes), 2).T
+    return TokenIndex(sentence, position, codes, sentences, tags, w_prime)
+
+
 def per_element_tsv(index, path):
-    """Reference writer: every coordinate formatted on its own."""
-    dim = len(index[0].embedding) if index else 0
+    """Reference writer: every coordinate formatted on its own, and each
+    row's context joined from its sentence."""
+    dim = index.codes.shape[1]
     header = ["sentence_id", "position", "token", "left_context",
               "right_context", "tag"] + [f"e{k}" for k in range(dim)]
+    w = index.w_prime
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for rec in index:
-            coords = [f"{x:.8g}" for x in rec.embedding]
-            fh.write("\t".join([str(rec.sentence_id), str(rec.position), rec.token,
-                                rec.left, rec.right, rec.tag or ""] + coords) + "\n")
+        for si, j, code in zip(index.sentence.tolist(), index.position.tolist(), index.codes):
+            toks = index.sentences[si]
+            tag = index.tags[si][j] if index.tags is not None else ""
+            coords = [f"{x:.8g}" for x in code]
+            fh.write("\t".join([str(si), str(j), toks[j], " ".join(toks[max(0, j - w):j]),
+                                " ".join(toks[j + 1:j + 1 + w]), tag] + coords) + "\n")
 
 
 TEXT = st.text(alphabet="ab%s\u00e9 ", max_size=4)
 
 
 @st.composite
-def token_records(draw):
+def token_indexes(draw):
+    """Indexes of arbitrary rows of sentences of arbitrary strings, with or
+    without tags, and codes of any float32 or float64 values."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     dim = draw(st.integers(1, 4))
     values = st.floats(width=32 if dtype is np.float32 else 64)
-    return [TokenRecord(draw(st.integers(0, 10 ** 6)), draw(st.integers(0, 99)),
-                        draw(TEXT), np.array(draw(st.lists(values, min_size=dim,
-                                                           max_size=dim)), dtype=dtype),
-                        draw(TEXT), draw(TEXT), draw(st.none() | TEXT))
-            for _ in range(draw(st.integers(0, 4)))]
+    sentences = draw(st.lists(st.lists(TEXT, min_size=1, max_size=4), min_size=1, max_size=3))
+    tags = draw(st.none() | st.just([[draw(TEXT) for _ in toks] for toks in sentences]))
+    at = draw(st.lists(st.integers(0, len(sentences) - 1).flatmap(
+        lambda si: st.tuples(st.just(si), st.integers(0, len(sentences[si]) - 1))),
+        max_size=4))
+    codes = np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                   min_size=len(at), max_size=len(at))),
+                     dtype=dtype).reshape(len(at), dim)
+    return token_index(codes, sentences, at, tags, draw(st.integers(0, 2)))
 
 
 # values at and across the edges of the writer's fixed-notation path
@@ -313,12 +355,13 @@ EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, float(np.finfo(np.floa
                328969.625, -1341219.75, 9.99999e-05, 1e8]
 
 
-@given(token_records())
-@example([TokenRecord(0, 0, "a", np.array(EDGE_VALUES, dtype=np.float32))])
+@given(token_indexes())
+@example(token_index(np.array([EDGE_VALUES], dtype=np.float32), [["a"]]))
 # 0.100000005 * 1e8 rounds to the tie 10000000.5 in float64, but the value is
 # above it: only a float32 scales exactly
-@example([TokenRecord(0, 0, "a", np.array(EDGE_VALUES + [1.79769313e+301, 0.100000005])),
-          TokenRecord(1, 2, "\u00e9", np.array([-v for v in EDGE_VALUES] + [0.1, -0.1]))])
+@example(token_index(np.array([EDGE_VALUES + [1.79769313e+301, 0.100000005],
+                               [-v for v in EDGE_VALUES] + [0.1, -0.1]]),
+                     [["a"], ["x", "y", "\u00e9"]], [(0, 0), (1, 2)]))
 def test_export_bytes_equal_per_element_writer(tmp_path_factory, index):
     root = tmp_path_factory.mktemp("tsv")
     export_embeddings_tsv(index, root / "got.tsv")
@@ -344,7 +387,7 @@ def test_export_formats_each_float32_as_percent_8g(tmp_path):
     values = np.concatenate([values, np.zeros(-len(values) % dim, dtype=np.float32)])
     rows = values.reshape(-1, dim)
     assert len(rows) % (EXPORT_BLOCK // dim) != 0  # the last block is a short one
-    index = [TokenRecord(k, 0, "t", row) for k, row in enumerate(rows)]
+    index = token_index(rows)
     path = tmp_path / "probe.tsv"
     export_embeddings_tsv(index, path)
     with np.errstate(invalid="ignore"):  # signalling nan bit patterns
@@ -356,10 +399,11 @@ def test_export_formats_each_float32_as_percent_8g(tmp_path):
 
 
 def export_peak_bytes(tmp_path, n_rows, dim=256):
-    """The traced peak of one export, beyond the records it is given."""
+    """The traced peak of one export, beyond the index it is given."""
     rng = np.random.default_rng(5)
-    index = [TokenRecord(k, k % 7, "tok", rng.normal(0.0, 2.0, dim).astype(np.float32),
-                         "left", "right", "T") for k in range(n_rows)]
+    index = token_index(rng.normal(0.0, 2.0, (n_rows, dim)).astype(np.float32),
+                        [["left", "tok", "right"]] * n_rows, [(k, 1) for k in range(n_rows)],
+                        [["L", "T", "R"]] * n_rows)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

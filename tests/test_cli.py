@@ -313,6 +313,24 @@ def test_model_with_bad_config_field_exits_1(data, capsys, tmp_path, command, co
     assert f"{bad}: config{field}" in err
 
 
+@pytest.mark.parametrize("command", ["tag", "parse", "embed", "knn"])
+def test_model_with_a_non_canonical_header_exits_1(data, capsys, tmp_path, command):
+    # the header save_model writes, re-spelled as json.dumps(indent=1) spells it
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    save_untrained(command, data, good)
+    blob = good.read_bytes()
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    header = json.dumps(json.loads(blob[12:12 + hlen]), sort_keys=True, indent=1).encode()
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + hlen:])
+    corpus = data["dep_val"] if command == "parse" else data["val"]
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"], "--model", bad,
+                             "--corpus", corpus,
+                             *([] if command == "knn" else ["--out", tmp_path / "out.txt"]))
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [
+        f"error: {bad}: header is not in the canonical spelling (sorted keys, no spaces)"]
+
+
 HUGE = 10 ** 7
 
 
@@ -362,11 +380,15 @@ def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
                                                      monkeypatch):
     enc = tmp_path / "enc.bin"
     train_encoder_file(data, capsys, enc)
-    seen = []
+    seen, indexes = [], []
 
-    def recording(query, index, k, metric):
-        seen.append((query, index))
-        return nearest_neighbors(query, index, k, metric)
+    def recording(query, codes, k, metric, exclude):
+        seen.append((query, codes, exclude))
+        return nearest_neighbors(query, codes, k, metric, exclude)
+
+    def recording_index(*args):
+        indexes.append(index_corpus(*args))
+        return indexes[-1]
 
     encoded = []
     encode = WindowEncoder.encode
@@ -376,6 +398,7 @@ def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
         return encode(self, table, windows)
 
     monkeypatch.setattr(cli, "nearest_neighbors", recording)
+    monkeypatch.setattr(cli, "index_corpus", recording_index)
     monkeypatch.setattr(WindowEncoder, "encode", counting_encode)
     sentence = load_corpus(str(data["val"]))[1]
     assert sentence[2] == "lb"
@@ -384,19 +407,22 @@ def test_knn_same_type_query_is_its_own_index_record(data, capsys, tmp_path,
                                "--model", enc, "--corpus", data["val"],
                                "--sentence", 1, "--position", 2, "-k", 2, *extra)
         assert code == 0 and summary["query"]["token"] == "lb"
-        query, index = seen.pop()
-        assert query.identity == (1, 2)
-        own = [r for r in index if r.identity == query.identity]
+        query, codes, exclude = seen.pop()
+        index = indexes[0]
+        indexes.clear()
+        assert codes is index.codes
+        own = np.flatnonzero((index.sentence == 1) & (index.position == 2))
         assert sum(encoded) == len(index) + (0 if indexed else len(sentence))
         encoded.clear()
-        if indexed:
-            assert np.array_equal(query.embedding.view(np.uint32),
-                                  own[0].embedding.view(np.uint32))
+        if indexed:  # the query is its own row, and only that row is excluded
+            assert exclude == own[0]
+            assert (index.sentence[exclude], index.position[exclude]) == (1, 2)
+            assert np.array_equal(query.view(np.uint32), codes[exclude].view(np.uint32))
         else:  # the filter rejects the query's type: it is encoded on its own
-            assert own == []
+            assert len(own) == 0 and exclude is None
             table = load_word2vec_text(str(data["emb"]))
             direct = load_encoder(enc)[0].encode_sentence(table, table.vocab.to_ids(sentence))
-            np.testing.assert_allclose(query.embedding, direct[2], rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(query, direct[2], rtol=1e-5, atol=1e-6)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -432,6 +458,21 @@ def test_embed_types_admitting_no_token_names_corpus_and_types(data, capsys, tmp
     assert code == 1 and summary is None
     assert err.strip().splitlines() == [
         f"error: {data['val']}: no token is one of --types zzzz,yyyy"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "knn"])
+@pytest.mark.parametrize("empty_text", ["", "\n \n\t\n"], ids=["zero-bytes", "blank-lines"])
+def test_embed_and_knn_reject_an_empty_corpus_naming_it(data, capsys, tmp_path, command,
+                                                        empty_text):
+    enc, empty, out = tmp_path / "enc.bin", tmp_path / "empty.txt", tmp_path / "tokens.tsv"
+    save_untrained("embed", data, enc)
+    empty.write_text(empty_text, encoding="utf-8")
+    code, summary, err = run(capsys, command, "--embeddings", data["emb"], "--model", enc,
+                             "--corpus", empty,
+                             *(["--out", out] if command == "embed" else []))
+    assert code == 1 and summary is None
+    assert err.strip().splitlines() == [f"error: {empty}: empty corpus"]
     assert not out.exists()
 
 

@@ -710,6 +710,60 @@ def test_whole_table_round_trips_with_a_negative_zero_in_a_row_not_reached(tmp_p
     assert again.read_bytes() == path.read_bytes()
 
 
+FINITE_FLOAT32_BITS = st.integers(0, 2 ** 32 - 1).filter(lambda u: u >> 23 & 0xFF != 0xFF)
+RESAVE_WORDS = [f"u{k}" for k in range(6)]
+
+
+@given(kind=st.sampled_from(["tagger", "parser"]),
+       rows=st.lists(st.sampled_from(["table", "bits", "flipped"]), min_size=6, max_size=6),
+       bits=st.lists(FINITE_FLOAT32_BITS, min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+# rows that differ from the table only in the sign of a zero: the table
+# holds +0.0 in u1 and -0.0 in u2, and a saved table holds both at +0.0
+@example(kind="tagger", rows=["table", "flipped", "flipped", "table", "table", "table"],
+         bits=[0], seed=0)
+def test_every_loaded_predictor_file_resaves_to_its_own_bytes(tmp_path_factory, kind, rows,
+                                                              bits, seed):
+    # files as save writes them, with every tensor's bits drawn: arbitrary
+    # finite float32 patterns in the network, the drawn ones first, and each
+    # word row of the stored table either the table's + 0.0, drawn bits, or
+    # the table's + 0.0 with the sign of each zero flipped
+    table = toy_embedding_table(RESAVE_WORDS, 4, rng_mod.stream(83, "data"))
+    table.vectors[table.vocab.id_of("u1"), 0] = 0.0
+    table.vectors[table.vocab.id_of("u2"), 1] = -0.0
+    if kind == "tagger":
+        model = tagger.Tagger(tagger.TaggerConfig(window=1, hidden=3, update_embeddings=True),
+                              ["A", "B"], table)
+    else:
+        model = parser.Parser(parser.ParserConfig(window=1, hidden=3, update_embeddings=True),
+                              table)
+    path = tmp_path_factory.mktemp("resave") / "model.bin"
+    model.save(path)
+    _, config, tensors = load_model(path)
+    r = np.random.default_rng(seed)
+
+    def drawn(shape):
+        raw = r.integers(0, 2 ** 32, size=shape, dtype=np.uint32)
+        raw[(raw >> 23 & 0xFF) == 0xFF] &= ~np.uint32(1 << 30)
+        raw.reshape(-1)[:len(bits)] = bits[:raw.size]
+        return raw.view(np.float32)
+
+    for name, arr in tensors.items():
+        if name != "embeddings":
+            tensors[name] = drawn(arr.shape)
+    full = tensors["embeddings"]
+    for word, how in zip(RESAVE_WORDS, rows):
+        row = table.vocab.id_of(word)
+        if how == "bits":
+            full[row] = drawn(table.dim)
+        elif how == "flipped":
+            full[row] = np.where(full[row] == 0, -full[row], full[row])
+    save_model(path, kind, config, tensors)
+    loaded = type(model).load(path, table)
+    loaded.save(path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
 def test_training_memory_does_not_grow_with_rows_not_reached():
     # Only the rows training reaches are trainable: what an embedding update
     # builds and trains is the same for a table of 1k and of 51k unused rows,
@@ -771,7 +825,7 @@ def test_token_codes_are_the_index_embeddings(monkeypatch, which):
     monkeypatch.setattr(encoder, "ENCODE_BLOCK", 8)
     table = toy_embedding_table([f"u{k}" for k in range(6)], 4, rng_mod.stream(75, "data"))
     enc = corpus_encoders()[which]
-    want = np.stack([r.embedding for r in index_corpus(enc, table, CORPUS)])
+    want = index_corpus(enc, table, CORPUS).codes
     predictors = corpus_predictors(table, [enc])
     for model in predictors:
         got = model.features(CORPUS).codes

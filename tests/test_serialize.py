@@ -110,8 +110,9 @@ def test_restore_params_rejects_mismatches_untouched(tensors, message):
 
 def write_container(path, header, payload=b""):
     """A container whose header is ``header``: bytes as they are, anything
-    else JSON-encoded."""
-    blob = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    else JSON-encoded in the canonical spelling."""
+    blob = header if isinstance(header, bytes) else json.dumps(
+        header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + payload)
     return str(path)
 
@@ -152,6 +153,37 @@ def test_bad_header_rejected_naming_file_and_field(tmp_path, header, message):
     path = write_container(tmp_path / "m.bin", header, b"\x00" * 16)
     with pytest.raises(ValueError, match="^" + re.escape(path) + ": " + message):
         load_model(path)
+
+
+@pytest.mark.parametrize("spell", [
+    lambda h: json.dumps(h, sort_keys=True, indent=1),
+    lambda h: json.dumps(h, sort_keys=True),
+    lambda h: json.dumps(dict(reversed(h.items())), separators=(",", ":")),
+    lambda h: json.dumps(h, sort_keys=True, separators=(",", ":"), ensure_ascii=False),
+    lambda h: json.dumps(h, sort_keys=True, separators=(",", ":")).replace("2.5", "2.50"),
+    lambda h: json.dumps(h, sort_keys=True, separators=(",", ":")).replace(
+        '"x"', '"x","name":"x"'),
+    lambda h: json.dumps(h, sort_keys=True, separators=(",", ":")) + " ",
+], ids=["indent", "spaces", "unsorted", "unescaped", "float-spelling", "duplicate-key",
+        "trailing-space"])
+def test_non_canonical_header_rejected_naming_file(tmp_path, spell):
+    # every spelling parses to the header save_model writes, which would
+    # re-save to other bytes
+    good = tmp_path / "good.bin"
+    save_model(good, "demo", {"name": "x", "alpha": [1, 2.5], "word": "caf\u00e9"},
+               {"w": np.ones(2, dtype=np.float32)})
+    data = good.read_bytes()
+    hlen = struct.unpack("<I", data[8:12])[0]
+    header = json.loads(data[12:12 + hlen])
+    blob = spell(header).encode("utf-8")
+    assert blob != data[12:12 + hlen] and json.loads(blob) == header
+    path = write_container(tmp_path / "m.bin", blob, data[12 + hlen:])
+    with pytest.raises(ValueError) as e:
+        load_model(path)
+    assert str(e.value) == (f"{path}: header is not in the canonical spelling "
+                            "(sorted keys, no spaces)")
+    assert load_model(write_container(tmp_path / "again.bin", header, data[12 + hlen:]))[0] \
+        == "demo"
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
